@@ -83,7 +83,7 @@ def _run_plain(cfg):
 
 def _run_importance(cfg):
     V = cfg.build_potential()
-    ref = cfg.build_sampling_potential()
+    ref = cfg.build_sampling_potential(V)
     region = cfg.build_region()
     noise = cfg.noise()
     event = EscapeEvent(region, cfg.T)
@@ -120,7 +120,7 @@ def _run_table5(cfg):
                     seed=cfg.seed)]
     print(_summary_line("plain", plain))
     for i, sampling in enumerate(("flatten", "invert")):
-        ref = replace(cfg, sampling=sampling).build_sampling_potential()
+        ref = replace(cfg, sampling=sampling).build_sampling_potential(V)
         seed = cfg.seed + 1 + i
         summaries = run_importance_meshes(
             V, ref, noise, cfg.x0, event, cfg.h, taus, cfg.N,
@@ -181,7 +181,7 @@ def _run_action(cfg):
 
 def _run_sweep(cfg):
     V = cfg.build_potential()
-    ref = cfg.build_sampling_potential()
+    ref = cfg.build_sampling_potential(V)
     ns = list(cfg.sweep_n) if cfg.sweep_n else cfg.N
     rows = small_noise_sweep(V, ref, cfg.build_region(), cfg.x0, cfg.T,
                              cfg.h, cfg.tau, cfg.epsilons, ns, cfg.seed,
@@ -239,7 +239,7 @@ def _cmd_validate(cfg):
         print("sampling=none: no reference potential to validate")
         return 0
     V = cfg.build_potential()
-    ref = cfg.build_sampling_potential()
+    ref = cfg.build_sampling_potential(V)
     region = cfg.build_region()
     noise = cfg.noise()
     a, b = region.bounding_box[0]

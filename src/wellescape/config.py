@@ -223,12 +223,18 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"give at most one of sigma/epsilon/beta, got {given}"
             )
-        for key in ("T", "h", "tau", "stiffness", "dt"):
+        for key in ("T", "h", "tau", "stiffness", "dt", *given):
             if getattr(self, key) <= 0:
                 raise ConfigurationError(f"{key} must be positive")
         for key in ("N", "seed", "workers", "n_cells", "segments"):
             if getattr(self, key) < (0 if key == "seed" else 1):
                 raise ConfigurationError(f"{key} must be positive")
+        if not all(e > 0 for e in self.epsilons):
+            raise ConfigurationError(
+                f"epsilons must all be positive, got {self.epsilons}")
+        if self.sweep_n is not None and not all(n >= 1 for n in self.sweep_n):
+            raise ConfigurationError(
+                f"sweep_n must all be positive, got {self.sweep_n}")
         a, b = self.region
         if not b > a:
             raise ConfigurationError(f"region must satisfy a < b, got ({a}, {b})")
@@ -268,11 +274,11 @@ class ExperimentConfig:
             return QuadraticPotential(k=self.stiffness)
         return LinearPotential(self.slope)
 
-    def build_sampling_potential(self):
-        """The reference-dynamics potential, or None for sampling=none."""
-        target = self.build_potential()
+    def build_sampling_potential(self, target=None):
+        """The sampling potential built on ``target`` (default: a new one), or None."""
         if self.sampling == "none":
             return None
+        target = target if target is not None else self.build_potential()
         if self.sampling == "same":
             return target
         region = self.build_region()

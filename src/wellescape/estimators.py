@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigurationError
 from .girsanov import WeightAccumulator
 from .potentials import region_supremum
 from .sde import BLOCK_SAMPLES, evolve_block, steps_for
@@ -165,6 +166,8 @@ def _run(potential, sampling_potential, noise, x0, event, h, taus, n_samples,
     with tau None for plain runs).  All meshes share one simulation pass,
     and therefore one noise stream.
     """
+    if n_samples < 1:
+        raise ConfigurationError(f"n_samples must be at least 1, got {n_samples}")
     n_steps = steps_for(event.horizon, h)
     weighted = sampling_potential is not None
     sampler = sampling_potential if weighted else potential

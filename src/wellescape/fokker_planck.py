@@ -29,7 +29,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import SolverError
 from .sde import steps_for
@@ -109,14 +109,13 @@ def _operator_diagonals(potential, noise, x, boundary):
     return lower, main, upper
 
 
-def _banded(lower, main, upper, scale, shift):
-    """Banded form of shift * I + scale * A for solve_banded((1, 1), ...)."""
-    n = main.size
-    ab = np.zeros((3, n))
-    ab[0, 1:] = scale * upper[:-1]
-    ab[1] = shift + scale * main
-    ab[2, :-1] = scale * lower[1:]
-    return ab
+def _factor(lower, main, upper, scale, shift):
+    """LU factors of the tridiagonal shift * I + scale * A, for dgttrs."""
+    dl, d, du, du2, ipiv, info = dgttrf(
+        scale * lower[1:], shift + scale * main, scale * upper[:-1])
+    if info != 0:
+        raise SolverError(f"time-step matrix is singular (LAPACK info={info})")
+    return dl, d, du, du2, ipiv
 
 
 def _apply(lower, main, upper, p):
@@ -170,11 +169,11 @@ def evolve(potential, noise, initial, domain, n_cells, horizon, dt,
     lower, main, upper = _operator_diagonals(potential, noise, x, boundary)
     n_steps = steps_for(horizon, dt)
 
-    def run(steps, step_dt, theta_banded, rhs_diags):
+    def run(steps, step_dt, lu, rhs_diags):
         nonlocal p
         for i in range(steps):
             rhs = _apply(*rhs_diags, p) if rhs_diags is not None else p
-            p = solve_banded((1, 1), theta_banded, rhs)
+            p, _ = dgttrs(*lu, rhs)
             if (i % _CHECK_EVERY == 0 or i == steps - 1) and not _healthy(p):
                 raise SolverError(
                     f"density became invalid at t={min((i + 1) * step_dt, horizon):g}; "
@@ -184,15 +183,16 @@ def evolve(potential, noise, initial, domain, n_cells, horizon, dt,
     def _healthy(q):
         return bool(np.all(np.isfinite(q)) and q.min() >= -_NEGATIVE_TOL * max(1.0, q.max()))
 
+    # I - (dt/2) A is both the backward-Euler half-step matrix and the
+    # Crank-Nicolson left-hand side, so one factorization serves every step.
+    lu = _factor(lower, main, upper, -0.5 * dt, 1.0)
     remaining = n_steps
     if smooth_start and n_steps >= 1:
-        be_half = _banded(lower, main, upper, -0.5 * dt, 1.0)
-        run(2, 0.5 * dt, be_half, None)
+        run(2, 0.5 * dt, lu, None)
         remaining -= 1
     if remaining > 0:
-        left = _banded(lower, main, upper, -0.5 * dt, 1.0)
         rhs_diags = (0.5 * dt * lower, 1.0 + 0.5 * dt * main, 0.5 * dt * upper)
-        run(remaining, dt, left, rhs_diags)
+        run(remaining, dt, lu, rhs_diags)
 
     clamped = float(-p[p < 0].sum() * dx) if np.any(p < 0) else 0.0
     np.clip(p, 0.0, None, out=p)

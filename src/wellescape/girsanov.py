@@ -34,7 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .potentials import generator_apply_general, generator_apply_to_self
+from .potentials import (
+    generator_apply_general,
+    generator_apply_to_self,
+    generator_difference,
+)
 
 _MESH_REL_TOL = 1e-9
 
@@ -160,28 +164,27 @@ class WeightAccumulator:
     """
 
     def __init__(self, potential, sampling_potential, noise, h, n_steps, taus):
+        if noise.sigma == 0:
+            raise ConfigurationError("generator-form weights need sigma > 0")
         self.potential = potential
         self.sampling_potential = sampling_potential
         self.noise = noise
         self.h = h
         self.strides = [mesh_stride(t, h, n_steps) for t in taus]
-        self.taus = [m * h for m in self.strides]
         self._sums = None
 
-    def _g_diff(self, X):
-        return (np.asarray(generator_apply_to_self(self.potential, self.noise, X))
-                - np.asarray(generator_apply_to_self(
-                    self.sampling_potential, self.noise, X)))
-
     def observe(self, i, X):
+        """Add the integrand at step i if due; return -grad V~(X) then, else None."""
         due = [j for j, m in enumerate(self.strides) if i % m == 0]
         if not due:
-            return
-        g = self._g_diff(X)
+            return None
+        g, grad_sampling = generator_difference(
+            self.potential, self.sampling_potential, self.noise, X)
         if self._sums is None:
             self._sums = np.zeros((len(self.strides), len(X)))
         for j in due:
             self._sums[j] += g
+        return -np.asarray(grad_sampling)
 
     def finalize(self, x0, terminal):
         """Log-weights, shape (n_taus, block); call after the last step."""

@@ -1,8 +1,9 @@
 """Potential energy fields, regions, and generator-type differential expressions.
 
 The central object is :class:`PotentialField`: a scalar field ``V`` with
-``value``, ``gradient`` and ``laplacian`` evaluators.  Fields are vectorized
-with numpy conventions:
+``value``, ``gradient`` and ``laplacian`` evaluators, plus ``field`` for
+the (gradient, Laplacian) pair in one call.  Fields are vectorized with
+numpy conventions:
 
 * one-dimensional fields act elementwise on arrays of any shape (scalars in,
   python floats out);
@@ -165,6 +166,10 @@ class PotentialField:
             out += (self.value(xp) - 2 * v0 + self.value(xm)) / h ** 2
         return _as_float(out)
 
+    def field(self, x):
+        """``(gradient(x), laplacian(x))``; override to share work between them."""
+        return self.gradient(x), self.laplacian(x)
+
     def __repr__(self):
         return f"{type(self).__name__}(label={self.label!r})"
 
@@ -267,6 +272,10 @@ class CosineWellPotential(PotentialField):
     def laplacian(self, x):
         return _as_float(np.cos(np.asarray(x, dtype=float)))
 
+    def field(self, x):
+        x = np.asarray(x, dtype=float)
+        return _as_float(np.sin(x)), _as_float(np.cos(x))
+
 
 class CallablePotential(PotentialField):
     """Wrap a plain function as a potential; derivatives by finite differences."""
@@ -351,106 +360,72 @@ def _boundary_match_residual(potential, region):
     return worst, worst_point
 
 
-def _require_flat_boundary(potential, region, tol, what):
-    if region.boundary_probe is None:
-        # No probe points available (d >= 2 custom regions): the caller is
-        # trusted to have checked the matching condition.
-        return
-    worst, point = _boundary_match_residual(potential, region)
-    if worst > tol:
-        raise ConstructionError(
-            f"{what}: potential {potential.label!r} does not vanish to first "
-            f"order on the boundary of {region.label} (residual {worst:.3e} "
-            f"at x={point!r}, tolerance {tol:.1e}); the patched field would "
-            f"not be C^1"
-        )
+class PatchedPotential(PotentialField):
+    """Equal to the base potential outside D, to ``sign`` times it inside D.
 
-
-class FlattenedPotential(PotentialField):
-    """Equal to the base potential outside D, identically 0 inside D.
-
-    Removes the well: sampling under the flattened potential diffuses
-    freely inside D, which makes escapes far more frequent.  Requires
-    V = 0 and grad V = 0 on the boundary of D so the patched field stays
-    C^1 (checked on the boundary probe points at construction).
+    ``sign = 0`` flattens the well: sampling diffuses freely inside D,
+    which makes escapes far more frequent.  ``sign = -1`` inverts it into
+    a hill whose drift pushes samples toward the boundary of D.  Both
+    require V = 0 and grad V = 0 on the boundary of D so the patched field
+    stays C^1 (checked on the region's boundary probe points at
+    construction).
     """
 
-    def __init__(self, base, region, tol=_BOUNDARY_MATCH_TOL):
-        _require_flat_boundary(base, region, tol, "flatten_on_region")
+    def __init__(self, base, region, sign, name, tol=_BOUNDARY_MATCH_TOL):
+        what = f"{name}_on_region"
+        if region.boundary_probe is None:
+            raise ConstructionError(
+                f"{what}: region {region.label} has no boundary probe points "
+                f"to check that {base.label!r} is flat on its boundary")
+        worst, point = _boundary_match_residual(base, region)
+        if worst > tol:
+            raise ConstructionError(
+                f"{what}: potential {base.label!r} does not vanish to "
+                f"first order on the boundary of {region.label} (residual "
+                f"{worst:.3e} at x={point!r}, tolerance {tol:.1e}); the "
+                f"patched field would not be C^1")
         if base.dimension != region.dimension:
             raise ConstructionError("potential and region dimensions differ")
         self.base = base
         self.region = region
+        self.sign = float(sign)
         self.dimension = base.dimension
         self.derivatives = base.derivatives
-        self.label = f"flatten({base.label})"
+        self.label = f"{name}({base.label})"
 
-    def _patch(self, inside, inner, outer):
-        out = np.where(inside, inner, outer)
-        return _as_float(out)
+    def _patch(self, inside, values):
+        inside, values = np.asarray(inside), np.asarray(values)
+        if values.ndim > inside.ndim:
+            inside = inside[..., None]
+        inner = self.sign * values if self.sign else 0.0
+        return _as_float(np.where(inside, inner, values))
 
     def value(self, x):
-        x = np.asarray(x, dtype=float)
-        return self._patch(self.region.indicator(x), 0.0, self.base.value(x))
+        return self._patch(self.region.indicator(x), self.base.value(x))
 
     def gradient(self, x):
-        x = np.asarray(x, dtype=float)
-        inside = np.asarray(self.region.indicator(x))
-        if self.dimension > 1:
-            inside = inside[..., None]
-        return self._patch(inside, 0.0, self.base.gradient(x))
+        return self._patch(self.region.indicator(x), self.base.gradient(x))
 
     def laplacian(self, x):
-        x = np.asarray(x, dtype=float)
-        return self._patch(self.region.indicator(x), 0.0, self.base.laplacian(x))
+        return self._patch(self.region.indicator(x), self.base.laplacian(x))
 
+    def field(self, x):
+        return self.patch(x, *self.base.field(x))
 
-class InvertedPotential(PotentialField):
-    """Equal to the base potential outside D, to its negative inside D.
-
-    Turns the well into a hill: the inverted drift pushes samples toward
-    the boundary of D.  Same C^1 matching requirement as flattening (the
-    two branches agree to first order exactly when V and grad V vanish on
-    the boundary).
-    """
-
-    def __init__(self, base, region, tol=_BOUNDARY_MATCH_TOL):
-        _require_flat_boundary(base, region, tol, "invert_on_region")
-        if base.dimension != region.dimension:
-            raise ConstructionError("potential and region dimensions differ")
-        self.base = base
-        self.region = region
-        self.dimension = base.dimension
-        self.derivatives = base.derivatives
-        self.label = f"invert({base.label})"
-
-    def _flip(self, x, values):
+    def patch(self, x, gradient, laplacian):
+        """This field's (gradient, Laplacian) at x from the base's there."""
         inside = np.asarray(self.region.indicator(x))
-        if self.dimension > 1 and np.asarray(values).ndim == inside.ndim + 1:
-            inside = inside[..., None]
-        return _as_float(np.where(inside, -np.asarray(values), values))
-
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        return self._flip(x, self.base.value(x))
-
-    def gradient(self, x):
-        x = np.asarray(x, dtype=float)
-        return self._flip(x, self.base.gradient(x))
-
-    def laplacian(self, x):
-        x = np.asarray(x, dtype=float)
-        return self._flip(x, self.base.laplacian(x))
+        return self._patch(inside, gradient), self._patch(inside, laplacian)
 
 
 def flatten_on_region(potential, region, tol=_BOUNDARY_MATCH_TOL):
     """Return the potential with its values replaced by 0 inside the region."""
-    return FlattenedPotential(potential, region, tol=tol)
+    return PatchedPotential(potential, region, 0, "flatten", tol=tol)
 
 
 def invert_on_region(potential, region, tol=_BOUNDARY_MATCH_TOL):
     """Return the potential with its sign flipped inside the region."""
-    return InvertedPotential(potential, region, tol=tol)
+    return PatchedPotential(potential, region, -1, "invert", tol=tol)
 
 
 def _squared_norm(g, dimension):
@@ -478,11 +453,31 @@ def generator_apply_to_self(potential, noise, x):
     identity and of the short-time density approximation.  Raises
     :class:`EvaluationError` if the result is non-finite.
     """
-    g = potential.gradient(x)
-    lap = potential.laplacian(x)
+    g, lap = potential.field(x)
     out = noise.sigma ** 2 * np.asarray(lap) - _squared_norm(g, potential.dimension)
     _check_finite(out, x, f"(L+L0) applied to {potential.label!r}")
     return _as_float(out)
+
+
+def generator_difference(potential, sampling_potential, noise, x):
+    """(L_V + L_0) V - (L_V~ + L_0) V~ at x, and grad V~ at x.
+
+    One field evaluation of V serves both terms when V~ is a
+    :class:`PatchedPotential` of this very V.  Raises
+    :class:`EvaluationError` if the difference is non-finite.
+    """
+    g, lap = potential.field(x)
+    patched = isinstance(sampling_potential, PatchedPotential)
+    if patched and sampling_potential.base is potential:
+        gt, lapt = sampling_potential.patch(x, g, lap)
+    else:
+        gt, lapt = sampling_potential.field(x)
+    s2, d = noise.sigma ** 2, potential.dimension
+    out = ((s2 * np.asarray(lap) - _squared_norm(g, d))
+           - (s2 * np.asarray(lapt) - _squared_norm(gt, d)))
+    _check_finite(out, x, f"integrand of {potential.label!r} "
+                  f"against {sampling_potential.label!r}")
+    return out, gt
 
 
 def generator_apply_general(potential, drift, noise, x):

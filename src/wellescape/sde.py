@@ -178,7 +178,8 @@ def evolve_block(drift, noise, x0, n_steps, h, noise_block, observer=None):
     row b drives sample b.  ``observer(i, X)``, when given, is called with
     the current states at the start of step i (so it sees X at times
     i * h for i = 0 .. n_steps - 1); this is how streaming weight
-    accumulators tap the trajectory without storing it.
+    accumulators tap the trajectory without storing it.  An observer may
+    return the step's ``drift(X)``, which is then not evaluated again.
     """
     n_block = noise_block.shape[0]
     x0 = np.asarray(x0, dtype=float)
@@ -188,9 +189,10 @@ def evolve_block(drift, noise, x0, n_steps, h, noise_block, observer=None):
         X = np.tile(x0, (n_block, 1))
     amp = noise.sigma * math.sqrt(h)
     for i in range(n_steps):
-        if observer is not None:
-            observer(i, X)
-        X = X + np.asarray(drift(X)) * h + amp * noise_block[:, i]
+        f = observer(i, X) if observer is not None else None
+        if f is None:
+            f = np.asarray(drift(X))
+        X = X + f * h + amp * noise_block[:, i]
         if not np.all(np.isfinite(X)):
             raise SimulationError(
                 f"a sample became non-finite at step {i} (t={(i + 1) * h:g})", step=i

@@ -120,6 +120,23 @@ def test_exit_codes(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("overrides", [
+    ["--mode", "importance", "--sampling", "invert", "--sigma", "0"],
+    ["--mode", "table5", "--sigma", "0"],
+    ["--mode", "sweep", "--sampling", "invert", "--epsilons", "1,0"],
+    ["--sigma", "-1"],
+    ["--beta", "0"],
+    ["--mode", "sweep", "--sampling", "invert", "--epsilons", "1,0.5",
+     "--sweep_n", "256,0"],
+], ids=["importance-sigma0", "table5-sigma0", "sweep-eps0", "sigma-neg",
+        "beta0", "sweep-n0"])
+def test_bad_noise_levels_and_counts_are_config_errors(tmp_path, capsys,
+                                                       overrides):
+    path = _write_cfg(tmp_path, BASE)
+    assert main(["run", path, "--N", "256", *overrides]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
 def test_csv_output_is_byte_identical_across_reruns(tmp_path, capsys):
     path = _write_cfg(tmp_path, BASE)
     out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")

@@ -1,9 +1,11 @@
 import csv
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from wellescape.errors import ConfigurationError
 from wellescape.estimators import (
     CSV_COLUMNS,
     Diagnostics,
@@ -24,6 +26,7 @@ from wellescape.potentials import (
     NoiseScale,
     ZeroPotential,
     flatten_on_region,
+    invert_on_region,
 )
 from wellescape.sde import RngPolicy
 
@@ -165,6 +168,65 @@ def test_worker_count_does_not_change_results():
     one = run_importance(*args, RngPolicy(88), workers=1)
     three = run_importance(*args, RngPolicy(88), workers=3)
     assert one == three
+
+
+@pytest.mark.parametrize("patch", [flatten_on_region, invert_on_region])
+def test_sampler_on_the_target_matches_sampler_on_an_equal_copy(patch):
+    # patched on V itself, the weight reads V~'s field off V's one
+    # evaluation; patched on an equal copy, it evaluates both potentials
+    V = CosineWellPotential()
+    event = EscapeEvent(WELL, horizon=1.0)
+    args = (SIGMA1, 0.0, event, 1e-2, (1e-2, 1e-1), 5000)
+    fused = run_importance_meshes(V, patch(V, WELL), *args, RngPolicy(21))
+    apart = run_importance_meshes(V, patch(CosineWellPotential(), WELL), *args,
+                                  RngPolicy(21))
+    assert fused == apart
+
+
+class CountingWell(CosineWellPotential):
+    def __init__(self):
+        self.calls = Counter()
+
+    def gradient(self, x):
+        self.calls["gradient"] += 1
+        return super().gradient(x)
+
+    def laplacian(self, x):
+        self.calls["laplacian"] += 1
+        return super().laplacian(x)
+
+    def field(self, x):
+        self.calls["field"] += 1
+        return super().field(x)
+
+
+def test_importance_step_evaluates_the_target_field_once():
+    V = CountingWell()
+    inv = invert_on_region(V, WELL)
+    V.calls.clear()  # construction probes the boundary
+    event = EscapeEvent(WELL, horizon=0.5)
+    run_importance(V, inv, SIGMA1, 0.0, event, 1e-2, 1e-2, 5000, RngPolicy(4))
+    assert V.calls == Counter(field=2 * 50)  # two blocks of 50 steps
+
+
+@pytest.mark.parametrize("run", ["plain", "importance"])
+def test_zero_samples_is_a_configuration_error(run):
+    V = CosineWellPotential()
+    event = EscapeEvent(WELL, horizon=0.1)
+    with pytest.raises(ConfigurationError, match="n_samples"):
+        if run == "plain":
+            run_plain(V, SIGMA1, 0.0, event, 1e-2, 0, RngPolicy(1))
+        else:
+            run_importance(V, flatten_on_region(V, WELL), SIGMA1, 0.0, event,
+                           1e-2, 1e-2, 0, RngPolicy(1))
+
+
+def test_importance_without_noise_is_a_configuration_error():
+    V = CosineWellPotential()
+    event = EscapeEvent(WELL, horizon=0.1)
+    with pytest.raises(ConfigurationError, match="sigma > 0"):
+        run_importance(V, flatten_on_region(V, WELL), NoiseScale(sigma=0.0),
+                       0.0, event, 1e-2, 1e-2, 100, RngPolicy(1))
 
 
 # ------------------------------------------------------------- diagnostics

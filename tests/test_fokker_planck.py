@@ -102,6 +102,30 @@ def test_cosine_well_escape_reference_value():
     assert p == pytest.approx(1.9094103707861798e-4, rel=1e-6)
 
 
+def test_factored_steps_match_banded_solves():
+    # reference: every step solved with solve_banded, refactoring the matrix
+    from scipy.linalg import solve_banded
+
+    from wellescape.fokker_planck import _apply, _operator_diagonals
+
+    V, x, dt, n = CosineWellPotential(), np.linspace(-4.0, 4.0, 801), 2e-3, 40
+    lower, main, upper = _operator_diagonals(V, SIGMA1, x, "reflecting")
+    scale = -0.5 * dt
+    ab = np.zeros((3, x.size))
+    ab[0, 1:] = scale * upper[:-1]
+    ab[1] = 1.0 + scale * main
+    ab[2, :-1] = scale * lower[1:]
+    p = gaussian_bump(0.0, 0.2)(x).copy()
+    p /= p.sum() * float(x[1] - x[0])
+    for _ in range(2):
+        p = solve_banded((1, 1), ab, p)
+    rhs = (0.5 * dt * lower, 1.0 + 0.5 * dt * main, 0.5 * dt * upper)
+    for _ in range(n - 1):
+        p = solve_banded((1, 1), ab, _apply(*rhs, p))
+    grid = evolve(V, SIGMA1, gaussian_bump(0.0, 0.2), (-4.0, 4.0), 801, n * dt, dt)
+    assert np.array_equal(grid.density, np.clip(p, 0.0, None))
+
+
 def test_nan_potential_raises_solver_error():
     bad = CallablePotential(lambda x: np.full_like(np.asarray(x, float), np.nan))
     with pytest.raises(SolverError):

@@ -12,10 +12,12 @@ from wellescape.girsanov import (
 from wellescape.potentials import (
     CallablePotential,
     CosineWellPotential,
+    Interval,
     LinearPotential,
     NoiseScale,
     QuadraticPotential,
     ZeroPotential,
+    invert_on_region,
 )
 from wellescape.sde import RngPolicy, evolve_block, simulate, steps_for
 
@@ -138,6 +140,33 @@ def test_streaming_accumulator_matches_per_path_weights():
         for j, tau in enumerate(taus):
             ref = log_weight_generator_form(path, V, Vt, SIGMA1, tau)
             assert logw[j, k] == pytest.approx(ref.log_value, abs=1e-12)
+
+
+def test_fused_accumulator_agrees_with_recorded_path_weights():
+    # V~ patches this very V, so observe() reads both fields off one
+    # evaluation of V and hands the step its drift
+    V = CosineWellPotential()
+    Vt = invert_on_region(V, Interval(-np.pi, np.pi))
+    mean_gaps = []
+    for h in (1e-2, 1e-3):
+        n_steps = round(0.5 / h)
+        policy = RngPolicy(17)
+        noise_block = policy.block_normals(0, n_steps)[:16]
+        acc = WeightAccumulator(V, Vt, SIGMA1, h, n_steps, [h])
+        terminal = evolve_block(lambda x: -Vt.gradient(x), SIGMA1, 0.0,
+                                n_steps, h, noise_block, acc.observe)
+        logw = acc.finalize(0.0, terminal)[0]
+        gaps = []
+        for k in range(16):
+            path = simulate(Vt, SIGMA1, 0.0, n_steps * h, h, policy.stream(k))
+            assert terminal[k] == path.terminal
+            ref = log_weight_generator_form(path, V, Vt, SIGMA1, h)
+            assert logw[k] == pytest.approx(ref.log_value, abs=1e-12)
+            sto = log_weight_stochastic_integral_form(path, V, Vt, SIGMA1)
+            gaps.append(abs(logw[k] - sto.log_value))
+        mean_gaps.append(np.mean(gaps))
+    # the AC-6 oracle: the stochastic-integral form closes in as h shrinks
+    assert mean_gaps[1] < mean_gaps[0]
 
 
 def test_weights_average_to_one_under_sampling_law():

@@ -9,6 +9,7 @@ from wellescape.potentials import (
     LinearPotential,
     NoiseScale,
     QuadraticPotential,
+    Region,
     ZeroPotential,
     flatten_on_region,
     generator_apply_general,
@@ -195,6 +196,14 @@ def test_boundary_match_precheck_rejects_bad_potentials():
         invert_on_region(LinearPotential(1.0), Interval(-1, 1))
     # zero potential trivially matches anywhere
     flatten_on_region(ZeroPotential(), Interval(-1, 1))
+
+
+def test_patching_needs_boundary_probe_points():
+    disc = Region(lambda x: (x**2).sum(axis=-1) < 1.0, [[-1, 1], [-1, 1]],
+                  label="disc")
+    for patch in (flatten_on_region, invert_on_region):
+        with pytest.raises(ConstructionError, match="no boundary probe"):
+            patch(ZeroPotential(dimension=2), disc)
 
 
 def test_region_supremum_on_cosine():
