@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 _ARMIJO_C = 1e-4
 _MAX_BACKTRACKS = 60
@@ -135,6 +134,7 @@ def _kinetic_banded(m_free, dt, free_end, end_extra=0.0):
 def _descend(objective, gradient, knots0, free_slice, dt, free_end,
              max_iter, grad_tol, end_extra=0.0):
     """Preconditioned gradient descent with Armijo backtracking."""
+    from scipy.linalg import solve_banded
     knots = knots0.copy()
     f = objective(knots)
     m_free = len(knots[free_slice])

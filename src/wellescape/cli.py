@@ -15,7 +15,6 @@ runtime failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import replace
 
@@ -27,6 +26,8 @@ from .density import bounds
 from .errors import ConfigurationError, WellEscapeError
 from .estimators import (
     EscapeEvent,
+    _fmt,
+    _write_rows,
     csv_row,
     diagnostics,
     run_importance,
@@ -39,26 +40,10 @@ from .fokker_planck import escape_probability
 from .sde import RngPolicy
 
 
-def _fmt(x):
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return format(x, ".12g")
-    return str(x)
-
-
 def _echo(cfg):
     print("# resolved configuration")
     print(cfg.dump(), end="")
     print("# ---")
-
-
-def _write_rows(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
 
 
 # ------------------------------------------------------------------ modes

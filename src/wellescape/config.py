@@ -235,14 +235,25 @@ class ExperimentConfig:
         if self.sweep_n is not None and not all(n >= 1 for n in self.sweep_n):
             raise ConfigurationError(
                 f"sweep_n must all be positive, got {self.sweep_n}")
+        if self.sweep_n is not None and len(self.sweep_n) != len(self.epsilons):
+            raise ConfigurationError(
+                f"sweep_n needs one entry per epsilon ({len(self.epsilons)}), "
+                f"got {len(self.sweep_n)}")
         a, b = self.region
         if not b > a:
             raise ConfigurationError(f"region must satisfy a < b, got ({a}, {b})")
-        ratio = self.tau / self.h
-        if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio) or round(ratio) < 1:
-            raise ConfigurationError(
-                f"tau={self.tau:g} must be a whole multiple of h={self.h:g}"
-            )
+        multiples = [("tau", "h")]
+        if self.mode in ("plain", "importance", "table5", "sweep"):
+            multiples.append(("T", "h"))
+        elif self.mode == "fp":
+            multiples.append(("T", "dt"))
+        for key, unit in multiples:
+            ratio = getattr(self, key) / getattr(self, unit)
+            if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio) or round(ratio) < 1:
+                raise ConfigurationError(
+                    f"{key}={getattr(self, key):g} must be a whole multiple of "
+                    f"{unit}={getattr(self, unit):g}"
+                )
         if self.mode in ("importance", "sweep") and self.sampling == "none":
             raise ConfigurationError(
                 f"mode={self.mode} needs a sampling potential "

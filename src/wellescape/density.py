@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .potentials import generator_apply_general, generator_apply_to_self
 
@@ -73,12 +72,24 @@ def _chord(x, y, r):
     return (1 - r)[:, None] * x + r[:, None] * y
 
 
+def _simpson(y, x):
+    """Composite Simpson's rule on an odd number of distinct nodes, with the
+    operations of ``scipy.integrate.simpson(y, x=x)`` in the same order."""
+    h = np.diff(x)
+    h0, h1 = h[0::2], h[1::2]
+    hsum, hprod, h0divh1 = h0 + h1, h0 * h1, h0 / h1
+    tmp = hsum / 6.0 * (y[:-2:2] * (2.0 - 1.0 / h0divh1)
+                        + y[1:-1:2] * (hsum * (hsum / hprod))
+                        + y[2::2] * (2.0 - h0divh1))
+    return np.sum(tmp)
+
+
 def _chord_integral(integrand, x, y, n_nodes):
     if n_nodes < 3 or n_nodes % 2 == 0:
         raise ValueError("n_nodes must be an odd number >= 3 for Simpson's rule")
     r = np.linspace(0.0, 1.0, n_nodes)
     vals = np.asarray(integrand(_chord(x, y, r)), dtype=float)
-    return float(simpson(vals, x=r))
+    return float(_simpson(vals, r))
 
 
 def approximate(potential, noise, x, y, t, n_nodes=DEFAULT_NODES):

@@ -286,14 +286,18 @@ def small_noise_sweep(potential, sampling_potential, region, x0, horizon, h,
     flat on the boundary, eps * log(Lambda) tends to 0 as eps -> 0
     (asymptotic optimality); the rows returned here make that decay
     empirically checkable.  ``n_samples`` may be one int for all noise
-    levels or a sequence aligned with ``epsilons``; each level uses the
-    derived master seed ``seed + its index``.
+    levels or a sequence of the same length as ``epsilons``; each level
+    uses the derived master seed ``seed + its index``.
     """
     from .potentials import NoiseScale
     from .sde import RngPolicy
 
     if isinstance(n_samples, int):
         n_samples = [n_samples] * len(epsilons)
+    if len(n_samples) != len(epsilons):
+        raise ConfigurationError(
+            f"n_samples needs one entry per epsilon ({len(epsilons)}), "
+            f"got {len(n_samples)}")
     rows = []
     for i, (eps, n) in enumerate(zip(epsilons, n_samples)):
         noise = NoiseScale(epsilon=eps)
@@ -347,10 +351,16 @@ def csv_row(summary, *, potential_label, tau, h, seed, diag=None):
     }
 
 
-def write_csv(path, rows):
-    """Write result rows with a fixed column order and stable formatting."""
+def _write_rows(path, header, rows):
+    """Write a header and rows of values as CSV with stable formatting."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
+        writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt(row.get(c)) for c in CSV_COLUMNS])
+            writer.writerow([_fmt(v) for v in row])
+
+
+def write_csv(path, rows):
+    """Write result rows with a fixed column order and stable formatting."""
+    _write_rows(path, CSV_COLUMNS,
+                ([row.get(c) for c in CSV_COLUMNS] for row in rows))

@@ -29,7 +29,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import SolverError
 from .sde import steps_for
@@ -111,6 +110,7 @@ def _operator_diagonals(potential, noise, x, boundary):
 
 def _factor(lower, main, upper, scale, shift):
     """LU factors of the tridiagonal shift * I + scale * A, for dgttrs."""
+    from scipy.linalg.lapack import dgttrf
     dl, d, du, du2, ipiv, info = dgttrf(
         scale * lower[1:], shift + scale * main, scale * upper[:-1])
     if info != 0:
@@ -166,6 +166,7 @@ def evolve(potential, noise, initial, domain, n_cells, horizon, dt,
         raise ValueError("initial density has no mass on the grid")
     p /= total
 
+    from scipy.linalg.lapack import dgttrs
     lower, main, upper = _operator_diagonals(potential, noise, x, boundary)
     n_steps = steps_for(horizon, dt)
 

@@ -1,5 +1,9 @@
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,13 +132,32 @@ def test_exit_codes(tmp_path, capsys):
     ["--beta", "0"],
     ["--mode", "sweep", "--sampling", "invert", "--epsilons", "1,0.5",
      "--sweep_n", "256,0"],
+    ["--mode", "sweep", "--sampling", "invert", "--epsilons", "1,0.5,0.25",
+     "--sweep_n", "500"],
 ], ids=["importance-sigma0", "table5-sigma0", "sweep-eps0", "sigma-neg",
-        "beta0", "sweep-n0"])
+        "beta0", "sweep-n0", "sweep-n-short"])
 def test_bad_noise_levels_and_counts_are_config_errors(tmp_path, capsys,
                                                        overrides):
     path = _write_cfg(tmp_path, BASE)
     assert main(["run", path, "--N", "256", *overrides]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides", [
+    ["--mode", "plain", "--T", "1.005"],
+    ["--mode", "importance", "--sampling", "invert", "--T", "1.005"],
+    ["--mode", "table5", "--T", "1.005"],
+    ["--mode", "sweep", "--sampling", "invert", "--T", "1.005"],
+    ["--mode", "fp", "--T", "1.0003", "--dt", "5e-4"],
+], ids=["plain", "importance", "table5", "sweep", "fp"])
+def test_horizon_off_the_step_grid_is_a_config_error(tmp_path, capsys,
+                                                     overrides):
+    path = _write_cfg(tmp_path, BASE)
+    assert main(["run", path, "--N", "256", *overrides]) == 1
+    assert "whole multiple" in capsys.readouterr().err
+    # modes without a time step accept any horizon
+    for mode, extra in (("action", []), ("density", ["--y", "0.5"])):
+        ExperimentConfig.from_file(path, ["--mode", mode, "--T", "1.005", *extra])
 
 
 def test_csv_output_is_byte_identical_across_reruns(tmp_path, capsys):
@@ -226,3 +249,50 @@ def test_sweep_mode_prints_rows(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert [r["epsilon"] for r in rows] == ["4", "2"]
     assert all(float(r["lambda"]) >= 1.0 for r in rows)
+
+
+_SCIPY_FREE_MODES = {
+    "plain": "",
+    "importance": "sampling = invert\n",
+    "table5": "",
+    "sweep": "sampling = invert\nepsilons = 4,2\n",
+    "density": "y = 0.5\nt = 0.1\n",
+}
+_ORACLE_MODES = {
+    "fp": "n_cells = 2048\ndt = 1e-3\n",
+    "action": "",
+}
+_SCIPY_PROBE = """\
+import sys
+from pathlib import Path
+import wellescape
+from wellescape.cli import main
+assert "scipy" not in sys.modules, "import"
+free = sys.argv[2].split(",")
+for mode in free + sys.argv[3].split(","):
+    assert main(["run", str(Path(sys.argv[1]) / (mode + ".cfg"))]) == 0, mode
+    assert mode not in free or "scipy" not in sys.modules, mode
+print("scipy.linalg" in sys.modules)
+"""
+
+
+def test_sampling_modes_run_without_scipy(tmp_path):
+    """Only the fp and action oracles load scipy, on first use.
+
+    Runs in a fresh interpreter: this one already holds scipy through
+    other test modules.
+    """
+    for mode, extra in {**_SCIPY_FREE_MODES, **_ORACLE_MODES}.items():
+        text = BASE.replace("mode = plain", f"mode = {mode}") + "N = 256\n" + extra
+        _write_cfg(tmp_path, text, name=f"{mode}.cfg")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path),
+         ",".join(_SCIPY_FREE_MODES), ",".join(_ORACLE_MODES)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "True"

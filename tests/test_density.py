@@ -6,6 +6,7 @@ from scipy.stats import norm
 
 from wellescape.density import (
     DensityEstimate,
+    _simpson,
     approximate,
     approximate_general,
     bounds,
@@ -82,6 +83,17 @@ def test_ou_error_shrinks_with_time():
 def test_n_nodes_validation():
     with pytest.raises(ValueError):
         approximate(ZeroPotential(), SIGMA1, 0.0, 1.0, 0.5, n_nodes=100)
+
+
+@pytest.mark.parametrize("n", [3, 5, 101, 201])
+def test_simpson_matches_scipy_bit_for_bit(n):
+    from scipy.integrate import simpson
+
+    rng = np.random.default_rng(n)
+    r = np.linspace(0.0, 1.0, n)
+    for _ in range(20):
+        y = rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 6)
+        assert _simpson(y, r) == simpson(y, x=r)
 
 
 def test_bounds_collapse_for_zero_potential():

@@ -275,6 +275,14 @@ def test_sweep_row_fields_and_low_hit_warning():
             )
 
 
+def test_sweep_sample_counts_must_match_noise_levels():
+    V = CosineWellPotential()
+    inv = invert_on_region(V, WELL)
+    with pytest.raises(ConfigurationError, match="one entry per epsilon"):
+        small_noise_sweep(V, inv, WELL, 0.0, 1.0, 1e-2, 1e-2,
+                          (1.0, 0.5, 0.25), [256], seed=500)
+
+
 # ---------------------------------------------------------------------- csv
 
 
