@@ -19,10 +19,8 @@ kinetic part of the Hessian (the pinned discrete Laplacian).  The
 preconditioner is what makes gradient descent practical here: without it
 the iteration count scales with the square of the number of knots.
 
-For one-dimensional regions the exit constraint is handled by pinning the
-terminal knot to each boundary point in turn and keeping the better
-minimum; for general regions a quadratic penalty on the terminal point
-with an increasing weight schedule is used instead.
+The exit constraint is handled by pinning the terminal knot to each of
+the region's boundary probe points in turn and keeping the better minimum.
 """
 
 from __future__ import annotations
@@ -31,6 +29,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import ConstructionError
 
 _ARMIJO_C = 1e-4
 _MAX_BACKTRACKS = 60
@@ -114,35 +114,28 @@ def action_gradient(path, potential):
     return grad
 
 
-def _kinetic_banded(m_free, dt, free_end, end_extra=0.0):
-    """Banded form of the kinetic Hessian on the free knots.
-
-    The pinned discrete Laplacian scaled by 1/dt; when the terminal knot
-    is free its diagonal entry is 1/dt instead of 2/dt, plus any extra
-    curvature acting on the endpoint (a stiff penalty term, say) so the
-    preconditioner stays matched to the objective.
-    """
+def _kinetic_banded(m_free, dt):
+    """Banded form of the kinetic Hessian on the interior knots: the
+    pinned discrete Laplacian scaled by 1/dt."""
     ab = np.zeros((3, m_free))
     ab[0, 1:] = -1.0 / dt
     ab[1, :] = 2.0 / dt
     ab[2, :-1] = -1.0 / dt
-    if free_end:
-        ab[1, -1] = 1.0 / dt + end_extra
     return ab
 
 
-def _descend(objective, gradient, knots0, free_slice, dt, free_end,
-             max_iter, grad_tol, end_extra=0.0):
-    """Preconditioned gradient descent with Armijo backtracking."""
+def _descend(objective, gradient, knots0, dt, max_iter, grad_tol):
+    """Preconditioned gradient descent with Armijo backtracking over the
+    interior knots; the two endpoints stay pinned."""
     from scipy.linalg import solve_banded
     knots = knots0.copy()
     f = objective(knots)
-    m_free = len(knots[free_slice])
-    precond = _kinetic_banded(m_free, dt, free_end, end_extra)
+    m_free = len(knots) - 2
+    precond = _kinetic_banded(m_free, dt)
     it = 0
     gnorm = math.inf
     for it in range(1, max_iter + 1):
-        g = gradient(knots)[free_slice]
+        g = gradient(knots)[1:-1]
         gnorm = float(np.max(np.abs(g)))
         if gnorm <= grad_tol:
             return knots, f, True, it - 1, gnorm
@@ -151,7 +144,7 @@ def _descend(objective, gradient, knots0, free_slice, dt, free_end,
         alpha = 1.0
         for _ in range(_MAX_BACKTRACKS):
             trial = knots.copy()
-            trial[free_slice] = knots[free_slice] - alpha * step
+            trial[1:-1] = knots[1:-1] - alpha * step
             f_trial = objective(trial)
             if f_trial <= f - _ARMIJO_C * alpha * slope:
                 knots, f = trial, f_trial
@@ -190,7 +183,7 @@ def minimize_action_pinned(potential, x_start, x_end, horizon, n_segments=200,
         return action_gradient(DiscretePath(k, horizon), potential)
 
     knots, f, ok, iters, gnorm = _descend(
-        objective, gradient, knots, slice(1, -1), dt, False, max_iter, grad_tol
+        objective, gradient, knots, dt, max_iter, grad_tol
     )
     return ActionResult(
         value=f, path=DiscretePath(knots, horizon), converged=ok,
@@ -198,66 +191,14 @@ def minimize_action_pinned(potential, x_start, x_end, horizon, n_segments=200,
     )
 
 
-def _minimize_penalty(potential, x0, region, horizon, n_segments, max_iter,
-                      grad_tol):
-    """Exit constraint as an increasing quadratic penalty on the endpoint."""
-    if not hasattr(region, "boundary_distance"):
-        raise ValueError(
-            "penalty formulation needs a region with a boundary_distance method"
-        )
-    x0 = np.asarray(x0, dtype=float)
-    box = region.bounding_box
-    # head for the nearest box face as a crude initial guess
-    target = box[0, 1] if abs(box[0, 1] - float(x0)) <= abs(float(x0) - box[0, 0]) \
-        else box[0, 0]
-    r = np.linspace(0.0, 1.0, n_segments + 1)
-    knots = (1 - r) * float(x0) + r * float(target)
-    dt = horizon / n_segments
-    result = None
-    for weight in (1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8):
-        def objective(k, w=weight):
-            margin = max(0.0, float(region.boundary_distance(k[-1])))
-            return action(DiscretePath(k, horizon), potential) + w * margin**2
-
-        def gradient(k, w=weight):
-            g = action_gradient(DiscretePath(k, horizon), potential)
-            margin = float(region.boundary_distance(k[-1]))
-            if margin > 0:
-                h = 1e-7
-                dmargin = (
-                    float(region.boundary_distance(k[-1] + h))
-                    - float(region.boundary_distance(k[-1] - h))
-                ) / (2 * h)
-                g[-1] += 2 * w * margin * dmargin
-            return g
-
-        h = 1e-7
-        dmargin = (
-            float(region.boundary_distance(knots[-1] + h))
-            - float(region.boundary_distance(knots[-1] - h))
-        ) / (2 * h)
-        knots, f, ok, iters, gnorm = _descend(
-            objective, gradient, knots, slice(1, None), dt, True,
-            max_iter, grad_tol, end_extra=2.0 * weight * dmargin ** 2,
-        )
-        result = (knots, ok, iters, gnorm)
-    knots, ok, iters, gnorm = result
-    escaped = float(region.boundary_distance(knots[-1])) <= 1e-6
-    value = action(DiscretePath(knots, horizon), potential)
-    return ActionResult(
-        value=value, path=DiscretePath(knots, horizon),
-        converged=ok and escaped, iterations=iters, grad_norm=gnorm,
-    )
-
-
 def minimize_exit_action(potential, x0, region, horizon, n_segments=200,
                          max_iter=10_000, grad_tol=1e-6):
     """Minimal action to leave the region from x0 by the given horizon.
 
-    Already-escaped starts cost nothing.  For one-dimensional regions the
-    terminal knot is pinned to each boundary point in turn (the optimal
-    exit passes through the boundary) and the better minimum is kept;
-    otherwise a penalty formulation is used.
+    Already-escaped starts cost nothing.  Otherwise the terminal knot is
+    pinned to each of the region's boundary probe points in turn (the
+    optimal exit passes through the boundary) and the better minimum is
+    kept; a region without probe points raises :class:`ConstructionError`.
     """
     if not region.indicator(x0):
         knots = np.repeat(np.asarray(x0, dtype=float)[None], n_segments + 1, axis=0) \
@@ -267,9 +208,9 @@ def minimize_exit_action(potential, x0, region, horizon, n_segments=200,
             iterations=0, grad_norm=0.0,
         )
     if region.boundary_probe is None:
-        return _minimize_penalty(
-            potential, x0, region, horizon, n_segments, max_iter, grad_tol
-        )
+        raise ConstructionError(
+            f"minimize_exit_action: region {region.label} has no boundary "
+            f"probe points to pin the exit to")
     best = None
     for z in region.boundary_probe:
         res = minimize_action_pinned(

@@ -216,7 +216,7 @@ def _cmd_validate(cfg):
 
     Reports the flattened-well hypotheses (start-point lift, gradient
     domination, agreement outside the region) and the inverted-well
-    hypotheses (flat boundary, second-derivative continuity, determinstic
+    hypotheses (flat boundary, second-derivative continuity, deterministic
     escape of the noise-free flow).  Informational: always exits 0.
     """
     _echo(cfg)

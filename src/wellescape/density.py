@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .potentials import generator_apply_general, generator_apply_to_self
+from .potentials import _box_grid, generator_apply_general, generator_apply_to_self
 
 DEFAULT_NODES = 101
 DEFAULT_DELTA_EXPONENT = 0.4
@@ -158,19 +158,11 @@ def lipschitz_estimate(func, lo, hi, n_points=10_000):
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    d = lo.size
-    if d == 1:
-        x = np.linspace(lo[0], hi[0], n_points)
-        vals = np.asarray(func(x), dtype=float)
-        grad = np.gradient(vals, x)
-        return float(np.max(np.abs(grad)))
-    per_axis = max(8, int(round(10.0 ** (6.0 / d))))
-    axes = [np.linspace(a, b, per_axis) for a, b in zip(lo, hi)]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    vals = np.asarray(func(mesh), dtype=float)
-    grads = np.gradient(vals, *[ax for ax in axes])
-    norm = np.sqrt(sum(g ** 2 for g in grads))
-    return float(np.max(norm))
+    grid, axes = _box_grid(lo, hi, n_points)
+    grads = np.gradient(np.asarray(func(grid), dtype=float), *axes)
+    if lo.size == 1:
+        return float(np.max(np.abs(grads)))
+    return float(np.max(np.sqrt(sum(g ** 2 for g in grads))))
 
 
 def bounds(potential, noise, x, y, t, delta=None, n_nodes=DEFAULT_NODES,
@@ -202,14 +194,8 @@ def bounds(potential, noise, x, y, t, delta=None, n_nodes=DEFAULT_NODES,
 
     lo, hi = _box_hull(x, y, 3.0 * sigma * math.sqrt(t))
     K = safety * lipschitz_estimate(g, lo, hi)
-    if d == 1:
-        grid = np.linspace(lo[0], hi[0], 10_000)
-        sup_abs_g = float(np.max(np.abs(np.asarray(g(grid)))))
-    else:
-        per_axis = max(8, int(round(10.0 ** (6.0 / d))))
-        axes = [np.linspace(a, b, per_axis) for a, b in zip(lo, hi)]
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        sup_abs_g = float(np.max(np.abs(np.asarray(g(mesh)))))
+    grid, _ = _box_grid(lo, hi)
+    sup_abs_g = float(np.max(np.abs(np.asarray(g(grid)))))
 
     m1 = 0.5 * math.sqrt(d) * K
     m2 = 2.0 * d * math.exp(inv_eps * (v_diff + 0.5 * t * sup_abs_g))

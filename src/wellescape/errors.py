@@ -25,10 +25,11 @@ class ConstructionError(WellEscapeError):
 
 
 class SimulationError(WellEscapeError):
-    """A trajectory left the representable range (blow-up).
+    """A simulation could not run: a trajectory left the representable
+    range (blow-up), or its noise block could not be allocated.
 
     ``step`` is the index of the Euler step at which the state first
-    became non-finite.
+    became non-finite (None for an allocation failure).
     """
 
     def __init__(self, message, step=None):

@@ -15,16 +15,19 @@ U = V~ - V, is
     log dP/dP~ = sigma^-1 integral grad(U)(X_s) . dW~_s
                  - sigma^-2 / 2 * integral |grad U|^2 (X_s) ds.
 
-Both are discretized on recorded Euler paths here: the generator form with
-a left-endpoint Riemann sum on a coarsened mesh tau (an integer multiple of
-the simulation step h), the stochastic form on the simulation grid using
-the recorded driving increments.  For linear U the two discrete forms agree
-to machine precision when tau = h; in general they differ at the Riemann
-error level.
+The generator form is a left-endpoint Riemann sum on a coarsened mesh tau
+(an integer multiple of the simulation step h); the stochastic form is
+taken on the simulation grid using the recorded driving increments.  For
+linear U the two discrete forms agree to machine precision when tau = h;
+in general they differ at the Riemann error level.
 
 Against an arbitrary reference SDE ``dX = F dt + sigma dW`` the running
 integrand becomes ``-|grad V|^2 + 2 F . grad V + sigma^2 Laplace(V)`` and
-the boundary term drops the V~ contribution.
+the boundary term drops the V~ contribution.  Both per-path generator-form
+weights share one Riemann sum over a recorded path; the two-potential
+integrand is :func:`wellescape.potentials.generator_difference`, which
+:class:`WeightAccumulator` also adds up, block-wide and step by step,
+while :func:`wellescape.sde.evolve_block` runs.
 """
 
 from __future__ import annotations
@@ -34,11 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .potentials import (
-    generator_apply_general,
-    generator_apply_to_self,
-    generator_difference,
-)
+from .potentials import generator_apply_general, generator_difference
 
 _MESH_REL_TOL = 1e-9
 
@@ -82,28 +81,34 @@ def _require_increments(path):
         )
 
 
+def _riemann_weight(path, noise, tau, integrand, boundary):
+    """``LogWeight`` of sigma^-2 [boundary + 1/2 * tau * sum of integrand],
+    the integrand taken at the left endpoints 0, tau, ..., T - tau."""
+    h = path.h
+    m = mesh_stride(tau, h, path.n_steps)
+    inv_eps = 1.0 / noise.sigma ** 2
+    g = integrand(path.states[:-1][::m])
+    running = inv_eps * 0.5 * (m * h) * float(np.sum(g))
+    boundary = inv_eps * float(boundary)
+    return LogWeight(
+        log_value=boundary + running,
+        boundary_term=boundary,
+        running_integral=running,
+        mesh=m * h,
+    )
+
+
 def log_weight_generator_form(path, potential, sampling_potential, noise, tau):
     """Weight of a P~-path under P, generator form, left-endpoint Riemann sum.
 
     ``path`` must have been simulated under the sampling potential; the
     running integrand is evaluated at times 0, tau, 2 tau, ..., T - tau.
     """
-    h = path.h
-    m = mesh_stride(tau, h, path.n_steps)
-    left = path.states[:-1][::m]
-    inv_eps = 1.0 / noise.sigma ** 2
-    g_diff = (np.asarray(generator_apply_to_self(potential, noise, left))
-              - np.asarray(generator_apply_to_self(sampling_potential, noise, left)))
-    running = inv_eps * 0.5 * (m * h) * float(np.sum(g_diff))
-    boundary = inv_eps * float(
+    return _riemann_weight(
+        path, noise, tau,
+        lambda x: generator_difference(potential, sampling_potential, noise, x)[0],
         potential.value(path.x0) - potential.value(path.terminal)
-        - sampling_potential.value(path.x0) + sampling_potential.value(path.terminal)
-    )
-    return LogWeight(
-        log_value=boundary + running,
-        boundary_term=boundary,
-        running_integral=running,
-        mesh=m * h,
+        - sampling_potential.value(path.x0) + sampling_potential.value(path.terminal),
     )
 
 
@@ -136,20 +141,10 @@ def log_weight_stochastic_integral_form(path, potential, sampling_potential, noi
 
 def log_weight_general_reference(path, potential, drift, noise, tau):
     """Weight under P of a path simulated from dX = F dt + sigma dW."""
-    h = path.h
-    m = mesh_stride(tau, h, path.n_steps)
-    left = path.states[:-1][::m]
-    inv_eps = 1.0 / noise.sigma ** 2
-    g = np.asarray(generator_apply_general(potential, drift, noise, left))
-    running = inv_eps * 0.5 * (m * h) * float(np.sum(g))
-    boundary = inv_eps * float(
-        potential.value(path.x0) - potential.value(path.terminal)
-    )
-    return LogWeight(
-        log_value=boundary + running,
-        boundary_term=boundary,
-        running_integral=running,
-        mesh=m * h,
+    return _riemann_weight(
+        path, noise, tau,
+        lambda x: generator_apply_general(potential, drift, noise, x),
+        potential.value(path.x0) - potential.value(path.terminal),
     )
 
 

@@ -188,10 +188,7 @@ class ZeroPotential(PotentialField):
         return _as_float(np.zeros(shape))
 
     def gradient(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.dimension == 1:
-            return _as_float(np.zeros(x.shape))
-        return _as_float(np.zeros(x.shape))
+        return _as_float(np.zeros(np.shape(x)))
 
     def laplacian(self, x):
         return self.value(x)
@@ -341,11 +338,6 @@ class Interval(Region):
             return bool(out)
         return out
 
-    def boundary_distance(self, x):
-        """Distance to the boundary, positive inside, negative outside."""
-        x = np.asarray(x, dtype=float)
-        return _as_float(np.minimum(x - self.a, self.b - x))
-
 
 def _boundary_match_residual(potential, region):
     """Max of |V| and |grad V| over the boundary probe points."""
@@ -484,20 +476,30 @@ def generator_apply_general(potential, drift, noise, x):
     """Evaluate -|grad V|^2 + 2 F(x) . grad V + sigma^2 Laplace(V) at x.
 
     The running integrand of the reweighting identity against an
-    arbitrary reference SDE dX = F dt + sigma dW.  With F = 0 this
-    coincides exactly with :func:`generator_apply_to_self`.
+    arbitrary reference SDE dX = F dt + sigma dW: the
+    :func:`generator_apply_to_self` value plus ``2 F . grad V``.
     """
-    g = np.asarray(potential.gradient(x))
-    lap = potential.laplacian(x)
-    f = np.asarray(drift(x))
-    if potential.dimension == 1:
-        cross = f * g
-    else:
-        cross = (f * g).sum(axis=-1)
-    out = (noise.sigma ** 2 * np.asarray(lap)
-           - _squared_norm(g, potential.dimension) + 2.0 * cross)
+    cross = np.asarray(drift(x)) * np.asarray(potential.gradient(x))
+    if potential.dimension > 1:
+        cross = cross.sum(axis=-1)
+    out = np.asarray(generator_apply_to_self(potential, noise, x)) + 2.0 * cross
     _check_finite(out, x, f"general-reference integrand of {potential.label!r}")
     return _as_float(out)
+
+
+def _box_grid(lo, hi, n_points=10_000):
+    """Dense grid over the box [lo, hi] and its per-axis coordinates.
+
+    ``n_points`` points for d = 1, shape (n_points,); for d >= 2 a
+    per-axis resolution that keeps the total near 10^6 points, with the
+    points in a mesh of shape (n, ..., n, d).
+    """
+    if len(lo) == 1:
+        x = np.linspace(lo[0], hi[0], n_points)
+        return x, [x]
+    per_axis = max(8, int(round(10.0 ** (6.0 / len(lo)))))
+    axes = [np.linspace(a, b, per_axis) for a, b in zip(lo, hi)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1), axes
 
 
 def region_supremum(func, region, n_points=10_000):
@@ -508,18 +510,10 @@ def region_supremum(func, region, n_points=10_000):
     dimension for d = 1; for d >= 2 a coarser per-axis resolution is used
     so the total grid stays near 10^6 points.
     """
-    box = region.bounding_box
     d = region.dimension
-    if d == 1:
-        x = np.linspace(box[0, 0], box[0, 1], n_points)
-        inside = np.asarray(region.indicator(x))
-        if not inside.any():
-            raise ValueError("no grid point falls inside the region")
-        return float(np.max(np.asarray(func(x))[inside]))
-    per_axis = max(8, int(round(10.0 ** (6.0 / d))))
-    axes = [np.linspace(lo, hi, per_axis) for lo, hi in box]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    pts = mesh.reshape(-1, d)
+    pts, _ = _box_grid(*region.bounding_box.T, n_points)
+    if d > 1:
+        pts = pts.reshape(-1, d)
     inside = np.asarray(region.indicator(pts))
     if not inside.any():
         raise ValueError("no grid point falls inside the region")

@@ -4,8 +4,10 @@ The scheme for ``dX = -grad(V) dt + sigma dW`` with step ``h`` is
 
     X_{i+1} = X_i - grad(V)(X_i) h + sigma sqrt(h) xi_i,
 
-where the ``xi_i`` are independent standard normal draws.  Paths record the
-unit-variance draws alongside the states so that reweighting in
+where the ``xi_i`` are independent standard normal draws.  There is one
+Euler loop, :func:`evolve_block`, which advances a block of samples at
+once; a single recorded path is that loop run on a one-row block.  Paths
+record the unit-variance draws alongside the states so that reweighting in
 :mod:`wellescape.girsanov` can rebuild the driving increments exactly.
 
 Reproducibility is organised around :class:`RngPolicy`: noise is generated
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,36 +38,31 @@ class RngPolicy:
         self.master_seed = int(master_seed)
 
     def block_normals(self, block_index, n_steps, dim=1):
-        """Standard normals for one block, shape (BLOCK_SAMPLES, n_steps[, dim])."""
+        """Standard normals for one block, shape (BLOCK_SAMPLES, n_steps[, dim]).
+
+        Raises :class:`SimulationError` when the block cannot be allocated.
+        """
         ss = np.random.SeedSequence(self.master_seed, spawn_key=(int(block_index),))
         gen = np.random.Generator(np.random.PCG64(ss))
         shape = (BLOCK_SAMPLES, n_steps) if dim == 1 else (BLOCK_SAMPLES, n_steps, dim)
-        return gen.standard_normal(shape)
+        try:
+            return gen.standard_normal(shape)
+        except MemoryError:
+            gib = math.prod(shape) * 8 / 2**30
+            raise SimulationError(
+                f"cannot allocate a noise block of shape {shape} ({gib:.4g} GiB)"
+            ) from None
 
     def normals_for_sample(self, sample_index, n_steps, dim=1):
         """The noise draws sample ``sample_index`` receives, shape (n_steps[, dim])."""
         block, row = divmod(int(sample_index), BLOCK_SAMPLES)
         return self.block_normals(block, n_steps, dim)[row]
 
-    def stream(self, sample_index):
-        return SampleStream(self, sample_index)
-
     def n_blocks(self, n_samples):
         return -(-int(n_samples) // BLOCK_SAMPLES)
 
     def __repr__(self):
         return f"RngPolicy(master_seed={self.master_seed})"
-
-
-@dataclass(frozen=True)
-class SampleStream:
-    """Handle for the noise of a single sample under a policy."""
-
-    policy: RngPolicy
-    sample_index: int
-
-    def normals(self, n_steps, dim=1):
-        return self.policy.normals_for_sample(self.sample_index, n_steps, dim)
 
 
 @dataclass
@@ -114,21 +111,11 @@ def steps_for(horizon, h):
     return n
 
 
-def _draw_increments(rng, n_steps, dim):
-    if isinstance(rng, SampleStream):
-        return rng.normals(n_steps, dim)
-    if isinstance(rng, np.random.Generator):
-        shape = (n_steps,) if dim == 1 else (n_steps, dim)
-        return rng.standard_normal(shape)
-    arr = np.asarray(rng, dtype=float)
-    expected = (n_steps,) if dim == 1 else (n_steps, dim)
-    if arr.shape != expected:
-        raise ValueError(f"increment array has shape {arr.shape}, expected {expected}")
-    return arr
-
-
-def simulate_with_drift(drift, noise, x0, horizon, h, rng):
+def simulate_with_drift(drift, noise, x0, horizon, h, increments):
     """Euler-Maruyama path of dX = F(X) dt + sigma dW.
+
+    The path is :func:`evolve_block` run on a one-row block, with the
+    state recorded at the start of every step.
 
     Parameters
     ----------
@@ -139,35 +126,30 @@ def simulate_with_drift(drift, noise, x0, horizon, h, rng):
         Initial state (scalar for d = 1, shape (d,) otherwise).
     horizon, h : float
         Final time and step size; ``horizon / h`` should be integral.
-    rng : SampleStream, numpy Generator, or ndarray
-        Source of the unit-variance draws.  Passing an ndarray replays a
-        recorded path exactly.
+    increments : ndarray, shape (n_steps,) or (n_steps, d)
+        The unit-variance draws, e.g. ``RngPolicy.normals_for_sample(k,
+        n_steps)`` for sample k; a recorded path's ``increments`` replay
+        it exactly.
     """
     x0 = np.asarray(x0, dtype=float)
-    dim = 1 if x0.ndim == 0 else x0.shape[0]
     n = steps_for(horizon, h)
-    xi = _draw_increments(rng, n, dim)
+    xi = np.asarray(increments, dtype=float)
+    expected = (n,) if x0.ndim == 0 else (n, x0.shape[0])
+    if xi.shape != expected:
+        raise ValueError(f"increment array has shape {xi.shape}, expected {expected}")
+    states = np.empty((n + 1,) + xi.shape[1:])
 
-    shape = (n + 1,) if dim == 1 else (n + 1, dim)
-    states = np.empty(shape)
-    states[0] = x0
-    amp = noise.sigma * math.sqrt(h)
-    x = x0
-    for i in range(n):
-        x = x + np.asarray(drift(x)) * h + amp * xi[i]
-        if not np.all(np.isfinite(x)):
-            raise SimulationError(
-                f"state became non-finite at step {i} (t={(i + 1) * h:g})", step=i
-            )
-        states[i + 1] = x
-    times = h * np.arange(n + 1)
-    return SamplePath(times=times, states=states, increments=xi)
+    def record(i, X):
+        states[i] = X[0]
+
+    states[n] = evolve_block(drift, noise, x0, n, h, xi[None], record)[0]
+    return SamplePath(times=h * np.arange(n + 1), states=states, increments=xi)
 
 
-def simulate(potential, noise, x0, horizon, h, rng):
+def simulate(potential, noise, x0, horizon, h, increments):
     """Euler-Maruyama path of the Langevin SDE dX = -grad(V) dt + sigma dW."""
     return simulate_with_drift(
-        lambda x: -np.asarray(potential.gradient(x)), noise, x0, horizon, h, rng
+        lambda x: -np.asarray(potential.gradient(x)), noise, x0, horizon, h, increments
     )
 
 

@@ -231,7 +231,8 @@ def _evolve_paths(potential, noise, x0, h, xi):
 def test_ac6_weight_form_agreement():
     # linear pair: the two forms coincide identically at the simulation mesh
     target, reference = LinearPotential(1.3), LinearPotential(-0.7)
-    path = simulate(reference, SIGMA1, 0.0, T, 1e-2, RngPolicy(5).stream(0))
+    path = simulate(reference, SIGMA1, 0.0, T, 1e-2,
+                    RngPolicy(5).normals_for_sample(0, round(T / 1e-2)))
     gen = log_weight_generator_form(path, target, reference, SIGMA1, 1e-2)
     sto = log_weight_stochastic_integral_form(path, target, reference, SIGMA1)
     lin_gap = abs(gen.log_value - sto.log_value)

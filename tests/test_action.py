@@ -10,10 +10,12 @@ from wellescape.action import (
     minimize_action_pinned,
     minimize_exit_action,
 )
+from wellescape.errors import ConstructionError
 from wellescape.potentials import (
     CosineWellPotential,
     Interval,
     QuadraticPotential,
+    Region,
     ZeroPotential,
     invert_on_region,
 )
@@ -140,15 +142,22 @@ def test_symmetric_well_exits_both_sides_equally():
     assert left.value == pytest.approx(right.value, rel=1e-12)
 
 
-def test_penalty_formulation_matches_pinned_answer():
-    V = CosineWellPotential()
-    probed = minimize_exit_action(V, 0.3, WELL, 1.0, 100, grad_tol=1e-8)
-    blind = Interval(-math.pi, math.pi)
-    blind.boundary_probe = None
-    penalized = minimize_exit_action(V, 0.3, blind, 1.0, 100)
-    assert penalized.converged
-    assert abs(abs(penalized.path.knots[-1]) - math.pi) < 1e-4
-    assert penalized.value == pytest.approx(probed.value, rel=1e-3)
+def _unprobed_interval():
+    D = Interval(-math.pi, math.pi)
+    D.boundary_probe = None
+    return D
+
+
+@pytest.mark.parametrize("potential, region, x0", [
+    (CosineWellPotential(), _unprobed_interval(), 0.3),
+    (QuadraticPotential(dimension=2),
+     Region(lambda x: (x**2).sum(axis=-1) < 1.0, [[-1, 1], [-1, 1]], label="disc"),
+     np.zeros(2)),
+], ids=["interval", "disc"])
+def test_region_without_boundary_probe_points_is_a_construction_error(
+        potential, region, x0):
+    with pytest.raises(ConstructionError, match="no boundary probe"):
+        minimize_exit_action(potential, x0, region, 1.0, 50)
 
 
 def test_result_reports_convergence_details():

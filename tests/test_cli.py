@@ -124,6 +124,18 @@ def test_exit_codes(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_unallocatable_noise_block_is_a_runtime_error(tmp_path, capsys):
+    # one block of 4096 x 10^12 normals (29 PiB): numpy refuses the
+    # allocation at once, without touching memory
+    path = _write_cfg(tmp_path, BASE)
+    code = main(["run", path, "--T", "1", "--h", "1e-12", "--N", "10",
+                 "--epsilon", "0.5"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: cannot allocate a noise block of shape (4096, 1000000000000)" in err
+    assert "GiB" in err
+
+
 @pytest.mark.parametrize("overrides", [
     ["--mode", "importance", "--sampling", "invert", "--sigma", "0"],
     ["--mode", "table5", "--sigma", "0"],

@@ -25,12 +25,13 @@ SIGMA1 = NoiseScale(sigma=1.0)
 
 
 def brownian_path(seed, x0=0.0, T=1.0, h=1e-3, sigma=SIGMA1):
-    return simulate(ZeroPotential(), sigma, x0, T, h, RngPolicy(seed).stream(0))
+    return simulate(ZeroPotential(), sigma, x0, T, h,
+                    RngPolicy(seed).normals_for_sample(0, steps_for(T, h)))
 
 
 def test_identical_potentials_have_zero_weight():
     V = CosineWellPotential()
-    path = simulate(V, SIGMA1, 0.0, 1.0, 1e-2, RngPolicy(1).stream(0))
+    path = simulate(V, SIGMA1, 0.0, 1.0, 1e-2, RngPolicy(1).normals_for_sample(0, 100))
     w = log_weight_generator_form(path, V, V, SIGMA1, 1e-2)
     assert w.log_value == 0.0 and w.boundary_term == 0.0
     ws = log_weight_stochastic_integral_form(path, V, V, SIGMA1)
@@ -41,7 +42,7 @@ def test_constant_shift_has_zero_weight():
     # adding a constant to the potential changes nothing measurable
     V = QuadraticPotential(k=1.0)
     Vc = CallablePotential(lambda x: 0.5 * x**2 + 3.0, label="shifted")
-    path = simulate(V, SIGMA1, 0.2, 0.5, 1e-2, RngPolicy(2).stream(0))
+    path = simulate(V, SIGMA1, 0.2, 0.5, 1e-2, RngPolicy(2).normals_for_sample(0, 50))
     w = log_weight_generator_form(path, V, Vc, SIGMA1, 1e-2)
     assert abs(w.log_value) < 1e-7  # fd derivatives of the wrapped field
 
@@ -78,7 +79,8 @@ def test_forms_converge_together_as_h_shrinks():
         diffs = []
         for seed in range(20):
             path = simulate(
-                ZeroPotential(), SIGMA1, 0.3, 1.0, h, RngPolicy(100 + seed).stream(0)
+                ZeroPotential(), SIGMA1, 0.3, 1.0, h,
+                RngPolicy(100 + seed).normals_for_sample(0, steps_for(1.0, h)),
             )
             wg = log_weight_generator_form(path, V, ZeroPotential(), SIGMA1, h)
             ws = log_weight_stochastic_integral_form(path, V, ZeroPotential(), SIGMA1)
@@ -117,7 +119,8 @@ def test_general_reference_constant_drift_closed_form():
     F = lambda x: np.full_like(np.asarray(x, dtype=float), b)
     from wellescape.sde import simulate_with_drift
 
-    path = simulate_with_drift(F, SIGMA1, 0.0, T, h, RngPolicy(7).stream(0))
+    path = simulate_with_drift(F, SIGMA1, 0.0, T, h,
+                               RngPolicy(7).normals_for_sample(0, steps_for(T, h)))
     w = log_weight_general_reference(path, LinearPotential(a), F, SIGMA1, h)
     expect = a * (0.0 - path.terminal) + 0.5 * T * (-(a**2) + 2 * a * b)
     assert w.log_value == pytest.approx(expect, abs=1e-10)
@@ -136,7 +139,7 @@ def test_streaming_accumulator_matches_per_path_weights():
     logw = acc.finalize(0.0, terminal)
     assert logw.shape == (3, 64)
     for k in (0, 5, 63):
-        path = simulate(Vt, SIGMA1, 0.0, n_steps * h, h, policy.stream(k))
+        path = simulate(Vt, SIGMA1, 0.0, n_steps * h, h, noise_block[k])
         for j, tau in enumerate(taus):
             ref = log_weight_generator_form(path, V, Vt, SIGMA1, tau)
             assert logw[j, k] == pytest.approx(ref.log_value, abs=1e-12)
@@ -158,7 +161,7 @@ def test_fused_accumulator_agrees_with_recorded_path_weights():
         logw = acc.finalize(0.0, terminal)[0]
         gaps = []
         for k in range(16):
-            path = simulate(Vt, SIGMA1, 0.0, n_steps * h, h, policy.stream(k))
+            path = simulate(Vt, SIGMA1, 0.0, n_steps * h, h, noise_block[k])
             assert terminal[k] == path.terminal
             ref = log_weight_generator_form(path, V, Vt, SIGMA1, h)
             assert logw[k] == pytest.approx(ref.log_value, abs=1e-12)

@@ -51,7 +51,7 @@ def test_degenerate_noise_contracts_geometrically():
 def test_recorded_increments_replay_the_path():
     V = QuadraticPotential(k=0.8)
     policy = RngPolicy(42)
-    path = simulate(V, SIGMA1, 0.5, 1.0, 1e-2, policy.stream(17))
+    path = simulate(V, SIGMA1, 0.5, 1.0, 1e-2, policy.normals_for_sample(17, 100))
     replay = simulate(V, SIGMA1, 0.5, 1.0, 1e-2, path.increments)
     assert np.array_equal(path.states, replay.states)
     # and the recurrence holds at every step
@@ -103,7 +103,7 @@ def test_evolve_block_matches_per_sample_paths():
     drift = lambda x: -V.gradient(x)
     terminal = evolve_block(drift, SIGMA1, 0.4, n_steps, h, noise_block)
     for k in (0, 1, 99, BLOCK_SAMPLES - 1):
-        path = simulate(V, SIGMA1, 0.4, n_steps * h, h, policy.stream(k))
+        path = simulate(V, SIGMA1, 0.4, n_steps * h, h, noise_block[k])
         assert terminal[k] == pytest.approx(path.terminal, abs=1e-12)
 
 
@@ -139,7 +139,8 @@ def test_simulate_with_drift_constant_field():
 def test_two_dimensional_paths():
     V = QuadraticPotential(k=1.0, dimension=2)
     policy = RngPolicy(9)
-    path = simulate(V, SIGMA1, np.array([1.0, -1.0]), 0.2, 1e-2, policy.stream(0))
+    path = simulate(V, SIGMA1, np.array([1.0, -1.0]), 0.2, 1e-2,
+                    policy.normals_for_sample(0, 20, dim=2))
     assert path.states.shape == (21, 2)
     assert path.increments.shape == (20, 2)
     xi = policy.normals_for_sample(0, 20, dim=2)
