@@ -1,7 +1,7 @@
 """Rare-event estimation for overdamped Langevin dynamics.
 
-Tools for estimating small escape probabilities of ``dX = -grad(V) dt +
-sigma dW``: exact pathwise reweighting between potentials (Girsanov in
+Tools for estimating small escape probabilities of ``dX = -V'(X) dt +
+sigma dW`` on the line: exact pathwise reweighting between potentials (Girsanov in
 generator form), non-adaptive importance sampling built on it, short-time
 transition-density asymptotics with computable error bounds, and two
 independent oracles (a Fokker-Planck solver and a large-deviation action
@@ -24,25 +24,21 @@ from .potentials import (
     NoiseScale,
     PotentialField,
     QuadraticPotential,
-    Region,
     ZeroPotential,
     flatten_on_region,
-    generator_apply_general,
     generator_apply_to_self,
     invert_on_region,
     region_supremum,
 )
-from .sde import BLOCK_SAMPLES, RngPolicy, SamplePath, simulate, simulate_with_drift
+from .sde import BLOCK_SAMPLES, RngPolicy, SamplePath, simulate
 from .girsanov import (
     LogWeight,
-    log_weight_general_reference,
     log_weight_generator_form,
     log_weight_stochastic_integral_form,
 )
 from .density import (
     DensityEstimate,
     approximate,
-    approximate_general,
     bounds,
     corridor_violation_bound,
     gaussian_kernel,

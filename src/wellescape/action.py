@@ -1,16 +1,17 @@
 """Large-deviation action of escape paths, and its minimization.
 
 In the small-noise limit the probability that the diffusion
-``dX = -grad(V) dt + sqrt(eps) dW`` leaves the region D by time T decays
-like ``exp(-I / eps)`` where I is the minimal Freidlin-Wentzell action
+``dX = -V'(X) dt + sqrt(eps) dW`` leaves the interval D = (a, b) by time
+T decays like ``exp(-I / eps)`` where I is the minimal Freidlin-Wentzell
+action
 
     I = inf over paths phi with phi(0) = x0, phi(T) outside D of
-        1/2 integral_0^T | phi'(t) + grad V(phi(t)) |^2 dt.
+        1/2 integral_0^T ( phi'(t) + V'(phi(t)) )^2 dt.
 
 Paths are discretized on a uniform grid and the rate integrand is
 evaluated with the midpoint gradient rule,
 
-    A[phi] = 1/2 sum_j dt | (phi_{j+1} - phi_j) / dt + grad V(m_j) |^2,
+    A[phi] = 1/2 sum_j dt ( (phi_{j+1} - phi_j) / dt + V'(m_j) )^2,
     m_j = (phi_j + phi_{j+1}) / 2,
 
 which is second-order accurate in dt.  Minimization is plain gradient
@@ -19,8 +20,8 @@ kinetic part of the Hessian (the pinned discrete Laplacian).  The
 preconditioner is what makes gradient descent practical here: without it
 the iteration count scales with the square of the number of knots.
 
-The exit constraint is handled by pinning the terminal knot to each of
-the region's boundary probe points in turn and keeping the better minimum.
+The exit constraint is handled by pinning the terminal knot to each
+endpoint of the interval in turn and keeping the better minimum.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import ConstructionError
 
 _ARMIJO_C = 1e-4
 _MAX_BACKTRACKS = 60
@@ -76,22 +75,7 @@ def action(path, potential):
     dt = path.dt
     diffs, mids = _segments(np.asarray(path.knots, dtype=float))
     resid = diffs / dt + np.asarray(potential.gradient(mids))
-    if resid.ndim == 1:
-        sq = resid * resid
-    else:
-        sq = (resid**2).sum(axis=-1)
-    return 0.5 * dt * float(np.sum(sq))
-
-
-def _hessian_apply(potential, mids, w, step=1e-6):
-    """H(m_j) w_j per segment; analytic for d = 1, finite difference else."""
-    if potential.dimension == 1:
-        return np.asarray(potential.laplacian(mids)) * w
-    scale = np.maximum(np.linalg.norm(w, axis=-1, keepdims=True), 1e-300)
-    unit = w / scale
-    gp = np.asarray(potential.gradient(mids + step * unit))
-    gm = np.asarray(potential.gradient(mids - step * unit))
-    return (gp - gm) / (2 * step) * scale
+    return 0.5 * dt * float(np.sum(resid * resid))
 
 
 def action_gradient(path, potential):
@@ -104,7 +88,7 @@ def action_gradient(path, potential):
     dt = path.dt
     diffs, mids = _segments(knots)
     resid = diffs / dt + np.asarray(potential.gradient(mids))
-    hr = _hessian_apply(potential, mids, resid)
+    hr = np.asarray(potential.laplacian(mids)) * resid
     grad = np.zeros_like(knots)
     # segment j contributes to knots j and j+1:
     #   d/d phi_j   = -(v_j + G_j) + dt/2 H_j (v_j + G_j)
@@ -139,7 +123,7 @@ def _descend(objective, gradient, knots0, dt, max_iter, grad_tol):
         gnorm = float(np.max(np.abs(g)))
         if gnorm <= grad_tol:
             return knots, f, True, it - 1, gnorm
-        step = solve_banded((1, 1), precond, g.reshape(m_free, -1)).reshape(g.shape)
+        step = solve_banded((1, 1), precond, g)
         slope = float(np.sum(g * step))
         alpha = 1.0
         for _ in range(_MAX_BACKTRACKS):
@@ -163,17 +147,11 @@ def minimize_action_pinned(potential, x_start, x_end, horizon, n_segments=200,
     Starts from the straight line between the endpoints unless an initial
     path is supplied.
     """
-    x_start = np.asarray(x_start, dtype=float)
-    x_end = np.asarray(x_end, dtype=float)
     r = np.linspace(0.0, 1.0, n_segments + 1)
     if initial is not None:
         knots = np.asarray(initial, dtype=float).copy()
-    elif x_start.ndim == 0:
-        knots = (1 - r) * float(x_start) + r * float(x_end)
     else:
-        knots = np.outer(1 - r, np.ones_like(x_start)) * x_start + np.outer(
-            r, np.ones_like(x_end)
-        ) * x_end
+        knots = (1 - r) * float(x_start) + r * float(x_end)
     dt = horizon / n_segments
 
     def objective(k):
@@ -196,23 +174,16 @@ def minimize_exit_action(potential, x0, region, horizon, n_segments=200,
     """Minimal action to leave the region from x0 by the given horizon.
 
     Already-escaped starts cost nothing.  Otherwise the terminal knot is
-    pinned to each of the region's boundary probe points in turn (the
-    optimal exit passes through the boundary) and the better minimum is
-    kept; a region without probe points raises :class:`ConstructionError`.
+    pinned to each endpoint of the interval in turn (the optimal exit
+    passes through the boundary) and the better minimum is kept.
     """
     if not region.indicator(x0):
-        knots = np.repeat(np.asarray(x0, dtype=float)[None], n_segments + 1, axis=0) \
-            if np.ndim(x0) else np.full(n_segments + 1, float(x0))
         return ActionResult(
-            value=0.0, path=DiscretePath(knots, horizon), converged=True,
-            iterations=0, grad_norm=0.0,
+            value=0.0, path=DiscretePath(np.full(n_segments + 1, float(x0)), horizon),
+            converged=True, iterations=0, grad_norm=0.0,
         )
-    if region.boundary_probe is None:
-        raise ConstructionError(
-            f"minimize_exit_action: region {region.label} has no boundary "
-            f"probe points to pin the exit to")
     best = None
-    for z in region.boundary_probe:
+    for z in (region.a, region.b):
         res = minimize_action_pinned(
             potential, x0, z, horizon, n_segments, max_iter, grad_tol
         )

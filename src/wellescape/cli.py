@@ -227,7 +227,7 @@ def _cmd_validate(cfg):
     ref = cfg.build_sampling_potential(V)
     region = cfg.build_region()
     noise = cfg.noise()
-    a, b = region.bounding_box[0]
+    a, b = region.a, region.b
     inside = np.linspace(a + 1e-9, b - 1e-9, 4001)
     ring = np.concatenate([np.linspace(a - 2.0, a - 1e-9, 1001),
                            np.linspace(b + 1e-9, b + 2.0, 1001)])

@@ -35,7 +35,7 @@ WORKERS_ENV = "WELLESCAPE_WORKERS"
 
 
 def parse_scalar(token):
-    """A float literal, optionally a multiple of pi: ``-pi``, ``0.5pi``."""
+    """A finite float literal, optionally a multiple of pi: ``-pi``, ``0.5pi``."""
     text = str(token).strip().lower().replace(" ", "")
     if not text:
         raise ValueError("empty numeric value")
@@ -47,7 +47,10 @@ def parse_scalar(token):
             return factor
         if text == "-":
             return -factor
-    return float(text) * factor
+    value = float(text) * factor
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {token!r}")
+    return value
 
 
 def _parse_int(token):
@@ -223,12 +226,14 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"give at most one of sigma/epsilon/beta, got {given}"
             )
-        for key in ("T", "h", "tau", "stiffness", "dt", *given):
+        optional = [k for k in ("t", "delta") if getattr(self, k) is not None]
+        for key in ("T", "h", "tau", "stiffness", "dt", *given, *optional):
             if getattr(self, key) <= 0:
                 raise ConfigurationError(f"{key} must be positive")
-        for key in ("N", "seed", "workers", "n_cells", "segments"):
-            if getattr(self, key) < (0 if key == "seed" else 1):
-                raise ConfigurationError(f"{key} must be positive")
+        for key, least in (("N", 1), ("seed", 0), ("workers", 1), ("n_cells", 3),
+                           ("segments", 2)):
+            if getattr(self, key) < least:
+                raise ConfigurationError(f"{key} must be at least {least}")
         if not all(e > 0 for e in self.epsilons):
             raise ConfigurationError(
                 f"epsilons must all be positive, got {self.epsilons}")

@@ -1,22 +1,23 @@
 """Short-time transition-density approximation with computable error bounds.
 
-For the diffusion ``dX = -grad(V) dt + sigma dW`` the transition density
-``p_t(x, y)`` is, up to a vanishing correction, the free (driftless)
-Gaussian kernel times an explicit potential factor evaluated along the
-straight chord ``psi(r) = (1 - r) x + r y``:
+For the diffusion ``dX = -V'(X) dt + sigma dW`` on the line the transition
+density ``p_t(x, y)`` is, up to a vanishing correction, the free
+(driftless) Gaussian kernel times an explicit potential factor evaluated
+along the straight chord ``psi(r) = (1 - r) x + r y``:
 
     p_t(x, y) ~ exp[ sigma^-2 ( V(x) - V(y)
                      + t/2 * integral_0^1 g_V(psi(r)) dr ) ] * rho_t(y - x),
 
-with ``g_V = sigma^2 Laplace(V) - |grad V|^2`` and ``rho_t`` the centered
-Gaussian density of variance ``sigma^2 t`` per coordinate.  The
-approximation error is controlled by two constants: a Lipschitz bound K on
-``g_V`` near the chord, entering through ``M1 = sqrt(d) K / 2``, and the
-probability that the Brownian bridge strays further than ``delta`` from
-the chord, bounded by ``2 d exp(-2 delta^2 / (sigma^2 t))``.  Explicit
-two-sided bounds built from these constants are returned by
-:func:`bounds`; with ``delta ~ t^0.4`` both error terms vanish as
-``t -> 0``, the exponential one faster than any power of t.
+with ``g_V = sigma^2 V'' - V'^2`` and ``rho_t`` the centered Gaussian
+density of variance ``sigma^2 t``.  The approximation error is controlled
+by two constants: a Lipschitz bound K on ``g_V`` near the chord, entering
+through ``M1 = K / 2``, and the probability that the Brownian bridge
+strays further than ``delta`` from the chord, bounded by
+``2 exp(-2 delta^2 / (sigma^2 t))``.  Explicit two-sided bounds built from
+these constants are returned by :func:`bounds`; with ``delta ~ t^0.4``
+both error terms vanish as ``t -> 0``, the exponential one faster than
+any power of t.  The paper states these asymptotics in R^d; this module
+keeps the one-dimensional case.
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .potentials import _box_grid, generator_apply_general, generator_apply_to_self
+from .potentials import generator_apply_to_self
 
 DEFAULT_NODES = 101
 DEFAULT_DELTA_EXPONENT = 0.4
+_GRID_POINTS = 10_000
 
 
 @dataclass
@@ -47,29 +49,17 @@ class DensityEstimate:
     gamma: float
 
 
-def gaussian_kernel(noise, t, z, dimension=1):
+def gaussian_kernel(noise, t, z):
     """Free-diffusion transition density rho_t(z) for displacement z.
 
-    ``rho_t(z) = (2 pi sigma^2 t)^(-d/2) exp(-|z|^2 / (2 sigma^2 t))``.
+    ``rho_t(z) = (2 pi sigma^2 t)^(-1/2) exp(-z^2 / (2 sigma^2 t))``.
     """
     if t <= 0:
         raise ValueError("time must be positive")
     z = np.asarray(z, dtype=float)
     var = noise.sigma ** 2 * t
-    if dimension == 1:
-        sq = z * z
-    else:
-        sq = (z ** 2).sum(axis=-1)
-    out = (2 * math.pi * var) ** (-dimension / 2) * np.exp(-sq / (2 * var))
+    out = (2 * math.pi * var) ** -0.5 * np.exp(-z * z / (2 * var))
     return float(out) if np.ndim(out) == 0 else out
-
-
-def _chord(x, y, r):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim == 0:
-        return (1 - r) * float(x) + r * float(y)
-    return (1 - r)[:, None] * x + r[:, None] * y
 
 
 def _simpson(y, x):
@@ -88,7 +78,7 @@ def _chord_integral(integrand, x, y, n_nodes):
     if n_nodes < 3 or n_nodes % 2 == 0:
         raise ValueError("n_nodes must be an odd number >= 3 for Simpson's rule")
     r = np.linspace(0.0, 1.0, n_nodes)
-    vals = np.asarray(integrand(_chord(x, y, r)), dtype=float)
+    vals = np.asarray(integrand((1 - r) * float(x) + r * float(y)), dtype=float)
     return float(_simpson(vals, r))
 
 
@@ -100,69 +90,42 @@ def approximate(potential, noise, x, y, t, n_nodes=DEFAULT_NODES):
     """
     if t <= 0:
         raise ValueError("time must be positive")
-    d = potential.dimension
     integral = _chord_integral(
         lambda p: generator_apply_to_self(potential, noise, p), x, y, n_nodes
     )
     bracket = float(potential.value(x)) - float(potential.value(y)) + 0.5 * t * integral
-    kernel = gaussian_kernel(noise, t, np.asarray(y, dtype=float) - np.asarray(x, dtype=float), d)
+    kernel = gaussian_kernel(noise, t, float(y) - float(x))
     return math.exp(bracket / noise.sigma ** 2) * kernel
 
 
-def approximate_general(potential, drift, noise, x, y, t, reference_density,
-                        n_nodes=DEFAULT_NODES):
-    """Short-time density relative to a reference SDE dX = F dt + sigma dW.
-
-    ``reference_density(x, y, t)`` must supply the transition density of
-    the reference dynamics; the potential factor uses the general-reference
-    integrand ``-|grad V|^2 + 2 F . grad V + sigma^2 Laplace(V)`` along the
-    chord.  With F = 0 and the Gaussian kernel as reference this reduces
-    to :func:`approximate`.
-    """
-    if t <= 0:
-        raise ValueError("time must be positive")
-    integral = _chord_integral(
-        lambda p: generator_apply_general(potential, drift, noise, p), x, y, n_nodes
-    )
-    bracket = float(potential.value(x)) - float(potential.value(y)) + 0.5 * t * integral
-    return math.exp(bracket / noise.sigma ** 2) * float(reference_density(x, y, t))
-
-
-def corridor_violation_bound(noise, t, delta, dimension=1):
+def corridor_violation_bound(noise, t, delta):
     """Upper bound on P(bridge deviates more than delta from its chord).
 
     The linear bridge interpolating the diffusion's endpoints differs from
-    the driftless bridge by a drift term; a reflection bound per coordinate
-    gives ``2 d exp(-2 delta^2 / (sigma^2 t))``, independent of the
-    endpoints.
+    the driftless bridge by a drift term; a reflection bound gives
+    ``2 exp(-2 delta^2 / (sigma^2 t))``, independent of the endpoints.
     """
     if t <= 0 or delta <= 0:
         raise ValueError("time and corridor width must be positive")
-    return 2.0 * dimension * math.exp(-2.0 * delta ** 2 / (noise.sigma ** 2 * t))
+    return 2.0 * math.exp(-2.0 * delta ** 2 / (noise.sigma ** 2 * t))
 
 
-def _box_hull(x, y, pad):
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    lo = np.minimum(x, y) - pad
-    hi = np.maximum(x, y) + pad
-    return lo, hi
+def _slope_and_sup(func, lo, hi, n_points):
+    """Largest |slope| and largest |func| on ``n_points`` grid points over
+    [lo, hi], from one evaluation of ``func``."""
+    grid = np.linspace(lo, hi, n_points)
+    vals = np.asarray(func(grid), dtype=float)
+    return float(np.max(np.abs(np.gradient(vals, grid)))), float(np.max(np.abs(vals)))
 
 
-def lipschitz_estimate(func, lo, hi, n_points=10_000):
-    """Grid estimate of the Lipschitz constant of a field on a box.
+def lipschitz_estimate(func, lo, hi, n_points=_GRID_POINTS):
+    """Grid estimate of the Lipschitz constant of a function on [lo, hi].
 
-    Takes the largest gradient norm seen on a dense grid (10^4 points for
-    d = 1, about 10^6 total for d >= 2).  A grid estimate can only
-    undershoot the true constant, so callers apply a safety factor.
+    Takes the largest slope seen on a grid of ``n_points`` points.  A grid
+    estimate can only undershoot the true constant, so callers apply a
+    safety factor.
     """
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    grid, axes = _box_grid(lo, hi, n_points)
-    grads = np.gradient(np.asarray(func(grid), dtype=float), *axes)
-    if lo.size == 1:
-        return float(np.max(np.abs(grads)))
-    return float(np.max(np.sqrt(sum(g ** 2 for g in grads))))
+    return _slope_and_sup(func, lo, hi, n_points)[0]
 
 
 def bounds(potential, noise, x, y, t, delta=None, n_nodes=DEFAULT_NODES,
@@ -170,8 +133,9 @@ def bounds(potential, noise, x, y, t, delta=None, n_nodes=DEFAULT_NODES,
     """Two-sided bounds on p_t(x, y) around the chord approximation.
 
     The Lipschitz constant K of the running integrand and its sup are
-    estimated on the box hull of {x, y} inflated by 3 sigma sqrt(t), and K
-    is multiplied by ``safety`` to absorb the grid estimation error.  The
+    estimated on one grid over [min(x, y), max(x, y)] widened by
+    3 sigma sqrt(t) on each side, and K is multiplied by ``safety`` to
+    absorb the grid estimation error.  The
     corridor half-width defaults to ``t ** 0.4``, which sends both error
     terms to zero as t -> 0.  The lower bound is clamped at 0 (the bound
     is vacuous when the corridor constants are large).
@@ -180,7 +144,6 @@ def bounds(potential, noise, x, y, t, delta=None, n_nodes=DEFAULT_NODES,
         raise ValueError("time must be positive")
     if delta is None:
         delta = t ** DEFAULT_DELTA_EXPONENT
-    d = potential.dimension
     sigma = noise.sigma
     inv_eps = 1.0 / sigma ** 2
 
@@ -188,17 +151,15 @@ def bounds(potential, noise, x, y, t, delta=None, n_nodes=DEFAULT_NODES,
     integral = _chord_integral(g, x, y, n_nodes)
     v_diff = float(potential.value(x)) - float(potential.value(y))
     bracket = v_diff + 0.5 * t * integral
-    kernel = gaussian_kernel(
-        noise, t, np.asarray(y, dtype=float) - np.asarray(x, dtype=float), d
-    )
+    kernel = gaussian_kernel(noise, t, float(y) - float(x))
 
-    lo, hi = _box_hull(x, y, 3.0 * sigma * math.sqrt(t))
-    K = safety * lipschitz_estimate(g, lo, hi)
-    grid, _ = _box_grid(lo, hi)
-    sup_abs_g = float(np.max(np.abs(np.asarray(g(grid)))))
+    pad = 3.0 * sigma * math.sqrt(t)
+    slope, sup_abs_g = _slope_and_sup(g, min(x, y) - pad, max(x, y) + pad,
+                                      _GRID_POINTS)
+    K = safety * slope
 
-    m1 = 0.5 * math.sqrt(d) * K
-    m2 = 2.0 * d * math.exp(inv_eps * (v_diff + 0.5 * t * sup_abs_g))
+    m1 = 0.5 * K
+    m2 = 2.0 * math.exp(inv_eps * (v_diff + 0.5 * t * sup_abs_g))
     gamma = math.exp(-2.0 * delta ** 2 / (sigma ** 2 * t))
 
     value = math.exp(inv_eps * bracket) * kernel

@@ -229,7 +229,7 @@ def escape_probability(potential, noise, x0, region, horizon, *,
     probabilities from the returned grid instead, as the mass outside D
     given by :func:`integrate_density` over the grid's two tails.
     """
-    a, b = region.bounding_box[0]
+    a, b = region.a, region.b
     if pad is None:
         pad = 6.0 * noise.sigma * math.sqrt(horizon)
     lo = min(a, float(x0)) - pad

@@ -1,10 +1,10 @@
 """Pathwise change-of-measure weights between Langevin dynamics.
 
-Let P be the law of ``dX = -grad(V) dt + sigma dW`` and P~ the law of the
+Let P be the law of ``dX = -V'(X) dt + sigma dW`` and P~ the law of the
 same equation with a sampling potential V~ (both started at x0, observed on
 [0, T]).  The log Radon-Nikodym derivative along a path admits a form that
 involves no stochastic integral, only the potentials and the generator-type
-integrand ``g_V = sigma^2 Laplace(V) - |grad V|^2``:
+integrand ``g_V = sigma^2 V'' - V'^2``:
 
     log dP/dP~ = sigma^-2 [ V(x0) - V(X_T) - V~(x0) + V~(X_T)
                             + 1/2 * integral_0^T (g_V - g_V~)(X_s) ds ].
@@ -12,22 +12,21 @@ integrand ``g_V = sigma^2 Laplace(V) - |grad V|^2``:
 The same weight in its classical stochastic-integral form, with
 U = V~ - V, is
 
-    log dP/dP~ = sigma^-1 integral grad(U)(X_s) . dW~_s
-                 - sigma^-2 / 2 * integral |grad U|^2 (X_s) ds.
+    log dP/dP~ = sigma^-1 integral U'(X_s) dW~_s
+                 - sigma^-2 / 2 * integral U'(X_s)^2 ds.
 
 The generator form is a left-endpoint Riemann sum on a coarsened mesh tau
 (an integer multiple of the simulation step h); the stochastic form is
 taken on the simulation grid using the recorded driving increments.  For
 linear U the two discrete forms agree to machine precision when tau = h;
-in general they differ at the Riemann error level.
+in general they differ at the Riemann error level, so the stochastic form
+serves as an independent check of the generator form.
 
-Against an arbitrary reference SDE ``dX = F dt + sigma dW`` the running
-integrand becomes ``-|grad V|^2 + 2 F . grad V + sigma^2 Laplace(V)`` and
-the boundary term drops the V~ contribution.  Both per-path generator-form
-weights share one Riemann sum over a recorded path; the two-potential
-integrand is :func:`wellescape.potentials.generator_difference`, which
-:class:`WeightAccumulator` also adds up, block-wide and step by step,
-while :func:`wellescape.sde.evolve_block` runs.
+The integrand ``g_V - g_V~`` is
+:func:`wellescape.potentials.generator_difference`, summed once over a
+recorded path by :func:`log_weight_generator_form` and block-wide, step by
+step, by :class:`WeightAccumulator` while :func:`wellescape.sde.evolve_block`
+runs.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .potentials import generator_apply_general, generator_difference
+from .potentials import generator_difference
 
 _MESH_REL_TOL = 1e-9
 
@@ -81,15 +80,21 @@ def _require_increments(path):
         )
 
 
-def _riemann_weight(path, noise, tau, integrand, boundary):
-    """``LogWeight`` of sigma^-2 [boundary + 1/2 * tau * sum of integrand],
-    the integrand taken at the left endpoints 0, tau, ..., T - tau."""
+def log_weight_generator_form(path, potential, sampling_potential, noise, tau):
+    """Weight of a P~-path under P, generator form, left-endpoint Riemann sum.
+
+    ``path`` must have been simulated under the sampling potential; the
+    running integrand is evaluated at times 0, tau, 2 tau, ..., T - tau.
+    """
     h = path.h
     m = mesh_stride(tau, h, path.n_steps)
     inv_eps = 1.0 / noise.sigma ** 2
-    g = integrand(path.states[:-1][::m])
+    g, _ = generator_difference(potential, sampling_potential, noise,
+                                path.states[:-1][::m])
     running = inv_eps * 0.5 * (m * h) * float(np.sum(g))
-    boundary = inv_eps * float(boundary)
+    boundary = inv_eps * float(
+        potential.value(path.x0) - potential.value(path.terminal)
+        - sampling_potential.value(path.x0) + sampling_potential.value(path.terminal))
     return LogWeight(
         log_value=boundary + running,
         boundary_term=boundary,
@@ -98,25 +103,11 @@ def _riemann_weight(path, noise, tau, integrand, boundary):
     )
 
 
-def log_weight_generator_form(path, potential, sampling_potential, noise, tau):
-    """Weight of a P~-path under P, generator form, left-endpoint Riemann sum.
-
-    ``path`` must have been simulated under the sampling potential; the
-    running integrand is evaluated at times 0, tau, 2 tau, ..., T - tau.
-    """
-    return _riemann_weight(
-        path, noise, tau,
-        lambda x: generator_difference(potential, sampling_potential, noise, x)[0],
-        potential.value(path.x0) - potential.value(path.terminal)
-        - sampling_potential.value(path.x0) + sampling_potential.value(path.terminal),
-    )
-
-
 def log_weight_stochastic_integral_form(path, potential, sampling_potential, noise):
     """Weight of a P~-path under P via the classical stochastic integral.
 
     Uses U = V~ - V and the recorded unit-variance draws xi_i of the path:
-    the discrete stochastic integral is sum grad(U)(X_i) . (sqrt(h) xi_i).
+    the discrete stochastic integral is sum U'(X_i) sqrt(h) xi_i.
     Defined only for nondegenerate noise.
     """
     _require_increments(path)
@@ -126,25 +117,10 @@ def log_weight_stochastic_integral_form(path, potential, sampling_potential, noi
     left = path.states[:-1]
     gu = (np.asarray(sampling_potential.gradient(left))
           - np.asarray(potential.gradient(left)))
-    if potential.dimension == 1:
-        cross = gu * path.increments
-        gu_sq = gu * gu
-    else:
-        cross = (gu * path.increments).sum(axis=-1)
-        gu_sq = (gu ** 2).sum(axis=-1)
-    running = (np.sqrt(h) / noise.sigma) * float(np.sum(cross)) \
-        - 0.5 / noise.sigma ** 2 * h * float(np.sum(gu_sq))
+    running = (np.sqrt(h) / noise.sigma) * float(np.sum(gu * path.increments)) \
+        - 0.5 / noise.sigma ** 2 * h * float(np.sum(gu * gu))
     return LogWeight(
         log_value=running, boundary_term=0.0, running_integral=running, mesh=h
-    )
-
-
-def log_weight_general_reference(path, potential, drift, noise, tau):
-    """Weight under P of a path simulated from dX = F dt + sigma dW."""
-    return _riemann_weight(
-        path, noise, tau,
-        lambda x: generator_apply_general(potential, drift, noise, x),
-        potential.value(path.x0) - potential.value(path.terminal),
     )
 
 

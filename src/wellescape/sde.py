@@ -1,8 +1,8 @@
 """Euler-Maruyama simulation of overdamped Langevin dynamics.
 
-The scheme for ``dX = -grad(V) dt + sigma dW`` with step ``h`` is
+The scheme for ``dX = -V'(X) dt + sigma dW`` with step ``h`` is
 
-    X_{i+1} = X_i - grad(V)(X_i) h + sigma sqrt(h) xi_i,
+    X_{i+1} = X_i - V'(X_i) h + sigma sqrt(h) xi_i,
 
 where the ``xi_i`` are independent standard normal draws.  There is one
 Euler loop, :func:`evolve_block`, which advances a block of samples at
@@ -37,14 +37,14 @@ class RngPolicy:
     def __init__(self, master_seed):
         self.master_seed = int(master_seed)
 
-    def block_normals(self, block_index, n_steps, dim=1):
-        """Standard normals for one block, shape (BLOCK_SAMPLES, n_steps[, dim]).
+    def block_normals(self, block_index, n_steps):
+        """Standard normals for one block, shape (BLOCK_SAMPLES, n_steps).
 
         Raises :class:`SimulationError` when the block cannot be allocated.
         """
         ss = np.random.SeedSequence(self.master_seed, spawn_key=(int(block_index),))
         gen = np.random.Generator(np.random.PCG64(ss))
-        shape = (BLOCK_SAMPLES, n_steps) if dim == 1 else (BLOCK_SAMPLES, n_steps, dim)
+        shape = (BLOCK_SAMPLES, n_steps)
         try:
             return gen.standard_normal(shape)
         except MemoryError:
@@ -53,10 +53,10 @@ class RngPolicy:
                 f"cannot allocate a noise block of shape {shape} ({gib:.4g} GiB)"
             ) from None
 
-    def normals_for_sample(self, sample_index, n_steps, dim=1):
-        """The noise draws sample ``sample_index`` receives, shape (n_steps[, dim])."""
+    def normals_for_sample(self, sample_index, n_steps):
+        """The noise draws sample ``sample_index`` receives, shape (n_steps,)."""
         block, row = divmod(int(sample_index), BLOCK_SAMPLES)
-        return self.block_normals(block, n_steps, dim)[row]
+        return self.block_normals(block, n_steps)[row]
 
     def n_blocks(self, n_samples):
         return -(-int(n_samples) // BLOCK_SAMPLES)
@@ -111,64 +111,50 @@ def steps_for(horizon, h):
     return n
 
 
-def simulate_with_drift(drift, noise, x0, horizon, h, increments):
-    """Euler-Maruyama path of dX = F(X) dt + sigma dW.
+def simulate(potential, noise, x0, horizon, h, increments):
+    """Euler-Maruyama path of the Langevin SDE dX = -V'(X) dt + sigma dW.
 
     The path is :func:`evolve_block` run on a one-row block, with the
     state recorded at the start of every step.
 
     Parameters
     ----------
-    drift : callable
-        The drift field F, vectorized over points.
+    potential : PotentialField
     noise : NoiseScale
-    x0 : float or array
-        Initial state (scalar for d = 1, shape (d,) otherwise).
+    x0 : float
+        Initial state.
     horizon, h : float
         Final time and step size; ``horizon / h`` should be integral.
-    increments : ndarray, shape (n_steps,) or (n_steps, d)
+    increments : ndarray, shape (n_steps,)
         The unit-variance draws, e.g. ``RngPolicy.normals_for_sample(k,
         n_steps)`` for sample k; a recorded path's ``increments`` replay
         it exactly.
     """
-    x0 = np.asarray(x0, dtype=float)
     n = steps_for(horizon, h)
     xi = np.asarray(increments, dtype=float)
-    expected = (n,) if x0.ndim == 0 else (n, x0.shape[0])
-    if xi.shape != expected:
-        raise ValueError(f"increment array has shape {xi.shape}, expected {expected}")
-    states = np.empty((n + 1,) + xi.shape[1:])
+    if xi.shape != (n,):
+        raise ValueError(f"increment array has shape {xi.shape}, expected {(n,)}")
+    states = np.empty(n + 1)
 
     def record(i, X):
         states[i] = X[0]
 
+    drift = lambda x: -np.asarray(potential.gradient(x))
     states[n] = evolve_block(drift, noise, x0, n, h, xi[None], record)[0]
     return SamplePath(times=h * np.arange(n + 1), states=states, increments=xi)
-
-
-def simulate(potential, noise, x0, horizon, h, increments):
-    """Euler-Maruyama path of the Langevin SDE dX = -grad(V) dt + sigma dW."""
-    return simulate_with_drift(
-        lambda x: -np.asarray(potential.gradient(x)), noise, x0, horizon, h, increments
-    )
 
 
 def evolve_block(drift, noise, x0, n_steps, h, noise_block, observer=None):
     """Advance a whole block of samples and return their terminal states.
 
-    ``noise_block`` has shape (B, n_steps) for d = 1 or (B, n_steps, d);
-    row b drives sample b.  ``observer(i, X)``, when given, is called with
-    the current states at the start of step i (so it sees X at times
-    i * h for i = 0 .. n_steps - 1); this is how streaming weight
-    accumulators tap the trajectory without storing it.  An observer may
-    return the step's ``drift(X)``, which is then not evaluated again.
+    ``noise_block`` has shape (B, n_steps); row b drives sample b.
+    ``observer(i, X)``, when given, is called with the current states at
+    the start of step i (so it sees X at times i * h for i = 0 .. n_steps
+    - 1); this is how streaming weight accumulators tap the trajectory
+    without storing it.  An observer may return the step's ``drift(X)``,
+    which is then not evaluated again.
     """
-    n_block = noise_block.shape[0]
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim == 0:
-        X = np.full(n_block, float(x0))
-    else:
-        X = np.tile(x0, (n_block, 1))
+    X = np.full(noise_block.shape[0], float(x0))
     amp = noise.sigma * math.sqrt(h)
     for i in range(n_steps):
         f = observer(i, X) if observer is not None else None

@@ -336,7 +336,7 @@ def _inverted_tail_mass(eps, **grid):
             INV, NoiseScale(epsilon=eps), 0.0, REGION, T, return_grid=True,
             **grid,
         )
-    a, b = REGION.bounding_box[0]
+    a, b = REGION.a, REGION.b
     mass = (integrate_density(fp_grid, fp_grid.x[0], a)
             + integrate_density(fp_grid, b, fp_grid.x[-1]))
     return mass, [str(w.message) for w in caught]

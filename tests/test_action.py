@@ -10,12 +10,9 @@ from wellescape.action import (
     minimize_action_pinned,
     minimize_exit_action,
 )
-from wellescape.errors import ConstructionError
 from wellescape.potentials import (
     CosineWellPotential,
     Interval,
-    QuadraticPotential,
-    Region,
     ZeroPotential,
     invert_on_region,
 )
@@ -40,14 +37,6 @@ def test_free_motion_minimizer_is_straight_line():
     assert np.allclose(res.path.knots, straight, atol=1e-12)
 
 
-def test_free_motion_two_dimensional():
-    res = minimize_action_pinned(
-        ZeroPotential(dimension=2), [0.0, 0.0], [1.0, 2.0], 1.0, 80
-    )
-    assert res.converged
-    assert res.value == pytest.approx((1.0 + 4.0) / 2, rel=1e-12)
-
-
 def test_gradient_matches_finite_differences_1d():
     V = CosineWellPotential()
     t = np.linspace(0.0, 1.0, 41)
@@ -61,21 +50,6 @@ def test_gradient_matches_finite_differences_1d():
         fd = (action(DiscretePath(bumped, 1.0), V)
               - action(DiscretePath(dipped, 1.0), V)) / (2 * step)
         assert g[j] == pytest.approx(fd, rel=1e-5, abs=1e-7)
-
-
-def test_gradient_matches_finite_differences_2d():
-    V = QuadraticPotential(k=1.3, dimension=2)
-    rng = np.random.default_rng(11)
-    knots = rng.normal(size=(21, 2)) * 0.5
-    path = DiscretePath(knots, horizon=0.7)
-    g = action_gradient(path, V)
-    step = 1e-6
-    for j, axis in ((0, 0), (7, 1), (20, 0)):
-        bumped = knots.copy(); bumped[j, axis] += step
-        dipped = knots.copy(); dipped[j, axis] -= step
-        fd = (action(DiscretePath(bumped, 0.7), V)
-              - action(DiscretePath(dipped, 0.7), V)) / (2 * step)
-        assert g[j, axis] == pytest.approx(fd, rel=1e-5, abs=1e-6)
 
 
 def test_gradient_flow_of_the_inverted_well_is_free():
@@ -140,24 +114,6 @@ def test_symmetric_well_exits_both_sides_equally():
     left = minimize_action_pinned(V, 0.0, -math.pi, 1.0, 80)
     right = minimize_action_pinned(V, 0.0, math.pi, 1.0, 80)
     assert left.value == pytest.approx(right.value, rel=1e-12)
-
-
-def _unprobed_interval():
-    D = Interval(-math.pi, math.pi)
-    D.boundary_probe = None
-    return D
-
-
-@pytest.mark.parametrize("potential, region, x0", [
-    (CosineWellPotential(), _unprobed_interval(), 0.3),
-    (QuadraticPotential(dimension=2),
-     Region(lambda x: (x**2).sum(axis=-1) < 1.0, [[-1, 1], [-1, 1]], label="disc"),
-     np.zeros(2)),
-], ids=["interval", "disc"])
-def test_region_without_boundary_probe_points_is_a_construction_error(
-        potential, region, x0):
-    with pytest.raises(ConstructionError, match="no boundary probe"):
-        minimize_exit_action(potential, x0, region, 1.0, 50)
 
 
 def test_result_reports_convergence_details():

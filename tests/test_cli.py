@@ -146,8 +146,24 @@ def test_unallocatable_noise_block_is_a_runtime_error(tmp_path, capsys):
      "--sweep_n", "256,0"],
     ["--mode", "sweep", "--sampling", "invert", "--epsilons", "1,0.5,0.25",
      "--sweep_n", "500"],
+    ["--T", "inf"],
+    ["--N", "inf"],
+    ["--mode", "fp", "--n_cells", "inf"],
+    ["--workers", "inf"],
+    ["--T", "nan"],
+    ["--mode", "fp", "--epsilon", "nan"],
+    ["--mode", "action", "--x0", "nan"],
+    ["--mode", "density", "--y", "0.5", "--t", "0"],
+    ["--mode", "density", "--y", "0.5", "--t", "-1"],
+    ["--mode", "density", "--y", "0.5", "--delta", "0"],
+    ["--mode", "action", "--segments", "1"],
+    ["--mode", "fp", "--n_cells", "1"],
+    ["--mode", "fp", "--n_cells", "2"],
 ], ids=["importance-sigma0", "table5-sigma0", "sweep-eps0", "sigma-neg",
-        "beta0", "sweep-n0", "sweep-n-short"])
+        "beta0", "sweep-n0", "sweep-n-short", "T-inf", "N-inf", "n_cells-inf",
+        "workers-inf", "T-nan", "fp-epsilon-nan", "action-x0-nan",
+        "density-t0", "density-t-neg", "density-delta0", "action-segments1",
+        "fp-n_cells1", "fp-n_cells2"])
 def test_bad_noise_levels_and_counts_are_config_errors(tmp_path, capsys,
                                                        overrides):
     path = _write_cfg(tmp_path, BASE)

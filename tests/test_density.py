@@ -2,13 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import norm
 
 from wellescape.density import (
     DensityEstimate,
     _simpson,
     approximate,
-    approximate_general,
     bounds,
     corridor_violation_bound,
     gaussian_kernel,
@@ -32,10 +30,6 @@ def test_gaussian_kernel_values_and_mass():
     z = np.linspace(-10, 10, 100_001)
     vals = gaussian_kernel(SIGMA1, 0.7, z)
     assert np.trapezoid(vals, z) == pytest.approx(1.0, abs=1e-9)
-    # d = 2 product structure
-    z2 = np.array([0.3, -0.4])
-    expect = gaussian_kernel(SIGMA1, 0.5, 0.3) * gaussian_kernel(SIGMA1, 0.5, -0.4)
-    assert gaussian_kernel(SIGMA1, 0.5, z2, dimension=2) == pytest.approx(expect)
 
 
 def test_time_must_be_positive():
@@ -123,6 +117,20 @@ def test_bounds_bracket_fokker_planck_reference():
     assert est.lower < est.value < est.upper
 
 
+def test_bounds_evaluate_the_integrand_once_on_the_grid():
+    # the slope maximum and sup |g| both come from one 10^4-point grid
+    class Counting(CosineWellPotential):
+        grid_calls = 0
+
+        def field(self, x):
+            if np.size(x) == 10_000:
+                Counting.grid_calls += 1
+            return super().field(x)
+
+    bounds(Counting(), SIGMA1, 0.2, 0.7, 0.1)
+    assert Counting.grid_calls == 1
+
+
 def test_corridor_bound_values():
     # sigma = 1, t = 1, delta = 1: 2 e^{-2}
     assert corridor_violation_bound(SIGMA1, 1.0, 1.0) == pytest.approx(
@@ -132,10 +140,6 @@ def test_corridor_bound_values():
     a = corridor_violation_bound(SIGMA1, 0.25, 0.5)
     b = corridor_violation_bound(NoiseScale(sigma=2.0), 1.0, 2.0)
     assert a == pytest.approx(b, rel=1e-14)
-    # dimension enters linearly
-    assert corridor_violation_bound(SIGMA1, 1.0, 1.0, dimension=3) == pytest.approx(
-        6 * math.exp(-2), rel=1e-14
-    )
 
 
 def _bridges(x, y, t, n_steps, n_paths, sigma, seed):
@@ -185,15 +189,6 @@ def test_chord_deviation_bound_along_corridor_paths():
     )
     bound = 0.5 * K * delta * t
     assert np.all(np.abs(path_int - chord_int) <= bound * 1.02 + 1e-12)
-
-
-def test_general_reference_reduces_to_plain():
-    V = CosineWellPotential()
-    zero_drift = lambda p: np.zeros_like(p)
-    ref = lambda x, y, t: gaussian_kernel(SIGMA1, t, y - x)
-    a = approximate_general(V, zero_drift, SIGMA1, 0.2, 0.9, 0.15, ref)
-    b = approximate(V, SIGMA1, 0.2, 0.9, 0.15)
-    assert a == pytest.approx(b, rel=1e-14)
 
 
 def test_estimate_fields_are_coherent():

@@ -4,7 +4,6 @@ import pytest
 from wellescape.errors import ConfigurationError
 from wellescape.girsanov import (
     WeightAccumulator,
-    log_weight_general_reference,
     log_weight_generator_form,
     log_weight_stochastic_integral_form,
     mesh_stride,
@@ -101,29 +100,6 @@ def test_mesh_validation():
         log_weight_generator_form(
             path, QuadraticPotential(), ZeroPotential(), SIGMA1, 2.5e-3
         )
-
-
-def test_general_reference_reduces_to_generator_form():
-    # F = 0 is exactly the V~ = 0 case of the two-potential form
-    V = CosineWellPotential()
-    path = brownian_path(6, 0.1, 0.5, 1e-3)
-    zero_drift = lambda x: np.zeros_like(x)
-    wg = log_weight_general_reference(path, V, zero_drift, SIGMA1, 1e-2)
-    w2 = log_weight_generator_form(path, V, ZeroPotential(), SIGMA1, 1e-2)
-    assert wg.log_value == pytest.approx(w2.log_value, abs=1e-12)
-
-
-def test_general_reference_constant_drift_closed_form():
-    # V = a x, F = b: integrand is -a^2 + 2ab, boundary a (x0 - X_T)
-    a, b, T, h = 1.1, -0.6, 0.5, 1e-3
-    F = lambda x: np.full_like(np.asarray(x, dtype=float), b)
-    from wellescape.sde import simulate_with_drift
-
-    path = simulate_with_drift(F, SIGMA1, 0.0, T, h,
-                               RngPolicy(7).normals_for_sample(0, steps_for(T, h)))
-    w = log_weight_general_reference(path, LinearPotential(a), F, SIGMA1, h)
-    expect = a * (0.0 - path.terminal) + 0.5 * T * (-(a**2) + 2 * a * b)
-    assert w.log_value == pytest.approx(expect, abs=1e-10)
 
 
 def test_streaming_accumulator_matches_per_path_weights():

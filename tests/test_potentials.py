@@ -9,10 +9,8 @@ from wellescape.potentials import (
     LinearPotential,
     NoiseScale,
     QuadraticPotential,
-    Region,
     ZeroPotential,
     flatten_on_region,
-    generator_apply_general,
     generator_apply_to_self,
     invert_on_region,
     region_supremum,
@@ -40,32 +38,11 @@ def test_analytic_derivatives_match_finite_differences(pot):
     assert np.allclose(pot.laplacian(x), fd_laplacian(pot, x), rtol=1e-4, atol=1e-4)
 
 
-def test_multidimensional_quadratic_shapes_and_values():
-    pot = QuadraticPotential(k=3.0, dimension=2)
-    x = np.array([[1.0, 2.0], [0.0, -1.0]])
-    assert np.allclose(pot.value(x), [7.5, 1.5])
-    assert pot.gradient(x).shape == (2, 2)
-    assert np.allclose(pot.gradient(x), 3.0 * x)
-    assert np.allclose(pot.laplacian(x), [6.0, 6.0])
-    # scalar-point call returns plain floats
-    assert pot.value(np.array([1.0, 2.0])) == 7.5
-
-
 def test_finite_difference_fallback_potential():
     pot = CallablePotential(lambda x: -np.cos(x) - 1.0, label="cosine_fd")
-    assert pot.derivatives == "finite_difference"
     x = np.linspace(-2, 2, 50)
     assert np.allclose(pot.gradient(x), np.sin(x), rtol=1e-5, atol=1e-6)
     assert np.allclose(pot.laplacian(x), np.cos(x), rtol=1e-3, atol=1e-3)
-
-
-def test_finite_difference_fallback_2d():
-    pot = CallablePotential(
-        lambda x: 0.5 * (x**2).sum(axis=-1), dimension=2, label="quad_fd"
-    )
-    pts = np.random.default_rng(3).normal(size=(20, 2))
-    assert np.allclose(pot.gradient(pts), pts, rtol=1e-5, atol=1e-6)
-    assert np.allclose(pot.laplacian(pts), 2.0, rtol=1e-4, atol=1e-4)
 
 
 def test_noise_scale_conversions_consistent():
@@ -92,8 +69,7 @@ def test_interval_is_open():
     assert not D.indicator(2.5)
     x = np.array([-1.0, -0.999, 1.999, 2.0])
     assert list(D.indicator(x)) == [False, True, True, False]
-    assert D.boundary_probe == (-1.0, 2.0)
-    assert np.allclose(D.bounding_box, [[-1.0, 2.0]])
+    assert (D.a, D.b) == (-1.0, 2.0)
 
 
 def test_generator_apply_to_self_closed_forms():
@@ -110,33 +86,6 @@ def test_generator_apply_to_self_closed_forms():
     ns2 = NoiseScale(sigma=0.7)
     expect = 0.49 * np.cos(x) - np.sin(x) ** 2
     assert np.allclose(generator_apply_to_self(CosineWellPotential(), ns2, x), expect)
-
-
-def test_generator_apply_general_reduces_and_extends():
-    ns = NoiseScale(sigma=0.9)
-    pot = CosineWellPotential()
-    x = np.linspace(-2, 2, 11)
-    zero_drift = lambda y: np.zeros_like(y)
-    assert np.allclose(
-        generator_apply_general(pot, zero_drift, ns, x),
-        generator_apply_to_self(pot, ns, x),
-    )
-    # V = a x with constant drift b: -a^2 + 2 a b
-    a, b = 1.3, -0.4
-    got = generator_apply_general(
-        LinearPotential(a), lambda y: np.full_like(y, b), NoiseScale(sigma=1.0), 0.0
-    )
-    assert got == pytest.approx(-(a**2) + 2 * a * b)
-
-
-def test_generator_apply_general_2d():
-    ns = NoiseScale(sigma=1.0)
-    pot = QuadraticPotential(k=2.0, dimension=2)
-    drift = lambda x: np.stack([x[..., 1], -x[..., 0]], axis=-1)  # rotation field
-    pts = np.random.default_rng(0).normal(size=(30, 2))
-    grad = 2.0 * pts
-    expect = 2.0 * 2 - (grad**2).sum(axis=-1) + 2 * (drift(pts) * grad).sum(axis=-1)
-    assert np.allclose(generator_apply_general(pot, drift, ns, pts), expect)
 
 
 def test_evaluation_error_carries_point():
@@ -196,14 +145,6 @@ def test_boundary_match_precheck_rejects_bad_potentials():
         invert_on_region(LinearPotential(1.0), Interval(-1, 1))
     # zero potential trivially matches anywhere
     flatten_on_region(ZeroPotential(), Interval(-1, 1))
-
-
-def test_patching_needs_boundary_probe_points():
-    disc = Region(lambda x: (x**2).sum(axis=-1) < 1.0, [[-1, 1], [-1, 1]],
-                  label="disc")
-    for patch in (flatten_on_region, invert_on_region):
-        with pytest.raises(ConstructionError, match="no boundary probe"):
-            patch(ZeroPotential(dimension=2), disc)
 
 
 def test_region_supremum_on_cosine():

@@ -30,8 +30,6 @@ PAIRS = {
     "cosine": (QuadraticPotential(k=1.3), COSINE),
     "flatten": (COSINE, flatten_on_region(COSINE, WELL)),
     "invert": (COSINE, invert_on_region(COSINE, WELL)),
-    "quadratic-2d": (QuadraticPotential(k=1.3, dimension=2),
-                     QuadraticPotential(k=0.7, dimension=2)),
 }
 NOISE = NoiseScale(sigma=0.8)
 H = 1e-2
@@ -44,12 +42,11 @@ H = 1e-2
 def test_recorded_path_is_one_row_of_the_block_loop(name, seed, row, n_steps,
                                                     data):
     target, sampler = PAIRS[name]
-    dim = sampler.dimension
-    x0 = np.array([0.3, -0.2]) if dim > 1 else 0.1
+    x0 = 0.1
     stride = data.draw(st.sampled_from(
         [m for m in range(1, n_steps + 1) if n_steps % m == 0]), label="stride")
     policy = RngPolicy(seed)
-    block = policy.block_normals(0, n_steps, dim)
+    block = policy.block_normals(0, n_steps)
     acc = WeightAccumulator(target, sampler, NOISE, H, n_steps, [stride * H])
     rows = []
 
@@ -60,7 +57,7 @@ def test_recorded_path_is_one_row_of_the_block_loop(name, seed, row, n_steps,
     terminal = evolve_block(lambda x: -np.asarray(sampler.gradient(x)), NOISE,
                             x0, n_steps, H, block, observe)
     path = simulate(sampler, NOISE, x0, n_steps * H, H,
-                    policy.normals_for_sample(row, n_steps, dim))
+                    policy.normals_for_sample(row, n_steps))
     assert np.array_equal(path.states, np.array(rows + [terminal[row]]))
 
     streamed = acc.finalize(x0, terminal)[0, row]

@@ -14,7 +14,6 @@ from wellescape.sde import (
     RngPolicy,
     evolve_block,
     simulate,
-    simulate_with_drift,
     steps_for,
 )
 
@@ -129,19 +128,8 @@ def test_ou_moments_match_exact_solution():
 
 
 def test_simulate_with_drift_constant_field():
-    F = lambda x: np.full_like(np.asarray(x, dtype=float), 0.7)
+    # V = -0.7 x: constant drift 0.7
     xi = np.random.default_rng(5).standard_normal(40)
-    path = simulate_with_drift(F, NoiseScale(sigma=0.3), 0.0, 0.4, 0.01, xi)
+    path = simulate(LinearPotential(-0.7), NoiseScale(sigma=0.3), 0.0, 0.4, 0.01, xi)
     expect = 0.7 * 0.4 + 0.3 * np.sqrt(0.01) * xi.sum()
     assert path.terminal == pytest.approx(expect, abs=1e-12)
-
-
-def test_two_dimensional_paths():
-    V = QuadraticPotential(k=1.0, dimension=2)
-    policy = RngPolicy(9)
-    path = simulate(V, SIGMA1, np.array([1.0, -1.0]), 0.2, 1e-2,
-                    policy.normals_for_sample(0, 20, dim=2))
-    assert path.states.shape == (21, 2)
-    assert path.increments.shape == (20, 2)
-    xi = policy.normals_for_sample(0, 20, dim=2)
-    assert np.array_equal(path.increments, xi)
