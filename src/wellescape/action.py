@@ -31,8 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SolverError, allocating
+
 _ARMIJO_C = 1e-4
 _MAX_BACKTRACKS = 60
+_MAX_ITER = 10_000
 
 
 @dataclass
@@ -108,7 +111,7 @@ def _kinetic_banded(m_free, dt):
     return ab
 
 
-def _descend(objective, gradient, knots0, dt, max_iter, grad_tol):
+def _descend(objective, gradient, knots0, dt, grad_tol):
     """Preconditioned gradient descent with Armijo backtracking over the
     interior knots; the two endpoints stay pinned."""
     from scipy.linalg import solve_banded
@@ -118,7 +121,7 @@ def _descend(objective, gradient, knots0, dt, max_iter, grad_tol):
     precond = _kinetic_banded(m_free, dt)
     it = 0
     gnorm = math.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         g = gradient(knots)[1:-1]
         gnorm = float(np.max(np.abs(g)))
         if gnorm <= grad_tol:
@@ -141,17 +144,14 @@ def _descend(objective, gradient, knots0, dt, max_iter, grad_tol):
 
 
 def minimize_action_pinned(potential, x_start, x_end, horizon, n_segments=200,
-                           max_iter=10_000, grad_tol=1e-6, initial=None):
+                           grad_tol=1e-6):
     """Minimize the action over paths pinned at both endpoints.
 
-    Starts from the straight line between the endpoints unless an initial
-    path is supplied.
+    Starts from the straight line between the endpoints.
     """
-    r = np.linspace(0.0, 1.0, n_segments + 1)
-    if initial is not None:
-        knots = np.asarray(initial, dtype=float).copy()
-    else:
-        knots = (1 - r) * float(x_start) + r * float(x_end)
+    with allocating(SolverError, f"a path of {n_segments + 1} knots", n_segments + 1):
+        r = np.linspace(0.0, 1.0, n_segments + 1)
+    knots = (1 - r) * float(x_start) + r * float(x_end)
     dt = horizon / n_segments
 
     def objective(k):
@@ -161,7 +161,7 @@ def minimize_action_pinned(potential, x_start, x_end, horizon, n_segments=200,
         return action_gradient(DiscretePath(k, horizon), potential)
 
     knots, f, ok, iters, gnorm = _descend(
-        objective, gradient, knots, dt, max_iter, grad_tol
+        objective, gradient, knots, dt, grad_tol
     )
     return ActionResult(
         value=f, path=DiscretePath(knots, horizon), converged=ok,
@@ -170,7 +170,7 @@ def minimize_action_pinned(potential, x_start, x_end, horizon, n_segments=200,
 
 
 def minimize_exit_action(potential, x0, region, horizon, n_segments=200,
-                         max_iter=10_000, grad_tol=1e-6):
+                         grad_tol=1e-6):
     """Minimal action to leave the region from x0 by the given horizon.
 
     Already-escaped starts cost nothing.  Otherwise the terminal knot is
@@ -178,15 +178,16 @@ def minimize_exit_action(potential, x0, region, horizon, n_segments=200,
     passes through the boundary) and the better minimum is kept.
     """
     if not region.indicator(x0):
+        with allocating(SolverError, f"a path of {n_segments + 1} knots",
+                        n_segments + 1):
+            knots = np.full(n_segments + 1, float(x0))
         return ActionResult(
-            value=0.0, path=DiscretePath(np.full(n_segments + 1, float(x0)), horizon),
+            value=0.0, path=DiscretePath(knots, horizon),
             converged=True, iterations=0, grad_norm=0.0,
         )
     best = None
     for z in (region.a, region.b):
-        res = minimize_action_pinned(
-            potential, x0, z, horizon, n_segments, max_iter, grad_tol
-        )
+        res = minimize_action_pinned(potential, x0, z, horizon, n_segments, grad_tol)
         if best is None or res.value < best.value:
             best = res
     return best

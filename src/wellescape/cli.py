@@ -37,6 +37,7 @@ from .estimators import (
     write_csv,
 )
 from .fokker_planck import escape_probability
+from .potentials import _boundary_match_residual
 from .sde import RngPolicy
 
 
@@ -253,10 +254,7 @@ def _cmd_validate(cfg):
             f"{_fmt(lhs)} >= {_fmt(rhs)}", lhs >= rhs)
 
     print("[inverted-well hypotheses]")
-    flat = max(
-        max(abs(float(V.value(z))) for z in (a, b)),
-        max(abs(float(np.asarray(V.gradient(z)))) for z in (a, b)),
-    )
+    flat = _boundary_match_residual(V, region)[0]
     _report("flat boundary V=0, grad V=0 on dD",
             f"max boundary |V|,|grad V|={_fmt(flat)}", flat <= 1e-8)
     step = 1e-6

@@ -12,8 +12,7 @@ interval endpoints like ``(-pi, pi)`` can be written exactly.
 from __future__ import annotations
 
 import math
-import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .errors import ConfigurationError
 from .potentials import (
@@ -26,12 +25,11 @@ from .potentials import (
     flatten_on_region,
     invert_on_region,
 )
+from .sde import whole_multiple
 
 MODES = ("plain", "importance", "density", "fp", "action", "sweep", "table5")
 POTENTIALS = ("cosine", "zero", "quadratic", "linear")
 SAMPLINGS = ("none", "same", "flatten", "invert")
-
-WORKERS_ENV = "WELLESCAPE_WORKERS"
 
 
 def parse_scalar(token):
@@ -54,6 +52,9 @@ def parse_scalar(token):
 
 
 def _parse_int(token):
+    text = str(token).strip()
+    if text.lstrip("+-").isdigit():
+        return int(text)  # exact beyond 2**53, where a float would round
     value = parse_scalar(token)
     if abs(value - round(value)) > 1e-9:
         raise ValueError(f"expected an integer, got {token!r}")
@@ -78,16 +79,6 @@ def _parse_int_list(token):
     return tuple(_parse_int(p) for p in str(token).split(",") if p.strip())
 
 
-def _default_workers():
-    raw = os.environ.get(WORKERS_ENV, "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 @dataclass
 class ExperimentConfig:
     """Everything a run needs, with the documented defaults filled in."""
@@ -107,7 +98,7 @@ class ExperimentConfig:
     tau: float = 1e-2
     N: int = 100_000
     seed: int = 0
-    workers: int = field(default_factory=_default_workers)
+    workers: int = 1
     out: str = None
     # density mode
     y: float = None
@@ -133,10 +124,6 @@ class ExperimentConfig:
         "n_cells": _parse_int, "dt": parse_scalar, "segments": _parse_int,
         "epsilons": _parse_list, "sweep_n": _parse_int_list,
     }
-
-    @classmethod
-    def keys(cls):
-        return tuple(cls._PARSERS)
 
     @classmethod
     def from_pairs(cls, pairs):
@@ -237,6 +224,14 @@ class ExperimentConfig:
         if not all(e > 0 for e in self.epsilons):
             raise ConfigurationError(
                 f"epsilons must all be positive, got {self.epsilons}")
+        levels = [(k, getattr(self, k), self.noise()) for k in given]
+        levels += [("epsilons", e, NoiseScale(epsilon=e)) for e in self.epsilons]
+        for key, value, noise in levels:
+            s2 = noise.sigma * noise.sigma
+            if not (0.0 < s2 < math.inf and 1.0 / s2 < math.inf):
+                raise ConfigurationError(
+                    f"{key}={value:g} is out of range: sigma^2 and 1/sigma^2 "
+                    "must both be positive and finite")
         if self.sweep_n is not None and not all(n >= 1 for n in self.sweep_n):
             raise ConfigurationError(
                 f"sweep_n must all be positive, got {self.sweep_n}")
@@ -253,12 +248,7 @@ class ExperimentConfig:
         elif self.mode == "fp":
             multiples.append(("T", "dt"))
         for key, unit in multiples:
-            ratio = getattr(self, key) / getattr(self, unit)
-            if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio) or round(ratio) < 1:
-                raise ConfigurationError(
-                    f"{key}={getattr(self, key):g} must be a whole multiple of "
-                    f"{unit}={getattr(self, unit):g}"
-                )
+            whole_multiple(getattr(self, key), getattr(self, unit), key, unit)
         if self.mode in ("importance", "sweep") and self.sampling == "none":
             raise ConfigurationError(
                 f"mode={self.mode} needs a sampling potential "

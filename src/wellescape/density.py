@@ -29,9 +29,10 @@ import numpy as np
 
 from .potentials import generator_apply_to_self
 
-DEFAULT_NODES = 101
 DEFAULT_DELTA_EXPONENT = 0.4
+_CHORD_NODES = 101
 _GRID_POINTS = 10_000
+_SAFETY = 1.2
 
 
 @dataclass
@@ -74,15 +75,13 @@ def _simpson(y, x):
     return np.sum(tmp)
 
 
-def _chord_integral(integrand, x, y, n_nodes):
-    if n_nodes < 3 or n_nodes % 2 == 0:
-        raise ValueError("n_nodes must be an odd number >= 3 for Simpson's rule")
-    r = np.linspace(0.0, 1.0, n_nodes)
+def _chord_integral(integrand, x, y):
+    r = np.linspace(0.0, 1.0, _CHORD_NODES)
     vals = np.asarray(integrand((1 - r) * float(x) + r * float(y)), dtype=float)
     return float(_simpson(vals, r))
 
 
-def approximate(potential, noise, x, y, t, n_nodes=DEFAULT_NODES):
+def approximate(potential, noise, x, y, t):
     """Leading-order short-time density p_t(x, y) for Langevin dynamics.
 
     Exact for every t when the potential is linear (the drift is constant
@@ -91,7 +90,7 @@ def approximate(potential, noise, x, y, t, n_nodes=DEFAULT_NODES):
     if t <= 0:
         raise ValueError("time must be positive")
     integral = _chord_integral(
-        lambda p: generator_apply_to_self(potential, noise, p), x, y, n_nodes
+        lambda p: generator_apply_to_self(potential, noise, p), x, y
     )
     bracket = float(potential.value(x)) - float(potential.value(y)) + 0.5 * t * integral
     kernel = gaussian_kernel(noise, t, float(y) - float(x))
@@ -110,32 +109,31 @@ def corridor_violation_bound(noise, t, delta):
     return 2.0 * math.exp(-2.0 * delta ** 2 / (noise.sigma ** 2 * t))
 
 
-def _slope_and_sup(func, lo, hi, n_points):
-    """Largest |slope| and largest |func| on ``n_points`` grid points over
+def _slope_and_sup(func, lo, hi):
+    """Largest |slope| and largest |func| on a 10,000-point grid over
     [lo, hi], from one evaluation of ``func``."""
-    grid = np.linspace(lo, hi, n_points)
+    grid = np.linspace(lo, hi, _GRID_POINTS)
     vals = np.asarray(func(grid), dtype=float)
     return float(np.max(np.abs(np.gradient(vals, grid)))), float(np.max(np.abs(vals)))
 
 
-def lipschitz_estimate(func, lo, hi, n_points=_GRID_POINTS):
+def lipschitz_estimate(func, lo, hi):
     """Grid estimate of the Lipschitz constant of a function on [lo, hi].
 
-    Takes the largest slope seen on a grid of ``n_points`` points.  A grid
+    Takes the largest slope seen on a 10,000-point grid.  A grid
     estimate can only undershoot the true constant, so callers apply a
     safety factor.
     """
-    return _slope_and_sup(func, lo, hi, n_points)[0]
+    return _slope_and_sup(func, lo, hi)[0]
 
 
-def bounds(potential, noise, x, y, t, delta=None, n_nodes=DEFAULT_NODES,
-           safety=1.2):
+def bounds(potential, noise, x, y, t, delta=None):
     """Two-sided bounds on p_t(x, y) around the chord approximation.
 
     The Lipschitz constant K of the running integrand and its sup are
     estimated on one grid over [min(x, y), max(x, y)] widened by
-    3 sigma sqrt(t) on each side, and K is multiplied by ``safety`` to
-    absorb the grid estimation error.  The
+    3 sigma sqrt(t) on each side, and K is multiplied by a safety factor
+    of 1.2 to absorb the grid estimation error.  The
     corridor half-width defaults to ``t ** 0.4``, which sends both error
     terms to zero as t -> 0.  The lower bound is clamped at 0 (the bound
     is vacuous when the corridor constants are large).
@@ -148,15 +146,14 @@ def bounds(potential, noise, x, y, t, delta=None, n_nodes=DEFAULT_NODES,
     inv_eps = 1.0 / sigma ** 2
 
     g = lambda p: generator_apply_to_self(potential, noise, p)
-    integral = _chord_integral(g, x, y, n_nodes)
+    integral = _chord_integral(g, x, y)
     v_diff = float(potential.value(x)) - float(potential.value(y))
     bracket = v_diff + 0.5 * t * integral
     kernel = gaussian_kernel(noise, t, float(y) - float(x))
 
     pad = 3.0 * sigma * math.sqrt(t)
-    slope, sup_abs_g = _slope_and_sup(g, min(x, y) - pad, max(x, y) + pad,
-                                      _GRID_POINTS)
-    K = safety * slope
+    slope, sup_abs_g = _slope_and_sup(g, min(x, y) - pad, max(x, y) + pad)
+    K = _SAFETY * slope
 
     m1 = 0.5 * K
     m2 = 2.0 * math.exp(inv_eps * (v_diff + 0.5 * t * sup_abs_g))

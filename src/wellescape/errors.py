@@ -1,4 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the guard that turns a
+failed allocation into one of them."""
+
+from contextlib import contextmanager
+
+
+@contextmanager
+def allocating(error, what, n_floats):
+    """Raise ``error`` naming ``what`` and its size in GiB when the block
+    runs out of memory."""
+    try:
+        yield
+    except MemoryError:
+        raise error(
+            f"cannot allocate {what} ({n_floats * 8 / 2**30:.4g} GiB)") from None
 
 
 class WellEscapeError(Exception):
@@ -8,7 +22,7 @@ class WellEscapeError(Exception):
 class EvaluationError(WellEscapeError):
     """A field evaluation produced a non-finite number.
 
-    Carries the offending point in ``point``.
+    Carries the offending point, a float, in ``point``.
     """
 
     def __init__(self, message, point=None):
@@ -42,4 +56,5 @@ class ConfigurationError(WellEscapeError):
 
 
 class SolverError(WellEscapeError):
-    """A PDE solve became unstable or produced invalid densities."""
+    """An oracle solve became unstable, produced invalid densities, or
+    could not allocate its grid."""

@@ -127,6 +127,13 @@ class EstimatorSummary:
             return None
         return self.std_error / self.mean
 
+    @property
+    def lambda_factor(self):
+        """Lambda = n sum(w^2 1_A) / (sum w 1_A)^2, or None without weight."""
+        if self.sum_w_ind > 0:
+            return self.n * self.sum_w2_ind / self.sum_w_ind**2
+        return None
+
     def zero_hit_upper_bound(self):
         """One-sided 95% 'rule of three' bound when no sample hit the event."""
         return 3.0 / self.n
@@ -252,15 +259,12 @@ def theorem3_bound(potential, sampling_potential, region, noise, horizon, x0):
 def diagnostics(plain, importance, potential, sampling_potential, region,
                 noise, horizon, x0):
     """Second-moment efficiency diagnostics for an importance run."""
-    lam = None
-    if importance.sum_w_ind > 0:
-        lam = importance.n * importance.sum_w2_ind / importance.sum_w_ind**2
     ratio = None
     if plain is not None and plain.n >= 2 and plain.variance > 0:
         ratio = importance.variance / plain.variance
     return Diagnostics(
         relative_error=importance.relative_error,
-        lambda_factor=lam,
+        lambda_factor=importance.lambda_factor,
         variance_ratio=ratio,
         theorem3_bound=theorem3_bound(
             potential, sampling_potential, region, noise, horizon, x0
@@ -312,11 +316,8 @@ def small_noise_sweep(potential, sampling_potential, region, x0, horizon, h,
                 "for a trustworthy Lambda estimate",
                 stacklevel=2,
             )
-        lam = None
-        ell = None
-        if summary.sum_w_ind > 0:
-            lam = summary.n * summary.sum_w2_ind / summary.sum_w_ind**2
-            ell = eps * math.log(lam)
+        lam = summary.lambda_factor
+        ell = eps * math.log(lam) if lam is not None else None
         rows.append(SweepRow(
             epsilon=eps, n=n, hits=summary.hits, probability=summary.mean,
             lambda_factor=lam, eps_log_lambda=ell,

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverError
+from .errors import SolverError, allocating
 from .sde import steps_for
 
 _CHECK_EVERY = 25
@@ -45,7 +45,6 @@ class FpGrid:
     density: np.ndarray
     time: float
     dt: float
-    boundary: str
     clamped_mass: float = 0.0
 
     @property
@@ -77,8 +76,9 @@ def stationary_density(potential, noise, x):
     return p / (p.sum() * dx)
 
 
-def _operator_diagonals(potential, noise, x, boundary):
-    """Lower/main/upper diagonals of the discrete Fokker-Planck operator."""
+def _operator_diagonals(potential, noise, x):
+    """Lower/main/upper diagonals of the discrete Fokker-Planck operator
+    with reflecting (zero-flux) walls."""
     n = x.size
     dx = float(x[1] - x[0])
     dc = 0.5 * noise.sigma**2
@@ -94,17 +94,11 @@ def _operator_diagonals(potential, noise, x, boundary):
     upper[1:-1] = (0.5 * b[1:] + dc / dx) / dx
     lower[1:-1] = (-0.5 * b[:-1] + dc / dx) / dx
     main[1:-1] = (0.5 * (b[1:] - b[:-1]) - 2.0 * dc / dx) / dx
-    if boundary == "reflecting":
-        # outermost faces carry zero flux
-        main[0] = (0.5 * b[0] - dc / dx) / dx
-        upper[0] = (0.5 * b[0] + dc / dx) / dx
-        main[-1] = (-0.5 * b[-1] - dc / dx) / dx
-        lower[-1] = (-0.5 * b[-1] + dc / dx) / dx
-    elif boundary == "absorbing":
-        # Dirichlet rows: end nodes are pinned at zero density
-        main[0] = main[-1] = 0.0
-    else:
-        raise ValueError(f"unknown boundary condition {boundary!r}")
+    # outermost faces carry zero flux
+    main[0] = (0.5 * b[0] - dc / dx) / dx
+    upper[0] = (0.5 * b[0] + dc / dx) / dx
+    main[-1] = (-0.5 * b[-1] - dc / dx) / dx
+    lower[-1] = (-0.5 * b[-1] + dc / dx) / dx
     return lower, main, upper
 
 
@@ -126,8 +120,8 @@ def _apply(lower, main, upper, p):
 
 
 def evolve(potential, noise, initial, domain, n_cells, horizon, dt,
-           boundary="reflecting", smooth_start=True):
-    """Advance an initial density to time ``horizon``.
+           smooth_start=True):
+    """Advance an initial density to time ``horizon`` between reflecting walls.
 
     Parameters
     ----------
@@ -138,16 +132,15 @@ def evolve(potential, noise, initial, domain, n_cells, horizon, dt,
     n_cells : int
         Number of grid nodes.
     horizon, dt : float
-        Final time and Crank-Nicolson step.
-    boundary : str
-        "reflecting" (zero flux, mass conserving) or "absorbing"
-        (zero density at the walls, mass decreasing).
+        Final time and Crank-Nicolson step; ``horizon`` must be a whole
+        multiple of ``dt``.
     smooth_start : bool
         Start with two backward-Euler half steps (recommended for point
         initial data).
     """
     lo, hi = float(domain[0]), float(domain[1])
-    x = np.linspace(lo, hi, int(n_cells))
+    with allocating(SolverError, f"a grid of {int(n_cells)} cells", int(n_cells)):
+        x = np.linspace(lo, hi, int(n_cells))
     dx = float(x[1] - x[0])
     if noise.sigma > 0 and dx > 0.25 * noise.sigma * math.sqrt(dt):
         warnings.warn(
@@ -159,15 +152,13 @@ def evolve(potential, noise, initial, domain, n_cells, horizon, dt,
     p = np.asarray(initial(x) if callable(initial) else initial, dtype=float).copy()
     if p.shape != x.shape:
         raise ValueError("initial density does not match the grid")
-    if boundary == "absorbing":
-        p[0] = p[-1] = 0.0
     total = p.sum() * dx
     if not (total > 0):
         raise ValueError("initial density has no mass on the grid")
     p /= total
 
     from scipy.linalg.lapack import dgttrs
-    lower, main, upper = _operator_diagonals(potential, noise, x, boundary)
+    lower, main, upper = _operator_diagonals(potential, noise, x)
     n_steps = steps_for(horizon, dt)
 
     def run(steps, step_dt, lu, rhs_diags):
@@ -197,8 +188,7 @@ def evolve(potential, noise, initial, domain, n_cells, horizon, dt,
 
     clamped = float(-p[p < 0].sum() * dx) if np.any(p < 0) else 0.0
     np.clip(p, 0.0, None, out=p)
-    return FpGrid(x=x, density=p, time=n_steps * dt, dt=dt, boundary=boundary,
-                  clamped_mass=clamped)
+    return FpGrid(x=x, density=p, time=n_steps * dt, dt=dt, clamped_mass=clamped)
 
 
 def integrate_density(grid, a, b):
@@ -213,12 +203,11 @@ def integrate_density(grid, a, b):
 
 
 def escape_probability(potential, noise, x0, region, horizon, *,
-                       n_cells=6144, dt=5e-4, pad=None, source_std=None,
-                       return_grid=False):
+                       n_cells=6144, dt=5e-4, return_grid=False):
     """P(X_T outside D) for X started at x0, by solving the forward PDE.
 
-    The grid covers D and the start point inflated by ``pad`` (default
-    6 sigma sqrt(T)) so that reflecting far walls do not influence the
+    The grid covers D and the start point inflated by 6 sigma sqrt(T)
+    on each side so that reflecting far walls do not influence the
     answer; the point start is mollified to a Gaussian of standard
     deviation one grid cell.  Returns 1 minus the density mass left in D
     at the horizon, plus the terminal grid when ``return_grid`` is set.
@@ -230,15 +219,13 @@ def escape_probability(potential, noise, x0, region, horizon, *,
     given by :func:`integrate_density` over the grid's two tails.
     """
     a, b = region.a, region.b
-    if pad is None:
-        pad = 6.0 * noise.sigma * math.sqrt(horizon)
+    pad = 6.0 * noise.sigma * math.sqrt(horizon)
     lo = min(a, float(x0)) - pad
     hi = max(b, float(x0)) + pad
     dx = (hi - lo) / (int(n_cells) - 1)
-    std = dx if source_std is None else float(source_std)
     grid = evolve(
-        potential, noise, gaussian_bump(float(x0), std), (lo, hi),
-        n_cells, horizon, dt, boundary="reflecting",
+        potential, noise, gaussian_bump(float(x0), dx), (lo, hi),
+        n_cells, horizon, dt,
     )
     p = 1.0 - integrate_density(grid, a, b)
     if return_grid:

@@ -37,8 +37,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .potentials import generator_difference
-
-_MESH_REL_TOL = 1e-9
+from .sde import whole_multiple
 
 
 @dataclass
@@ -58,12 +57,7 @@ class LogWeight:
 
 def mesh_stride(tau, h, n_steps=None):
     """Validate tau against h and return the integer stride tau / h."""
-    ratio = tau / h
-    m = int(round(ratio))
-    if m < 1 or abs(ratio - m) > _MESH_REL_TOL * max(1.0, abs(ratio)):
-        raise ConfigurationError(
-            f"Riemann mesh tau={tau} is not a positive integer multiple of h={h}"
-        )
+    m = whole_multiple(tau, h, "tau", "h")
     if n_steps is not None and n_steps % m != 0:
         raise ConfigurationError(
             f"tau={tau} does not divide the horizon: {n_steps} steps with "

@@ -43,14 +43,14 @@ def _as_float(a):
 
 
 class NoiseScale:
-    """Noise amplitude of the diffusion, kept consistent across conventions.
+    """Noise amplitude of the diffusion, readable in every convention.
 
     The same scale can be read as the amplitude ``sigma`` in
     ``dX = -grad(V) dt + sigma dW``, the inverse temperature
     ``beta = 2 / sigma^2``, or the small-noise parameter
-    ``epsilon = sigma^2``.  Assigning through any property updates the
-    others.  ``sigma = 0`` (degenerate noise, ``beta = inf``) is allowed so
-    deterministic dynamics can be exercised in tests.
+    ``epsilon = sigma^2``.  It is given once, in one convention, and is
+    immutable.  ``sigma = 0`` (degenerate noise, ``beta = inf``) is
+    allowed so deterministic dynamics can be exercised in tests.
     """
 
     def __init__(self, sigma=None, *, beta=None, epsilon=None):
@@ -58,46 +58,34 @@ class NoiseScale:
         if len(given) != 1:
             raise ValueError("specify exactly one of sigma, beta, epsilon")
         if sigma is not None:
-            self.sigma = sigma
+            sigma = float(sigma)
+            if sigma < 0:
+                raise ValueError("sigma must be nonnegative")
         elif beta is not None:
-            self.beta = beta
+            beta = float(beta)
+            if beta <= 0:
+                raise ValueError("beta must be positive")
+            sigma = (2.0 / beta) ** 0.5
         else:
-            self.epsilon = epsilon
+            epsilon = float(epsilon)
+            if epsilon < 0:
+                raise ValueError("epsilon must be nonnegative")
+            sigma = epsilon ** 0.5
+        self._sigma = sigma
 
     @property
     def sigma(self):
         return self._sigma
 
-    @sigma.setter
-    def sigma(self, value):
-        value = float(value)
-        if value < 0:
-            raise ValueError("sigma must be nonnegative")
-        self._sigma = value
-
     @property
     def epsilon(self):
         return self._sigma ** 2
-
-    @epsilon.setter
-    def epsilon(self, value):
-        value = float(value)
-        if value < 0:
-            raise ValueError("epsilon must be nonnegative")
-        self._sigma = value ** 0.5
 
     @property
     def beta(self):
         if self._sigma == 0.0:
             return np.inf
         return 2.0 / self._sigma ** 2
-
-    @beta.setter
-    def beta(self, value):
-        value = float(value)
-        if value <= 0:
-            raise ValueError("beta must be positive")
-        self._sigma = (2.0 / value) ** 0.5
 
     def __repr__(self):
         return f"NoiseScale(sigma={self._sigma!r})"
@@ -264,14 +252,14 @@ class PatchedPotential(PotentialField):
     stays C^1 (checked at construction).
     """
 
-    def __init__(self, base, region, sign, name, tol=_BOUNDARY_MATCH_TOL):
+    def __init__(self, base, region, sign, name):
         worst, point = _boundary_match_residual(base, region)
-        if worst > tol:
+        if worst > _BOUNDARY_MATCH_TOL:
             raise ConstructionError(
                 f"{name}_on_region: potential {base.label!r} does not vanish to "
                 f"first order on the boundary of {region.label} (residual "
-                f"{worst:.3e} at x={point!r}, tolerance {tol:.1e}); the "
-                f"patched field would not be C^1")
+                f"{worst:.3e} at x={point!r}, tolerance "
+                f"{_BOUNDARY_MATCH_TOL:.1e}); the patched field would not be C^1")
         self.base = base
         self.region = region
         self.sign = float(sign)
@@ -299,24 +287,21 @@ class PatchedPotential(PotentialField):
         return self._patch(inside, gradient), self._patch(inside, laplacian)
 
 
-def flatten_on_region(potential, region, tol=_BOUNDARY_MATCH_TOL):
+def flatten_on_region(potential, region):
     """Return the potential with its values replaced by 0 inside the region."""
-    return PatchedPotential(potential, region, 0, "flatten", tol=tol)
+    return PatchedPotential(potential, region, 0, "flatten")
 
 
-def invert_on_region(potential, region, tol=_BOUNDARY_MATCH_TOL):
+def invert_on_region(potential, region):
     """Return the potential with its sign flipped inside the region."""
-    return PatchedPotential(potential, region, -1, "invert", tol=tol)
+    return PatchedPotential(potential, region, -1, "invert")
 
 
 def _check_finite(out, x, what):
     if np.all(np.isfinite(out)):
         return
-    flat_out = np.atleast_1d(np.asarray(out))
-    bad = int(np.flatnonzero(~np.isfinite(flat_out))[0])
-    xa = np.asarray(x, dtype=float)
-    pts = xa.reshape(flat_out.size, -1) if xa.size else xa
-    point = pts[bad] if pts.size else xa
+    bad = int(np.flatnonzero(~np.isfinite(np.ravel(out)))[0])
+    point = float(np.ravel(x)[bad])
     raise EvaluationError(f"{what} is non-finite at x={point!r}", point=point)
 
 
@@ -353,13 +338,13 @@ def generator_difference(potential, sampling_potential, noise, x):
     return out, gt
 
 
-def region_supremum(func, region, n_points=10_000):
+def region_supremum(func, region):
     """Grid estimate of sup over D of a pointwise function.
 
-    Evaluates ``func`` on ``n_points`` evenly spaced points over [a, b],
+    Evaluates ``func`` on 10,000 evenly spaced points over [a, b],
     masked by the indicator of the open interval.
     """
-    pts = np.linspace(region.a, region.b, n_points)
+    pts = np.linspace(region.a, region.b, 10_000)
     inside = np.asarray(region.indicator(pts))
     if not inside.any():
         raise ValueError("no grid point falls inside the region")

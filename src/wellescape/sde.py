@@ -21,12 +21,11 @@ counts, or scheduling.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SimulationError
+from .errors import ConfigurationError, SimulationError, allocating
 
 BLOCK_SAMPLES = 4096
 
@@ -45,13 +44,9 @@ class RngPolicy:
         ss = np.random.SeedSequence(self.master_seed, spawn_key=(int(block_index),))
         gen = np.random.Generator(np.random.PCG64(ss))
         shape = (BLOCK_SAMPLES, n_steps)
-        try:
+        with allocating(SimulationError, f"a noise block of shape {shape}",
+                        math.prod(shape)):
             return gen.standard_normal(shape)
-        except MemoryError:
-            gib = math.prod(shape) * 8 / 2**30
-            raise SimulationError(
-                f"cannot allocate a noise block of shape {shape} ({gib:.4g} GiB)"
-            ) from None
 
     def normals_for_sample(self, sample_index, n_steps):
         """The noise draws sample ``sample_index`` receives, shape (n_steps,)."""
@@ -95,20 +90,23 @@ class SamplePath:
         return float(self.times[1] - self.times[0])
 
 
+def whole_multiple(value, unit, name, unit_name):
+    """``value / unit`` when it is a whole number >= 1 within 1e-9 relative,
+    else a :class:`ConfigurationError`: the one step-grid rule for horizons
+    and Riemann meshes, so no caller runs a rounded experiment."""
+    ratio = value / unit
+    n = round(ratio) if math.isfinite(ratio) else 0
+    if n < 1 or abs(ratio - n) > 1e-9 * max(1.0, ratio):
+        raise ConfigurationError(
+            f"{name}={value:g} must be a whole multiple of {unit_name}={unit:g}")
+    return n
+
+
 def steps_for(horizon, h):
-    """Number of Euler steps covering [0, horizon]; rounds up if T/h is not integral."""
+    """Number of steps of size h covering [0, horizon]; see :func:`whole_multiple`."""
     if h <= 0 or horizon <= 0:
         raise ValueError("horizon and step must be positive")
-    ratio = horizon / h
-    n = int(round(ratio))
-    if abs(ratio - n) > 1e-9 * max(1.0, ratio):
-        n = math.ceil(ratio - 1e-12)
-        warnings.warn(
-            f"horizon {horizon} is not an integer multiple of h={h}; "
-            f"using {n} steps (terminal time {n * h:g})",
-            stacklevel=2,
-        )
-    return n
+    return whole_multiple(horizon, h, "horizon", "step")
 
 
 def simulate(potential, noise, x0, horizon, h, increments):
@@ -124,7 +122,7 @@ def simulate(potential, noise, x0, horizon, h, increments):
     x0 : float
         Initial state.
     horizon, h : float
-        Final time and step size; ``horizon / h`` should be integral.
+        Final time and step size; ``horizon / h`` must be a whole number.
     increments : ndarray, shape (n_steps,)
         The unit-variance draws, e.g. ``RngPolicy.normals_for_sample(k,
         n_steps)`` for sample k; a recorded path's ``increments`` replay

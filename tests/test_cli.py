@@ -88,6 +88,13 @@ def test_cross_field_validation(tmp_path):
         ExperimentConfig.from_file(path, ["--region", "(2,1)"])
 
 
+def test_large_integers_parse_exactly(tmp_path):
+    # 2**53 + 1 has no float; a seed must not be rounded to its neighbour
+    cfg = ExperimentConfig.from_file(_write_cfg(tmp_path, BASE),
+                                     ["--seed", "9007199254740993"])
+    assert cfg.seed == 9007199254740993
+
+
 def test_dump_round_trips(tmp_path):
     path = _write_cfg(tmp_path, BASE)
     cfg = ExperimentConfig.from_file(
@@ -96,15 +103,6 @@ def test_dump_round_trips(tmp_path):
     echoed = _write_cfg(tmp_path, cfg.dump(), name="echo.cfg")
     again = ExperimentConfig.from_file(echoed)
     assert again == cfg
-
-
-def test_workers_default_from_environment(tmp_path, monkeypatch):
-    monkeypatch.setenv("WELLESCAPE_WORKERS", "3")
-    cfg = ExperimentConfig.from_file(_write_cfg(tmp_path, BASE))
-    assert cfg.workers == 3
-    monkeypatch.setenv("WELLESCAPE_WORKERS", "not a number")
-    cfg = ExperimentConfig.from_file(_write_cfg(tmp_path, BASE, "c.cfg"))
-    assert cfg.workers == 1
 
 
 # --------------------------------------------------------------------- cli
@@ -136,6 +134,21 @@ def test_unallocatable_noise_block_is_a_runtime_error(tmp_path, capsys):
     assert "GiB" in err
 
 
+@pytest.mark.parametrize("overrides, what", [
+    (["--mode", "fp", "--n_cells", "1e12"], "a grid of 1000000000000 cells"),
+    (["--mode", "action", "--segments", "1e12"],
+     "a path of 1000000000001 knots"),
+    (["--mode", "action", "--segments", "1e12", "--x0", "5"],
+     "a path of 1000000000001 knots"),
+], ids=["fp", "action", "action-escaped-start"])
+def test_unallocatable_oracle_grid_is_a_runtime_error(tmp_path, capsys,
+                                                      overrides, what):
+    # 10^12 float64 grid points (7.3 TiB): numpy refuses at once
+    path = _write_cfg(tmp_path, BASE)
+    assert main(["run", path, *overrides]) == 2
+    assert f"error: cannot allocate {what} (7451 GiB)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("overrides", [
     ["--mode", "importance", "--sampling", "invert", "--sigma", "0"],
     ["--mode", "table5", "--sigma", "0"],
@@ -159,11 +172,20 @@ def test_unallocatable_noise_block_is_a_runtime_error(tmp_path, capsys):
     ["--mode", "action", "--segments", "1"],
     ["--mode", "fp", "--n_cells", "1"],
     ["--mode", "fp", "--n_cells", "2"],
+    ["--mode", "density", "--y", "0.5", "--t", "0.1", "--sigma", "1e-200"],
+    ["--mode", "importance", "--sampling", "flatten", "--sigma", "1e-200"],
+    ["--mode", "fp", "--sigma", "1e200"],
+    ["--mode", "density", "--y", "0.5", "--t", "0.1", "--sigma", "1e200"],
+    ["--epsilon", "1e-320"],
+    ["--beta", "1e-310"],
+    ["--mode", "sweep", "--sampling", "invert", "--epsilons", "1,1e-320"],
 ], ids=["importance-sigma0", "table5-sigma0", "sweep-eps0", "sigma-neg",
         "beta0", "sweep-n0", "sweep-n-short", "T-inf", "N-inf", "n_cells-inf",
         "workers-inf", "T-nan", "fp-epsilon-nan", "action-x0-nan",
         "density-t0", "density-t-neg", "density-delta0", "action-segments1",
-        "fp-n_cells1", "fp-n_cells2"])
+        "fp-n_cells1", "fp-n_cells2", "density-sigma-tiny",
+        "importance-sigma-tiny", "fp-sigma-huge", "density-sigma-huge",
+        "epsilon-subnormal", "beta-tiny", "sweep-eps-subnormal"])
 def test_bad_noise_levels_and_counts_are_config_errors(tmp_path, capsys,
                                                        overrides):
     path = _write_cfg(tmp_path, BASE)
@@ -177,7 +199,8 @@ def test_bad_noise_levels_and_counts_are_config_errors(tmp_path, capsys,
     ["--mode", "table5", "--T", "1.005"],
     ["--mode", "sweep", "--sampling", "invert", "--T", "1.005"],
     ["--mode", "fp", "--T", "1.0003", "--dt", "5e-4"],
-], ids=["plain", "importance", "table5", "sweep", "fp"])
+    ["--mode", "plain", "--T", "1e300", "--h", "1e-10"],
+], ids=["plain", "importance", "table5", "sweep", "fp", "plain-ratio-overflow"])
 def test_horizon_off_the_step_grid_is_a_config_error(tmp_path, capsys,
                                                      overrides):
     path = _write_cfg(tmp_path, BASE)

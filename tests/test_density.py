@@ -74,11 +74,6 @@ def test_ou_error_shrinks_with_time():
     assert errs[1] < errs[0]
 
 
-def test_n_nodes_validation():
-    with pytest.raises(ValueError):
-        approximate(ZeroPotential(), SIGMA1, 0.0, 1.0, 0.5, n_nodes=100)
-
-
 @pytest.mark.parametrize("n", [3, 5, 101, 201])
 def test_simpson_matches_scipy_bit_for_bit(n):
     from scipy.integrate import simpson

@@ -78,16 +78,6 @@ def test_reflecting_walls_conserve_mass():
     assert grid.dx == pytest.approx(2 * math.pi / 1000)
 
 
-def test_absorbing_walls_lose_mass_monotonically():
-    masses = []
-    for t in (0.1, 0.3, 0.6):
-        grid = evolve(ZeroPotential(), SIGMA1, gaussian_bump(0.0, 0.2),
-                      (-1.0, 1.0), 801, t, 2e-4, boundary="absorbing")
-        masses.append(grid.mass)
-    assert masses[0] < 1.0
-    assert masses[2] < masses[1] < masses[0]
-
-
 def test_escape_probability_free_diffusion():
     # X_T ~ N(0, T): P(|X_T| > 1) = 2 Phi(-1)
     p = escape_probability(ZeroPotential(), SIGMA1, 0.0, Interval(-1.0, 1.0), 1.0)
@@ -109,7 +99,7 @@ def test_factored_steps_match_banded_solves():
     from wellescape.fokker_planck import _apply, _operator_diagonals
 
     V, x, dt, n = CosineWellPotential(), np.linspace(-4.0, 4.0, 801), 2e-3, 40
-    lower, main, upper = _operator_diagonals(V, SIGMA1, x, "reflecting")
+    lower, main, upper = _operator_diagonals(V, SIGMA1, x)
     scale = -0.5 * dt
     ab = np.zeros((3, x.size))
     ab[0, 1:] = scale * upper[:-1]

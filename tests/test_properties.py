@@ -1,15 +1,21 @@
-"""Property tests for the single Euler loop and the single Riemann sum.
+"""Property tests for the single Euler loop, the single Riemann sum, the
+noise-scale conventions and the config echo.
 
 A recorded path is :func:`evolve_block` run on a one-row block, so its
 states must equal, bit for bit, the rows the block loop passes through;
 and the per-path generator-form weight must equal the streaming
-accumulator's up to summation order.
+accumulator's up to summation order.  A noise scale given in any one
+convention reads the same in all three, and a resolved config re-parses
+from its dump to an equal config.
 """
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wellescape.config import MODES, POTENTIALS, SAMPLINGS, ExperimentConfig
 from wellescape.girsanov import WeightAccumulator, log_weight_generator_form
 from wellescape.potentials import (
     CosineWellPotential,
@@ -63,3 +69,61 @@ def test_recorded_path_is_one_row_of_the_block_loop(name, seed, row, n_steps,
     streamed = acc.finalize(x0, terminal)[0, row]
     per_path = log_weight_generator_form(path, target, sampler, NOISE, stride * H)
     assert abs(streamed - per_path.log_value) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=st.floats(1e-150, 1e150))
+def test_noise_scale_conventions_agree(s):
+    scales = (NoiseScale(sigma=s), NoiseScale(epsilon=s * s),
+              NoiseScale(beta=2 / (s * s)))
+    for prop in ("sigma", "epsilon", "beta"):
+        values = [getattr(n, prop) for n in scales]
+        assert max(values) - min(values) <= 4 * math.ulp(max(values)), prop
+
+
+_POSITIVE = st.floats(1e-3, 1e3)
+_REAL = st.floats(-10.0, 10.0)
+
+
+@st.composite
+def valid_configs(draw):
+    mode = draw(st.sampled_from(MODES))
+    needs_sampler = mode in ("importance", "sweep")
+    samplings = [s for s in SAMPLINGS if s != "none"] if needs_sampler else SAMPLINGS
+    h = draw(st.sampled_from([1e-3, 1e-2, 0.05]))
+    dt = draw(st.sampled_from([5e-4, 1e-3]))
+    step = dt if mode == "fp" else h
+    a = draw(_REAL)
+    epsilons = tuple(draw(st.lists(_POSITIVE, min_size=1, max_size=4)))
+    values = dict(
+        mode=mode, potential=draw(st.sampled_from(POTENTIALS)),
+        stiffness=draw(_POSITIVE), slope=draw(_REAL),
+        sampling=draw(st.sampled_from(samplings)), x0=draw(_REAL),
+        region=(a, a + draw(_POSITIVE)), T=step * draw(st.integers(1, 2000)),
+        h=h, tau=h * draw(st.integers(1, 100)), dt=dt,
+        N=draw(st.integers(1, 10**7)),
+        # seeds past 2**53 have no exact float; they must still re-parse
+        seed=draw(st.integers(0, 2**32) | st.integers(2**53, 2**64)),
+        workers=draw(st.integers(1, 8)),
+        out=draw(st.sampled_from([None, "out.csv", "runs/a b.csv"])),
+        y=draw(_REAL) if mode == "density" else draw(st.none() | _REAL),
+        t=draw(st.none() | _POSITIVE), delta=draw(st.none() | _POSITIVE),
+        n_cells=draw(st.integers(3, 10**5)), segments=draw(st.integers(2, 10**4)),
+        epsilons=epsilons,
+        sweep_n=draw(st.none() | st.tuples(
+            *[st.integers(1, 10**6) for _ in epsilons])),
+    )
+    noise_key = draw(st.sampled_from([None, "sigma", "epsilon", "beta"]))
+    if noise_key:
+        values[noise_key] = draw(_POSITIVE)
+    cfg = ExperimentConfig(**values)
+    cfg.check()
+    return cfg
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=valid_configs())
+def test_config_dump_reparses_to_an_equal_config(cfg, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "dump.cfg"
+    path.write_text(cfg.dump())
+    assert ExperimentConfig.from_file(str(path)) == cfg

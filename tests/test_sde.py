@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wellescape.errors import SimulationError
+from wellescape.errors import ConfigurationError, SimulationError
 from wellescape.potentials import (
     CallablePotential,
     LinearPotential,
@@ -77,12 +77,12 @@ def test_streams_are_deterministic_and_distinct():
     )
 
 
-def test_steps_for_rounds_up_with_warning():
+def test_steps_for_rejects_off_grid_horizon():
     assert steps_for(1.0, 1e-3) == 1000
     assert steps_for(0.5, 0.01) == 50
-    with pytest.warns(UserWarning):
-        n = steps_for(1.0, 0.3)
-    assert n == 4
+    with pytest.raises(ConfigurationError,
+                       match="horizon=1 must be a whole multiple of step=0.3"):
+        steps_for(1.0, 0.3)
 
 
 def test_blowup_raises_with_step_index():
