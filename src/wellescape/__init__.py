@@ -44,11 +44,9 @@ from .density import (
     gaussian_kernel,
 )
 from .estimators import (
-    Diagnostics,
     EscapeEvent,
     EstimatorSummary,
     csv_row,
-    diagnostics,
     run_importance,
     run_importance_meshes,
     run_plain,

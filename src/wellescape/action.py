@@ -116,7 +116,11 @@ def _descend(objective, gradient, knots0, dt, grad_tol):
     interior knots; the two endpoints stay pinned."""
     from scipy.linalg import solve_banded
     knots = knots0.copy()
-    f = objective(knots)
+    with np.errstate(over="ignore"):
+        f = objective(knots)
+    if not math.isfinite(f):
+        # descent only accepts smaller values, so a finite start ends finite
+        raise SolverError(f"the action of the starting path is {f}, not finite")
     m_free = len(knots) - 2
     precond = _kinetic_banded(m_free, dt)
     it = 0

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields
 
 import numpy as np
 
@@ -25,19 +25,23 @@ from .config import ExperimentConfig
 from .density import bounds
 from .errors import ConfigurationError, WellEscapeError
 from .estimators import (
+    CSV_COLUMNS,
     EscapeEvent,
     _fmt,
     _write_rows,
     csv_row,
-    diagnostics,
     run_importance,
     run_importance_meshes,
     run_plain,
     small_noise_sweep,
-    write_csv,
+    theorem3_bound,
 )
 from .fokker_planck import escape_probability
-from .potentials import _boundary_match_residual
+from .potentials import (
+    _boundary_match_residual,
+    flatten_on_region,
+    invert_on_region,
+)
 from .sde import RngPolicy
 
 
@@ -50,10 +54,15 @@ def _echo(cfg):
 # ------------------------------------------------------------------ modes
 
 
-def _summary_line(tag, s):
-    parts = [f"{tag}: mean={_fmt(s.mean)}", f"std_error={_fmt(s.std_error)}",
-             f"variance={_fmt(s.variance)}", f"hits={s.hits}", f"n={s.n}"]
-    return "  ".join(parts)
+def _say(pairs, tag=None):
+    """Print ``key=value`` pairs on one line, after ``tag: `` when given."""
+    line = "  ".join(f"{k}={_fmt(v)}" for k, v in pairs)
+    print(f"{tag}: {line}" if tag else line)
+
+
+def _moments(s):
+    return [("mean", s.mean), ("std_error", s.std_error),
+            ("variance", s.variance), ("hits", s.hits), ("n", s.n)]
 
 
 def _run_plain(cfg):
@@ -61,10 +70,9 @@ def _run_plain(cfg):
     event = EscapeEvent(cfg.build_region(), cfg.T)
     s = run_plain(V, cfg.noise(), cfg.x0, event, cfg.h, cfg.N,
                   RngPolicy(cfg.seed), cfg.workers)
-    print(_summary_line("plain", s))
-    rows = [csv_row(s, potential_label=V.label, tau=None, h=cfg.h,
-                    seed=cfg.seed)]
-    return rows
+    _say(_moments(s), "plain")
+    return CSV_COLUMNS, [csv_row(s, potential_label=V.label, tau=None, h=cfg.h,
+                                 seed=cfg.seed)]
 
 
 def _run_importance(cfg):
@@ -77,19 +85,14 @@ def _run_importance(cfg):
                          cfg.N, RngPolicy(cfg.seed), cfg.workers)
     plain = run_plain(V, noise, cfg.x0, event, cfg.h, cfg.N,
                       RngPolicy(cfg.seed + 1), cfg.workers)
-    diag = diagnostics(plain, imp, V, ref, region, noise, cfg.T, cfg.x0)
-    print(_summary_line("importance", imp))
-    print(_summary_line("plain baseline", plain))
-    print(f"lambda={_fmt(diag.lambda_factor)}  "
-          f"variance_ratio={_fmt(diag.variance_ratio)}  "
-          f"theorem3_bound={_fmt(diag.theorem3_bound)}")
-    rows = [
-        csv_row(imp, potential_label=ref.label, tau=cfg.tau, h=cfg.h,
-                seed=cfg.seed, diag=diag),
-        csv_row(plain, potential_label=V.label, tau=None, h=cfg.h,
-                seed=cfg.seed + 1),
-    ]
-    return rows
+    bound = theorem3_bound(V, ref, region, noise, cfg.T, cfg.x0)
+    row = csv_row(imp, potential_label=ref.label, tau=cfg.tau, h=cfg.h,
+                  seed=cfg.seed, baseline=plain, bound=bound)
+    _say(_moments(imp), "importance")
+    _say(_moments(plain), "plain baseline")
+    _say(zip(CSV_COLUMNS[-3:], row[-3:]))
+    return CSV_COLUMNS, [row, csv_row(plain, potential_label=V.label, tau=None,
+                                      h=cfg.h, seed=cfg.seed + 1)]
 
 
 def _run_table5(cfg):
@@ -104,38 +107,31 @@ def _run_table5(cfg):
                       RngPolicy(cfg.seed), cfg.workers)
     rows = [csv_row(plain, potential_label=V.label, tau=None, h=cfg.h,
                     seed=cfg.seed)]
-    print(_summary_line("plain", plain))
-    for i, sampling in enumerate(("flatten", "invert")):
-        ref = replace(cfg, sampling=sampling).build_sampling_potential(V)
-        seed = cfg.seed + 1 + i
+    _say(_moments(plain), "plain")
+    samplers = (("flatten", flatten_on_region), ("invert", invert_on_region))
+    for seed, (name, patch) in enumerate(samplers, start=cfg.seed + 1):
+        ref = patch(V, region)
         summaries = run_importance_meshes(
             V, ref, noise, cfg.x0, event, cfg.h, taus, cfg.N,
             RngPolicy(seed), cfg.workers,
         )
+        bound = theorem3_bound(V, ref, region, noise, cfg.T, cfg.x0)
         for tau in taus:
             s = summaries[tau]
-            diag = diagnostics(plain, s, V, ref, region, noise, cfg.T, cfg.x0)
-            print(_summary_line(f"{sampling} tau={tau:g}", s))
+            _say(_moments(s), f"{name} tau={tau:g}")
             rows.append(csv_row(s, potential_label=ref.label, tau=tau,
-                                h=cfg.h, seed=seed, diag=diag))
-    return rows
+                                h=cfg.h, seed=seed, baseline=plain, bound=bound))
+    return CSV_COLUMNS, rows
 
 
 def _run_density(cfg):
     V = cfg.build_potential()
     t = cfg.t if cfg.t is not None else cfg.T
     est = bounds(V, cfg.noise(), cfg.x0, cfg.y, t, delta=cfg.delta)
-    pairs = [
-        ("value", est.value), ("lower", est.lower), ("upper", est.upper),
-        ("kernel", est.kernel), ("delta", est.delta),
-        ("lipschitz", est.lipschitz), ("m1", est.m1), ("m2", est.m2),
-        ("gamma", est.gamma),
-    ]
-    for k, v in pairs:
-        print(f"{k}={_fmt(v)}")
-    if cfg.out:
-        _write_rows(cfg.out, ("quantity", "value"), pairs)
-    return None
+    rows = [(f.name, getattr(est, f.name)) for f in fields(est)]
+    for row in rows:
+        _say([row])
+    return ("quantity", "value"), rows
 
 
 def _run_fp(cfg):
@@ -144,25 +140,19 @@ def _run_fp(cfg):
         V, cfg.noise(), cfg.x0, cfg.build_region(), cfg.T,
         n_cells=cfg.n_cells, dt=cfg.dt, return_grid=True,
     )
-    print(f"escape_probability={_fmt(p)}")
-    print(f"mass={_fmt(grid.mass)}  cells={len(grid.x)}  dx={_fmt(grid.dx)}")
-    if cfg.out:
-        _write_rows(cfg.out, ("x", "density"),
-                    list(zip(grid.x.tolist(), grid.density.tolist())))
-    return None
+    _say([("escape_probability", p)])
+    _say([("mass", grid.mass), ("cells", len(grid.x)), ("dx", grid.dx)])
+    return ("x", "density"), list(zip(grid.x.tolist(), grid.density.tolist()))
 
 
 def _run_action(cfg):
     V = cfg.build_potential()
     res = minimize_exit_action(V, cfg.x0, cfg.build_region(), cfg.T,
                                cfg.segments)
-    print(f"action={_fmt(res.value)}  converged={res.converged}  "
-          f"iterations={res.iterations}  grad_norm={_fmt(res.grad_norm)}")
-    if cfg.out:
-        _write_rows(cfg.out, ("time", "position"),
-                    list(zip(res.path.times.tolist(),
-                             np.asarray(res.path.knots).tolist())))
-    return None
+    _say([("action", res.value), ("converged", res.converged),
+          ("iterations", res.iterations), ("grad_norm", res.grad_norm)])
+    return ("time", "position"), list(zip(res.path.times.tolist(),
+                                          np.asarray(res.path.knots).tolist()))
 
 
 def _run_sweep(cfg):
@@ -174,30 +164,28 @@ def _run_sweep(cfg):
                              cfg.workers)
     header = ("epsilon", "n", "hits", "probability", "lambda",
               "eps_log_lambda")
-    table = [(r.epsilon, r.n, r.hits, r.probability, r.lambda_factor,
-              r.eps_log_lambda) for r in rows]
-    for row in table:
-        print("  ".join(f"{k}={_fmt(v)}" for k, v in zip(header, row)))
-    if cfg.out:
-        _write_rows(cfg.out, header, table)
-    return None
+    for row in rows:
+        _say(zip(header, row))
+    return header, rows
+
+
+_RUNNERS = {
+    "plain": _run_plain,
+    "importance": _run_importance,
+    "table5": _run_table5,
+    "density": _run_density,
+    "fp": _run_fp,
+    "action": _run_action,
+    "sweep": _run_sweep,
+}
 
 
 def _cmd_run(cfg):
+    """Run the mode, which prints its report, and write its table to out."""
     _echo(cfg)
-    runner = {
-        "plain": _run_plain,
-        "importance": _run_importance,
-        "table5": _run_table5,
-        "density": _run_density,
-        "fp": _run_fp,
-        "action": _run_action,
-        "sweep": _run_sweep,
-    }[cfg.mode]
-    rows = runner(cfg)
-    if rows is not None and cfg.out:
-        write_csv(cfg.out, rows)
+    header, rows = _RUNNERS[cfg.mode](cfg)
     if cfg.out:
+        _write_rows(cfg.out, header, rows)
         print(f"wrote {cfg.out}")
     return 0
 

@@ -303,7 +303,7 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if value is None:
                 continue
-            if f.name in ("region", "epsilons", "sweep_n"):
+            if isinstance(value, tuple):
                 value = ",".join(format(v, ".17g") for v in value)
             elif isinstance(value, float):
                 value = format(value, ".17g")

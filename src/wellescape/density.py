@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SolverError
 from .potentials import generator_apply_to_self
 
 DEFAULT_DELTA_EXPONENT = 0.4
@@ -136,7 +137,8 @@ def bounds(potential, noise, x, y, t, delta=None):
     of 1.2 to absorb the grid estimation error.  The
     corridor half-width defaults to ``t ** 0.4``, which sends both error
     terms to zero as t -> 0.  The lower bound is clamped at 0 (the bound
-    is vacuous when the corridor constants are large).
+    is vacuous when the corridor constants are large).  Raises
+    :class:`SolverError` when a bound or the value leaves the float range.
     """
     if t <= 0:
         raise ValueError("time must be positive")
@@ -156,12 +158,18 @@ def bounds(potential, noise, x, y, t, delta=None):
     K = _SAFETY * slope
 
     m1 = 0.5 * K
-    m2 = 2.0 * math.exp(inv_eps * (v_diff + 0.5 * t * sup_abs_g))
-    gamma = math.exp(-2.0 * delta ** 2 / (sigma ** 2 * t))
-
-    value = math.exp(inv_eps * bracket) * kernel
-    upper = (math.exp(inv_eps * (bracket + m1 * delta * t)) + m2 * gamma) * kernel
-    lower = (math.exp(inv_eps * (bracket - m1 * delta * t)) - m2 * gamma) * kernel
+    try:
+        m2 = 2.0 * math.exp(inv_eps * (v_diff + 0.5 * t * sup_abs_g))
+        gamma = math.exp(-2.0 * delta ** 2 / (sigma ** 2 * t))
+        value = math.exp(inv_eps * bracket) * kernel
+        upper = (math.exp(inv_eps * (bracket + m1 * delta * t)) + m2 * gamma) * kernel
+        lower = (math.exp(inv_eps * (bracket - m1 * delta * t)) - m2 * gamma) * kernel
+        finite = all(map(math.isfinite, (m2, value, upper, lower)))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise SolverError(f"the density bounds at t={t:g}, delta={delta:g} "
+                          "leave the float range")
     return DensityEstimate(
         value=value,
         lower=max(0.0, lower),

@@ -7,10 +7,11 @@ from contextlib import contextmanager
 @contextmanager
 def allocating(error, what, n_floats):
     """Raise ``error`` naming ``what`` and its size in GiB when the block
-    runs out of memory."""
+    runs out of memory, or asks numpy for more than its index type can
+    address (numpy raises ``ValueError`` for that, before allocating)."""
     try:
         yield
-    except MemoryError:
+    except (MemoryError, ValueError):
         raise error(
             f"cannot allocate {what} ({n_floats * 8 / 2**30:.4g} GiB)") from None
 
@@ -56,5 +57,5 @@ class ConfigurationError(WellEscapeError):
 
 
 class SolverError(WellEscapeError):
-    """An oracle solve became unstable, produced invalid densities, or
-    could not allocate its grid."""
+    """An oracle solve became unstable, produced invalid densities or a
+    non-finite answer, or could not allocate its grid."""

@@ -31,13 +31,14 @@ import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .girsanov import WeightAccumulator
-from .potentials import region_supremum
-from .sde import BLOCK_SAMPLES, evolve_block, steps_for
+from .potentials import NoiseScale, region_supremum
+from .sde import BLOCK_SAMPLES, RngPolicy, evolve_block, steps_for
 
 _LOG_WEIGHT_CLIP = 700.0
 
@@ -134,23 +135,16 @@ class EstimatorSummary:
             return self.n * self.sum_w2_ind / self.sum_w_ind**2
         return None
 
+    def variance_ratio(self, baseline):
+        """Per-sample variance relative to ``baseline``'s, or None when the
+        baseline's is zero or undefined (fewer than two samples)."""
+        if not baseline.variance > 0:
+            return None
+        return self.variance / baseline.variance
+
     def zero_hit_upper_bound(self):
         """One-sided 95% 'rule of three' bound when no sample hit the event."""
         return 3.0 / self.n
-
-
-@dataclass
-class Diagnostics:
-    """Efficiency report for an importance run against a plain baseline.
-
-    Fields are None when undefined (no hits, or degenerate baseline)
-    rather than raising on division by zero.
-    """
-
-    relative_error: float | None
-    lambda_factor: float | None
-    variance_ratio: float | None
-    theorem3_bound: float | None
 
 
 def _reduce_blocks(per_block, n_blocks, workers):
@@ -256,24 +250,9 @@ def theorem3_bound(potential, sampling_potential, region, noise, horizon, x0):
     return math.exp(gap / noise.epsilon + horizon * m_const)
 
 
-def diagnostics(plain, importance, potential, sampling_potential, region,
-                noise, horizon, x0):
-    """Second-moment efficiency diagnostics for an importance run."""
-    ratio = None
-    if plain is not None and plain.n >= 2 and plain.variance > 0:
-        ratio = importance.variance / plain.variance
-    return Diagnostics(
-        relative_error=importance.relative_error,
-        lambda_factor=importance.lambda_factor,
-        variance_ratio=ratio,
-        theorem3_bound=theorem3_bound(
-            potential, sampling_potential, region, noise, horizon, x0
-        ),
-    )
+class SweepRow(NamedTuple):
+    """One noise level of :func:`small_noise_sweep`, in the CLI's column order."""
 
-
-@dataclass
-class SweepRow:
     epsilon: float
     n: int
     hits: int
@@ -293,9 +272,6 @@ def small_noise_sweep(potential, sampling_potential, region, x0, horizon, h,
     levels or a sequence of the same length as ``epsilons``; each level
     uses the derived master seed ``seed + its index``.
     """
-    from .potentials import NoiseScale
-    from .sde import RngPolicy
-
     if isinstance(n_samples, int):
         n_samples = [n_samples] * len(epsilons)
     if len(n_samples) != len(epsilons):
@@ -318,10 +294,7 @@ def small_noise_sweep(potential, sampling_potential, region, x0, horizon, h,
             )
         lam = summary.lambda_factor
         ell = eps * math.log(lam) if lam is not None else None
-        rows.append(SweepRow(
-            epsilon=eps, n=n, hits=summary.hits, probability=summary.mean,
-            lambda_factor=lam, eps_log_lambda=ell,
-        ))
+        rows.append(SweepRow(eps, n, summary.hits, summary.mean, lam, ell))
     return rows
 
 
@@ -333,23 +306,19 @@ def _fmt(value):
     return str(value)
 
 
-def csv_row(summary, *, potential_label, tau, h, seed, diag=None):
-    """One result row following the fixed CSV schema."""
-    return {
-        "estimator": summary.kind,
-        "potential": potential_label,
-        "N": summary.n,
-        "tau": tau if tau is not None else "",
-        "h": h,
-        "seed": seed,
-        "mean": summary.mean,
-        "per_sample_variance": summary.variance,
-        "std_error": summary.std_error,
-        "relative_error": summary.relative_error,
-        "lambda": diag.lambda_factor if diag else None,
-        "variance_ratio": diag.variance_ratio if diag else None,
-        "theorem3_bound": diag.theorem3_bound if diag else None,
-    }
+def csv_row(summary, *, potential_label, tau, h, seed, baseline=None,
+            bound=None):
+    """One result row, its cells in ``CSV_COLUMNS`` order.  An importance
+    row reports Lambda, its variance ratio to the plain ``baseline`` run
+    and the a-priori ``bound`` on Lambda."""
+    return [
+        summary.kind, potential_label, summary.n, "" if tau is None else tau,
+        h, seed, summary.mean, summary.variance, summary.std_error,
+        summary.relative_error,
+        summary.lambda_factor if summary.kind == "importance" else None,
+        summary.variance_ratio(baseline) if baseline is not None else None,
+        bound,
+    ]
 
 
 def _write_rows(path, header, rows):
@@ -362,6 +331,5 @@ def _write_rows(path, header, rows):
 
 
 def write_csv(path, rows):
-    """Write result rows with a fixed column order and stable formatting."""
-    _write_rows(path, CSV_COLUMNS,
-                ([row.get(c) for c in CSV_COLUMNS] for row in rows))
+    """Write :func:`csv_row` rows under ``CSV_COLUMNS``."""
+    _write_rows(path, CSV_COLUMNS, rows)

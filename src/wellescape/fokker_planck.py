@@ -35,6 +35,7 @@ from .sde import steps_for
 
 _CHECK_EVERY = 25
 _NEGATIVE_TOL = 1e-6
+_MASS_TOL = 1e-8    # the flux form conserves mass to roundoff, ~1e-12
 
 
 @dataclass
@@ -137,6 +138,10 @@ def evolve(potential, noise, initial, domain, n_cells, horizon, dt,
     smooth_start : bool
         Start with two backward-Euler half steps (recommended for point
         initial data).
+
+    Raises :class:`SolverError` when the density turns invalid, or when its
+    terminal mass departs from 1 by more than 1e-8 (it underflowed, or
+    the solve lost it).
     """
     lo, hi = float(domain[0]), float(domain[1])
     with allocating(SolverError, f"a grid of {int(n_cells)} cells", int(n_cells)):
@@ -186,6 +191,11 @@ def evolve(potential, noise, initial, domain, n_cells, horizon, dt,
         rhs_diags = (0.5 * dt * lower, 1.0 + 0.5 * dt * main, 0.5 * dt * upper)
         run(remaining, dt, lu, rhs_diags)
 
+    mass = float(p.sum() * dx)
+    if not abs(mass - 1.0) <= _MASS_TOL:
+        raise SolverError(
+            f"density mass is {mass:.6g} at t={n_steps * dt:g}, not 1; "
+            "try a smaller dt or a finer grid")
     clamped = float(-p[p < 0].sum() * dx) if np.any(p < 0) else 0.0
     np.clip(p, 0.0, None, out=p)
     return FpGrid(x=x, density=p, time=n_steps * dt, dt=dt, clamped_mass=clamped)
@@ -223,6 +233,10 @@ def escape_probability(potential, noise, x0, region, horizon, *,
     lo = min(a, float(x0)) - pad
     hi = max(b, float(x0)) + pad
     dx = (hi - lo) / (int(n_cells) - 1)
+    if not math.isfinite(dx * dx):
+        raise SolverError(
+            f"the grid over ({lo:g}, {hi:g}) is too coarse: the start's "
+            f"Gaussian has standard deviation dx={dx:g}, whose square overflows")
     grid = evolve(
         potential, noise, gaussian_bump(float(x0), dx), (lo, hi),
         n_cells, horizon, dt,

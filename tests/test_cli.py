@@ -149,6 +149,43 @@ def test_unallocatable_oracle_grid_is_a_runtime_error(tmp_path, capsys,
     assert f"error: cannot allocate {what} (7451 GiB)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides, message", [
+    # sizes numpy cannot index: it raises ValueError before allocating
+    (["--T", "1e15", "--h", "1e-3"],
+     "cannot allocate a noise block of shape (4096, 1000000000000000000)"),
+    (["--T", "1e200", "--h", "1e-3"], "cannot allocate a noise block"),
+    (["--T", "1", "--h", "1e-19"],
+     "cannot allocate a noise block of shape (4096, 10000000000000000000)"),
+    (["--mode", "fp", "--n_cells", "1e20"],
+     "cannot allocate a grid of 100000000000000000000 cells"),
+    (["--mode", "action", "--segments", "1e20"],
+     "cannot allocate a path of 100000000000000000001 knots"),
+    # values that leave the float range
+    (["--mode", "fp", "--x0", "1e200"], "whose square overflows"),
+    (["--mode", "fp", "--region", "(-1e300,1e300)"], "whose square overflows"),
+    (["--mode", "density", "--y", "0.5", "--t", "1e300"],
+     "density bounds at t=1e+300, delta=1e+120 leave the float range"),
+    (["--mode", "density", "--y", "0.5", "--t", "0.1", "--delta", "1e300"],
+     "density bounds at t=0.1, delta=1e+300 leave the float range"),
+    # answers the oracles lost
+    (["--mode", "fp", "--potential", "quadratic", "--stiffness", "1e300"],
+     "density mass is 0 at t=1, not 1"),
+    (["--mode", "fp", "--T", "1e300", "--dt", "1e300"],
+     "density mass is 0 at t=1e+300, not 1"),
+    (["--mode", "action", "--T", "1e-300", "--segments", "4"],
+     "the action of the starting path is inf"),
+], ids=["noise-too-big", "noise-dimension", "noise-h-tiny", "fp-n_cells-huge",
+        "action-segments-huge", "fp-x0-huge", "fp-region-huge", "density-t-huge",
+        "density-delta-huge", "fp-mass-underflow", "fp-dt-huge",
+        "action-T-tiny"])
+def test_runtime_failures_end_in_one_line(tmp_path, capsys, overrides, message):
+    path = _write_cfg(tmp_path, BASE)
+    assert main(["run", path, *overrides]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert message in err
+
+
 @pytest.mark.parametrize("overrides", [
     ["--mode", "importance", "--sampling", "invert", "--sigma", "0"],
     ["--mode", "table5", "--sigma", "0"],
@@ -347,3 +384,53 @@ def test_sampling_modes_run_without_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "True"
+
+
+# The benchmark times every estimator pass and FP solve by patching these
+# module bindings and reading the named parameters off each call, so a
+# mode that stops calling through them goes unmeasured.
+_SEAM = {
+    ("cli", "run_plain"): {"n_samples", "h", "noise", "event", "workers"},
+    ("cli", "run_importance"): {"n_samples", "h", "noise", "event", "workers",
+                                "sampling_potential", "tau"},
+    ("cli", "run_importance_meshes"): {"n_samples", "h", "noise", "event",
+                                       "workers", "sampling_potential"},
+    ("estimators", "run_importance"): {"n_samples", "h", "noise", "event",
+                                       "workers", "sampling_potential", "tau"},
+    ("cli", "escape_probability"): {"noise", "horizon", "n_cells", "dt"},
+}
+
+
+@pytest.mark.parametrize("mode, extra, reached", [
+    ("importance", ["--sampling", "invert"],
+     {("cli", "run_importance"): 1, ("cli", "run_plain"): 1}),
+    ("table5", [], {("cli", "run_plain"): 1, ("cli", "run_importance_meshes"): 2}),
+    ("sweep", ["--sampling", "invert", "--epsilons", "4,2"],
+     {("estimators", "run_importance"): 2}),
+    ("fp", ["--n_cells", "512", "--dt", "1e-2"], {("cli", "escape_probability"): 1}),
+], ids=["importance", "table5", "sweep", "fp"])
+def test_modes_call_through_the_benchmark_seam(tmp_path, capsys, monkeypatch,
+                                               mode, extra, reached):
+    import inspect
+
+    import wellescape.cli
+    import wellescape.estimators
+
+    calls = {key: [] for key in _SEAM}
+    for module, name in _SEAM:
+        owner = getattr(wellescape, module)
+        fn = getattr(owner, name)
+
+        def counted(*args, _fn=fn, _key=(module, name), **kwargs):
+            bound = inspect.signature(_fn).bind(*args, **kwargs).arguments
+            calls[_key].append(set(bound))
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    path = _write_cfg(tmp_path, BASE)
+    assert main(["run", path, "--mode", mode, "--N", "256", *extra]) == 0
+    capsys.readouterr()
+    assert {k: len(v) for k, v in calls.items() if v} == reached
+    for key, seen in calls.items():
+        for names in seen:
+            assert _SEAM[key] <= names, (key, _SEAM[key] - names)

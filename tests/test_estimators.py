@@ -8,11 +8,9 @@ import pytest
 from wellescape.errors import ConfigurationError
 from wellescape.estimators import (
     CSV_COLUMNS,
-    Diagnostics,
     EscapeEvent,
     EstimatorSummary,
     csv_row,
-    diagnostics,
     run_importance,
     run_importance_meshes,
     run_plain,
@@ -123,9 +121,8 @@ def test_importance_with_target_as_reference_matches_plain():
     assert imp.mean == plain.mean
     assert imp.m2 == plain.m2
     assert imp.hits == plain.hits
-    d = diagnostics(plain, imp, V, V, Interval(-1.5, 1.5), SIGMA1, 0.5, 0.0)
-    assert d.lambda_factor == pytest.approx(1.0 / plain.mean, rel=1e-12)
-    assert d.variance_ratio == pytest.approx(1.0, rel=1e-12)
+    assert imp.lambda_factor == pytest.approx(1.0 / plain.mean, rel=1e-12)
+    assert imp.variance_ratio(plain) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_importance_agrees_with_plain_at_moderate_noise():
@@ -247,11 +244,9 @@ def test_diagnostics_with_no_hits_is_undefined():
     plain = run_plain(V, SIGMA1, 0.0, event, 1e-3, 200, policy)
     imp = run_importance(V, V, SIGMA1, 0.0, event, 1e-3, 1e-3, 200, policy)
     assert plain.hits == 0
-    d = diagnostics(plain, imp, V, V, Interval(-50.0, 50.0), SIGMA1, 0.01, 0.0)
-    assert d.lambda_factor is None
-    assert d.relative_error is None
-    assert d.variance_ratio is None
-    assert isinstance(d, Diagnostics)
+    assert imp.lambda_factor is None
+    assert imp.relative_error is None
+    assert imp.variance_ratio(plain) is None
 
 
 # -------------------------------------------------------------------- sweep
@@ -289,10 +284,11 @@ def test_sweep_sample_counts_must_match_noise_levels():
 def test_csv_row_and_file_format(tmp_path):
     s = EstimatorSummary.from_values([0.0, 1.0, 0.0, 1.0], kind="plain")
     row = csv_row(s, potential_label="cosine", tau=None, h=0.01, seed=42)
-    assert row["estimator"] == "plain"
-    assert row["tau"] == ""
-    assert row["mean"] == 0.5
-    assert row["lambda"] is None
+    cells = dict(zip(CSV_COLUMNS, row))
+    assert cells["estimator"] == "plain"
+    assert cells["tau"] == ""
+    assert cells["mean"] == 0.5
+    assert cells["lambda"] is None
     path = tmp_path / "out.csv"
     write_csv(path, [row])
     text = path.read_text()

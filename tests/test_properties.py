@@ -1,12 +1,17 @@
 """Property tests for the single Euler loop, the single Riemann sum, the
-noise-scale conventions and the config echo.
+noise-scale conventions, the config echo, summary merges, the weight's
+mean and worker invariance.
 
 A recorded path is :func:`evolve_block` run on a one-row block, so its
 states must equal, bit for bit, the rows the block loop passes through;
 and the per-path generator-form weight must equal the streaming
 accumulator's up to summation order.  A noise scale given in any one
 convention reads the same in all three, and a resolved config re-parses
-from its dump to an equal config.
+from its dump to an equal config.  Merging the summaries of any split of
+a sample, in any order, gives the summary of the whole sample.  The
+stochastic-integral weight is exactly the likelihood ratio of the Euler
+chains, so its sampled mean is 1 up to Monte Carlo error.  A run's
+summary does not depend on its worker count.
 """
 
 import math
@@ -16,7 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wellescape.config import MODES, POTENTIALS, SAMPLINGS, ExperimentConfig
-from wellescape.girsanov import WeightAccumulator, log_weight_generator_form
+from wellescape.estimators import EscapeEvent, EstimatorSummary, run_importance
+from wellescape.girsanov import (
+    WeightAccumulator,
+    log_weight_generator_form,
+    log_weight_stochastic_integral_form,
+)
 from wellescape.potentials import (
     CosineWellPotential,
     Interval,
@@ -25,7 +35,13 @@ from wellescape.potentials import (
     flatten_on_region,
     invert_on_region,
 )
-from wellescape.sde import BLOCK_SAMPLES, RngPolicy, evolve_block, simulate
+from wellescape.sde import (
+    BLOCK_SAMPLES,
+    RngPolicy,
+    SamplePath,
+    evolve_block,
+    simulate,
+)
 
 COSINE = CosineWellPotential()
 WELL = Interval(-np.pi, np.pi)
@@ -127,3 +143,75 @@ def test_config_dump_reparses_to_an_equal_config(cfg, tmp_path_factory):
     path = tmp_path_factory.getbasetemp() / "dump.cfg"
     path.write_text(cfg.dump())
     assert ExperimentConfig.from_file(str(path)) == cfg
+
+
+def _fold(parts, order):
+    merged = parts[order[0]]
+    for i in order[1:]:
+        merged = merged.merge(parts[i])
+    return merged
+
+
+@settings(max_examples=100, deadline=None)
+@given(ks=st.lists(st.integers(0, 2**20), min_size=1, max_size=300),
+       data=st.data())
+def test_merge_is_associative_and_commutative_under_any_split(ks, data):
+    # multiples of 1/1024 below 2**10, at most 300 of them: every partial
+    # sum of the values and of their squares is exact in any order
+    values = np.array(ks) / 1024.0
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(ks)), max_size=6),
+                            label="cuts"))
+    bounds = [0, *cuts, len(ks)]
+    parts = [EstimatorSummary.from_values(values[a:b], "importance")
+             for a, b in zip(bounds, bounds[1:])]
+    whole = EstimatorSummary.from_values(values, "importance")
+    order = data.draw(st.permutations(range(len(parts))), label="order")
+    right = parts[-1]
+    for part in reversed(parts[:-1]):
+        right = part.merge(right)
+    scale = float(np.max(values)) or 1.0
+    for merged in (_fold(parts, range(len(parts))), _fold(parts, order), right):
+        assert (merged.n, merged.hits) == (whole.n, whole.hits)
+        assert merged.sum_w_ind == whole.sum_w_ind
+        assert merged.sum_w2_ind == whole.sum_w2_ind
+        assert abs(merged.mean - whole.mean) <= 1e-12 * scale
+        assert abs(merged.m2 - whole.m2) <= 1e-12 * scale**2 * whole.n
+
+
+@settings(max_examples=12, deadline=None)
+@given(name=st.sampled_from(sorted(PAIRS)), seed=st.integers(0, 2**32 - 1),
+       n_steps=st.integers(1, 40))
+def test_stochastic_integral_weight_has_mean_one(name, seed, n_steps):
+    # w is the ratio of the two Euler chains' transition densities along
+    # the sampled path: Delta X + V~' h = sigma sqrt(h) xi, so E~[w] = 1
+    target, sampler = PAIRS[name]
+    x0 = 1.0    # where the pairs' gradients differ by order one
+    block = RngPolicy(seed).block_normals(0, n_steps)
+    states = np.empty((BLOCK_SAMPLES, n_steps + 1))
+
+    def record(i, X):
+        states[:, i] = X
+
+    states[:, -1] = evolve_block(lambda x: -np.asarray(sampler.gradient(x)),
+                                 NOISE, x0, n_steps, H, block, record)
+    times = H * np.arange(n_steps + 1)
+    w = np.exp([log_weight_stochastic_integral_form(
+        SamplePath(times, states[k], block[k]), target, sampler, NOISE).log_value
+        for k in range(BLOCK_SAMPLES)])
+    se = w.std(ddof=1) / math.sqrt(w.size)
+    assert abs(w.mean() - 1.0) <= 4 * se
+
+
+@settings(max_examples=15, deadline=None)
+@given(name=st.sampled_from(sorted(PAIRS)), seed=st.integers(0, 2**32 - 1),
+       n=st.integers(1, 3 * BLOCK_SAMPLES).filter(lambda n: n % BLOCK_SAMPLES),
+       workers=st.integers(2, 4))
+def test_run_importance_is_worker_invariant(name, seed, n, workers):
+    target, sampler = PAIRS[name]
+    event = EscapeEvent(Interval(-0.3, 0.5), 10 * H)    # hits are common
+
+    def run(w):
+        return run_importance(target, sampler, NOISE, 0.1, event, H, 5 * H, n,
+                              RngPolicy(seed), w)
+
+    assert run(workers) == run(1)
