@@ -17,7 +17,6 @@ from .errors import (
     WellEscapeError,
 )
 from .potentials import (
-    CallablePotential,
     CosineWellPotential,
     Interval,
     LinearPotential,

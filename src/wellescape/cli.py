@@ -306,6 +306,9 @@ def main(argv=None):
         if args.command == "run":
             return _cmd_run(cfg)
         return _cmd_validate(cfg)
+    except ConfigurationError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     except WellEscapeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

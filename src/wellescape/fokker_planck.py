@@ -45,7 +45,6 @@ class FpGrid:
     x: np.ndarray
     density: np.ndarray
     time: float
-    dt: float
     clamped_mass: float = 0.0
 
     @property
@@ -126,7 +125,7 @@ def evolve(potential, noise, initial, domain, n_cells, horizon, dt,
 
     Parameters
     ----------
-    initial : callable or ndarray
+    initial : callable
         Initial density p0(x) (renormalized to unit discrete mass).
     domain : (float, float)
         Grid endpoints; walls sit at the outermost nodes.
@@ -154,7 +153,7 @@ def evolve(potential, noise, initial, domain, n_cells, horizon, dt,
             "consider more cells or a larger dt",
             stacklevel=2,
         )
-    p = np.asarray(initial(x) if callable(initial) else initial, dtype=float).copy()
+    p = np.array(initial(x), dtype=float)
     if p.shape != x.shape:
         raise ValueError("initial density does not match the grid")
     total = p.sum() * dx
@@ -198,7 +197,7 @@ def evolve(potential, noise, initial, domain, n_cells, horizon, dt,
             "try a smaller dt or a finer grid")
     clamped = float(-p[p < 0].sum() * dx) if np.any(p < 0) else 0.0
     np.clip(p, 0.0, None, out=p)
-    return FpGrid(x=x, density=p, time=n_steps * dt, dt=dt, clamped_mass=clamped)
+    return FpGrid(x=x, density=p, time=n_steps * dt, clamped_mass=clamped)
 
 
 def integrate_density(grid, a, b):

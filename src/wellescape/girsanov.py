@@ -42,17 +42,12 @@ from .sde import whole_multiple
 
 @dataclass
 class LogWeight:
-    """A decomposed log change-of-measure weight.
-
-    ``log_value = boundary_term + running_integral``; ``mesh`` is the
-    Riemann mesh used for the running part (the simulation step for the
-    stochastic-integral form).
-    """
+    """A decomposed log change-of-measure weight,
+    ``log_value = boundary_term + running_integral``."""
 
     log_value: float
     boundary_term: float
     running_integral: float
-    mesh: float
 
 
 def mesh_stride(tau, h, n_steps=None):
@@ -93,7 +88,6 @@ def log_weight_generator_form(path, potential, sampling_potential, noise, tau):
         log_value=boundary + running,
         boundary_term=boundary,
         running_integral=running,
-        mesh=m * h,
     )
 
 
@@ -113,9 +107,8 @@ def log_weight_stochastic_integral_form(path, potential, sampling_potential, noi
           - np.asarray(potential.gradient(left)))
     running = (np.sqrt(h) / noise.sigma) * float(np.sum(gu * path.increments)) \
         - 0.5 / noise.sigma ** 2 * h * float(np.sum(gu * gu))
-    return LogWeight(
-        log_value=running, boundary_term=0.0, running_integral=running, mesh=h
-    )
+    return LogWeight(log_value=running, boundary_term=0.0,
+                     running_integral=running)
 
 
 class WeightAccumulator:

@@ -1,11 +1,9 @@
 """Potential energy fields on the line, the escape interval, and the generator integrand.
 
 The central object is :class:`PotentialField`: a scalar field ``V`` with
-``value``, ``gradient`` and ``laplacian`` evaluators, plus ``field`` for
-the (gradient, Laplacian) pair in one call.  Fields act elementwise on
-arrays of any shape (scalars in, python floats out).  Subclasses with
-closed-form derivatives override the evaluators; the base class falls
-back to central finite differences with a step ``1e-4 * max(1, |x|)``.
+``value``, ``gradient`` and ``laplacian`` evaluators, which every
+subclass implements in closed form.  Fields act elementwise on arrays of
+any shape (scalars in, python floats out).
 
 One differential expression recurs throughout the package, built from
 the generator ``L_V = -V' d/dx + beta^{-1} d^2/dx^2`` of the overdamped
@@ -25,13 +23,7 @@ import numpy as np
 
 from .errors import ConstructionError, EvaluationError
 
-_FD_SCALE = 1e-4
 _BOUNDARY_MATCH_TOL = 1e-8
-
-
-def _fd_steps(x):
-    """Finite-difference steps, relative above |x| = 1, absolute below."""
-    return _FD_SCALE * np.maximum(1.0, np.abs(x))
 
 
 def _as_float(a):
@@ -106,20 +98,10 @@ class PotentialField:
         raise NotImplementedError
 
     def gradient(self, x):
-        x = np.asarray(x, dtype=float)
-        h = _fd_steps(x)
-        return _as_float((self.value(x + h) - self.value(x - h)) / (2 * h))
+        raise NotImplementedError
 
     def laplacian(self, x):
-        x = np.asarray(x, dtype=float)
-        h = _fd_steps(x)
-        return _as_float(
-            (self.value(x + h) - 2 * self.value(x) + self.value(x - h)) / h ** 2
-        )
-
-    def field(self, x):
-        """``(gradient(x), laplacian(x))``; override to share work between them."""
-        return self.gradient(x), self.laplacian(x)
+        raise NotImplementedError
 
     def __repr__(self):
         return f"{type(self).__name__}(label={self.label!r})"
@@ -194,21 +176,6 @@ class CosineWellPotential(PotentialField):
     def laplacian(self, x):
         return _as_float(np.cos(np.asarray(x, dtype=float)))
 
-    def field(self, x):
-        x = np.asarray(x, dtype=float)
-        return _as_float(np.sin(x)), _as_float(np.cos(x))
-
-
-class CallablePotential(PotentialField):
-    """Wrap a plain function as a potential; derivatives by finite differences."""
-
-    def __init__(self, func, label="callable"):
-        self._func = func
-        self.label = label
-
-    def value(self, x):
-        return _as_float(np.asarray(self._func(np.asarray(x, dtype=float)), dtype=float))
-
 
 class Interval:
     """The open interval D = (a, b) on the line, the usual pre-escape region."""
@@ -278,9 +245,6 @@ class PatchedPotential(PotentialField):
     def laplacian(self, x):
         return self._patch(self.region.indicator(x), self.base.laplacian(x))
 
-    def field(self, x):
-        return self.patch(x, *self.base.field(x))
-
     def patch(self, x, gradient, laplacian):
         """This field's (gradient, Laplacian) at x from the base's there."""
         inside = self.region.indicator(x)
@@ -312,7 +276,7 @@ def generator_apply_to_self(potential, noise, x):
     identity and of the short-time density approximation.  Raises
     :class:`EvaluationError` if the result is non-finite.
     """
-    g, lap = potential.field(x)
+    g, lap = potential.gradient(x), potential.laplacian(x)
     out = noise.sigma ** 2 * np.asarray(lap) - g * g
     _check_finite(out, x, f"(L+L0) applied to {potential.label!r}")
     return _as_float(out)
@@ -321,16 +285,17 @@ def generator_apply_to_self(potential, noise, x):
 def generator_difference(potential, sampling_potential, noise, x):
     """(L_V + L_0) V - (L_V~ + L_0) V~ at x, and V~' at x.
 
-    One field evaluation of V serves both terms when V~ is a
+    One evaluation of V' and V'' serves both terms when V~ is a
     :class:`PatchedPotential` of this very V.  Raises
     :class:`EvaluationError` if the difference is non-finite.
     """
-    g, lap = potential.field(x)
+    g, lap = potential.gradient(x), potential.laplacian(x)
     patched = isinstance(sampling_potential, PatchedPotential)
     if patched and sampling_potential.base is potential:
         gt, lapt = sampling_potential.patch(x, g, lap)
     else:
-        gt, lapt = sampling_potential.field(x)
+        gt = sampling_potential.gradient(x)
+        lapt = sampling_potential.laplacian(x)
     s2 = noise.sigma ** 2
     out = (s2 * np.asarray(lap) - g * g) - (s2 * np.asarray(lapt) - gt * gt)
     _check_finite(out, x, f"integrand of {potential.label!r} "

@@ -137,27 +137,27 @@ def simulate(potential, noise, x0, horizon, h, increments):
     def record(i, X):
         states[i] = X[0]
 
-    drift = lambda x: -np.asarray(potential.gradient(x))
-    states[n] = evolve_block(drift, noise, x0, n, h, xi[None], record)[0]
+    states[n] = evolve_block(potential, noise, x0, n, h, xi[None], record)[0]
     return SamplePath(times=h * np.arange(n + 1), states=states, increments=xi)
 
 
-def evolve_block(drift, noise, x0, n_steps, h, noise_block, observer=None):
-    """Advance a whole block of samples and return their terminal states.
+def evolve_block(potential, noise, x0, n_steps, h, noise_block, observer=None):
+    """Advance a whole block of samples under ``potential`` and return
+    their terminal states.
 
     ``noise_block`` has shape (B, n_steps); row b drives sample b.
     ``observer(i, X)``, when given, is called with the current states at
     the start of step i (so it sees X at times i * h for i = 0 .. n_steps
     - 1); this is how streaming weight accumulators tap the trajectory
-    without storing it.  An observer may return the step's ``drift(X)``,
-    which is then not evaluated again.
+    without storing it.  An observer may return the step's drift
+    ``-potential.gradient(X)``, which is then not evaluated again.
     """
     X = np.full(noise_block.shape[0], float(x0))
     amp = noise.sigma * math.sqrt(h)
     for i in range(n_steps):
         f = observer(i, X) if observer is not None else None
         if f is None:
-            f = np.asarray(drift(X))
+            f = -np.asarray(potential.gradient(X))
         X = X + f * h + amp * noise_block[:, i]
         if not np.all(np.isfinite(X)):
             raise SimulationError(

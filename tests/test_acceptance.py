@@ -180,6 +180,15 @@ def test_ac3_variance_reduction_bound(plain_run, meshes_flat, meshes_inv):
     assert _report("AC-3", ok, detail), detail
 
 
+def test_theorem3_bound_holds_for_the_inverted_well(plain_run, meshes_inv):
+    # the inverted well meets the bound's hypotheses too: it equals V
+    # outside D and |V~'| = |V'| on D, and here W = e^-3 <= 1
+    b = meshes_inv[1e-2]
+    ratio = b.variance / plain_run.variance
+    bound = theorem3_bound(COSINE, INV, REGION, SIGMA1, T, 0.0)
+    assert ratio <= bound * (1.0 + 3.0 * b.relative_error)
+
+
 def test_ac4_linear_potential_density_exact_and_bracketed():
     rng = np.random.default_rng(42)
     worst, bracket = 0.0, True

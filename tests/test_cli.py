@@ -248,6 +248,33 @@ def test_horizon_off_the_step_grid_is_a_config_error(tmp_path, capsys,
         ExperimentConfig.from_file(path, ["--mode", mode, "--T", "1.005", *extra])
 
 
+@pytest.mark.parametrize("overrides", [
+    ["--mode", "importance", "--sampling", "invert", "--tau", "0.03"],
+    ["--mode", "sweep", "--sampling", "invert", "--tau", "0.03",
+     "--epsilons", "1"],
+    ["--mode", "table5", "--T", "0.05", "--h", "1e-3"],
+], ids=["importance", "sweep", "table5"])
+def test_mesh_that_does_not_divide_the_horizon_is_a_config_error(
+        tmp_path, capsys, overrides):
+    # the config accepts these meshes; the run finds the partial cell
+    path = _write_cfg(tmp_path, BASE)
+    assert main(["run", path, "--N", "256", *overrides]) == 1
+    err = capsys.readouterr().err
+    assert "config error: tau=" in err and "does not divide the horizon" in err
+
+
+def test_overflowing_bound_is_reported_as_infinite(tmp_path, capsys):
+    path = _write_cfg(tmp_path, BASE)
+    out = str(tmp_path / "is.csv")
+    assert main(["run", path, "--mode", "importance", "--sampling", "invert",
+                 "--T", "1000", "--h", "1", "--tau", "1", "--N", "1",
+                 "--out", out]) == 0
+    assert "theorem3_bound=inf" in capsys.readouterr().out
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows[0]["theorem3_bound"] == "inf"
+
+
 def test_csv_output_is_byte_identical_across_reruns(tmp_path, capsys):
     path = _write_cfg(tmp_path, BASE)
     out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
@@ -337,6 +364,29 @@ def test_sweep_mode_prints_rows(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert [r["epsilon"] for r in rows] == ["4", "2"]
     assert all(float(r["lambda"]) >= 1.0 for r in rows)
+
+
+def test_density_mode_writes_bracketed_estimate(tmp_path, capsys):
+    path = _write_cfg(tmp_path, BASE)
+    out = str(tmp_path / "density.csv")
+    assert main(["run", path, "--mode", "density", "--y", "0.7", "--t", "0.1",
+                 "--out", out]) == 0
+    capsys.readouterr()
+    with open(out) as fh:
+        rows = {r["quantity"]: float(r["value"]) for r in csv.DictReader(fh)}
+    assert list(rows) == ["value", "lower", "upper", "kernel", "delta",
+                          "lipschitz", "m1", "m2", "gamma"]
+    assert rows["lower"] <= rows["value"] <= rows["upper"]
+
+
+def test_action_mode_writes_the_exit_path(tmp_path, capsys):
+    path = _write_cfg(tmp_path, BASE)
+    out = str(tmp_path / "action.csv")
+    assert main(["run", path, "--mode", "action", "--segments", "50",
+                 "--out", out]) == 0
+    assert "converged=True" in capsys.readouterr().out
+    data = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert data.shape == (51, 2)
 
 
 _SCIPY_FREE_MODES = {

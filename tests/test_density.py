@@ -117,10 +117,10 @@ def test_bounds_evaluate_the_integrand_once_on_the_grid():
     class Counting(CosineWellPotential):
         grid_calls = 0
 
-        def field(self, x):
+        def gradient(self, x):
             if np.size(x) == 10_000:
                 Counting.grid_calls += 1
-            return super().field(x)
+            return super().gradient(x)
 
     bounds(Counting(), SIGMA1, 0.2, 0.7, 0.1)
     assert Counting.grid_calls == 1

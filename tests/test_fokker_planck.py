@@ -12,7 +12,6 @@ from wellescape.fokker_planck import (
     stationary_density,
 )
 from wellescape.potentials import (
-    CallablePotential,
     CosineWellPotential,
     Interval,
     NoiseScale,
@@ -117,7 +116,7 @@ def test_factored_steps_match_banded_solves():
 
 
 def test_nan_potential_raises_solver_error():
-    bad = CallablePotential(lambda x: np.full_like(np.asarray(x, float), np.nan))
+    bad = QuadraticPotential(k=np.nan)
     with pytest.raises(SolverError):
         evolve(bad, SIGMA1, gaussian_bump(0.0, 0.2), (-1.0, 1.0), 401, 0.1, 1e-3)
 

@@ -3,7 +3,6 @@ import pytest
 
 from wellescape.errors import ConstructionError, EvaluationError
 from wellescape.potentials import (
-    CallablePotential,
     CosineWellPotential,
     Interval,
     LinearPotential,
@@ -36,13 +35,6 @@ def test_analytic_derivatives_match_finite_differences(pot):
     x = rng.uniform(-3, 3, size=200)
     assert np.allclose(pot.gradient(x), fd_gradient(pot, x), rtol=1e-6, atol=1e-8)
     assert np.allclose(pot.laplacian(x), fd_laplacian(pot, x), rtol=1e-4, atol=1e-4)
-
-
-def test_finite_difference_fallback_potential():
-    pot = CallablePotential(lambda x: -np.cos(x) - 1.0, label="cosine_fd")
-    x = np.linspace(-2, 2, 50)
-    assert np.allclose(pot.gradient(x), np.sin(x), rtol=1e-5, atol=1e-6)
-    assert np.allclose(pot.laplacian(x), np.cos(x), rtol=1e-3, atol=1e-3)
 
 
 def test_noise_scale_conversions_consistent():
@@ -85,7 +77,12 @@ def test_generator_apply_to_self_closed_forms():
 
 
 def test_evaluation_error_carries_point():
-    bad = CallablePotential(lambda x: np.where(np.abs(x) > 1, np.inf, x**2))
+    class Walled(QuadraticPotential):
+        def gradient(self, x):
+            x = np.asarray(x)
+            return np.where(np.abs(x) > 1, np.inf, super().gradient(x))
+
+    bad = Walled(k=2.0)
     with np.errstate(invalid="ignore"):
         with pytest.raises(EvaluationError) as exc:
             generator_apply_to_self(

@@ -76,8 +76,7 @@ def test_recorded_path_is_one_row_of_the_block_loop(name, seed, row, n_steps,
         rows.append(X[row].copy())
         return acc.observe(i, X)
 
-    terminal = evolve_block(lambda x: -np.asarray(sampler.gradient(x)), NOISE,
-                            x0, n_steps, H, block, observe)
+    terminal = evolve_block(sampler, NOISE, x0, n_steps, H, block, observe)
     path = simulate(sampler, NOISE, x0, n_steps * H, H,
                     policy.normals_for_sample(row, n_steps))
     assert np.array_equal(path.states, np.array(rows + [terminal[row]]))
@@ -192,8 +191,8 @@ def test_stochastic_integral_weight_has_mean_one(name, seed, n_steps):
     def record(i, X):
         states[:, i] = X
 
-    states[:, -1] = evolve_block(lambda x: -np.asarray(sampler.gradient(x)),
-                                 NOISE, x0, n_steps, H, block, record)
+    states[:, -1] = evolve_block(sampler, NOISE, x0, n_steps, H, block,
+                                 record)
     times = H * np.arange(n_steps + 1)
     w = np.exp([log_weight_stochastic_integral_form(
         SamplePath(times, states[k], block[k]), target, sampler, NOISE).log_value

@@ -3,9 +3,9 @@ import pytest
 
 from wellescape.errors import ConfigurationError, SimulationError
 from wellescape.potentials import (
-    CallablePotential,
     LinearPotential,
     NoiseScale,
+    PotentialField,
     QuadraticPotential,
     ZeroPotential,
 )
@@ -87,7 +87,19 @@ def test_steps_for_rejects_off_grid_horizon():
 
 def test_blowup_raises_with_step_index():
     # inverted quartic: drift 4 x^3 runs away from a large start
-    V = CallablePotential(lambda x: -(x**4), label="unstable")
+    class Unstable(PotentialField):
+        label = "unstable"
+
+        def value(self, x):
+            return -np.asarray(x) ** 4
+
+        def gradient(self, x):
+            return -4 * np.asarray(x) ** 3
+
+        def laplacian(self, x):
+            return -12 * np.asarray(x) ** 2
+
+    V = Unstable()
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(SimulationError) as exc:
             simulate(V, SIGMA1, 5.0, 1.0, 0.1, np.zeros(10))
@@ -99,8 +111,7 @@ def test_evolve_block_matches_per_sample_paths():
     policy = RngPolicy(7)
     n_steps, h = 50, 1e-2
     noise_block = policy.block_normals(0, n_steps)
-    drift = lambda x: -V.gradient(x)
-    terminal = evolve_block(drift, SIGMA1, 0.4, n_steps, h, noise_block)
+    terminal = evolve_block(V, SIGMA1, 0.4, n_steps, h, noise_block)
     for k in (0, 1, 99, BLOCK_SAMPLES - 1):
         path = simulate(V, SIGMA1, 0.4, n_steps * h, h, noise_block[k])
         assert terminal[k] == pytest.approx(path.terminal, abs=1e-12)
@@ -113,12 +124,11 @@ def test_ou_moments_match_exact_solution():
     n_samples = 100_000
     policy = RngPolicy(2024)
     V = QuadraticPotential(k)
-    drift = lambda x: -V.gradient(x)
     n_steps = steps_for(T, h)
     terminals = []
     for b in range(policy.n_blocks(n_samples)):
         noise = policy.block_normals(b, n_steps)
-        terminals.append(evolve_block(drift, SIGMA1, x0, n_steps, h, noise))
+        terminals.append(evolve_block(V, SIGMA1, x0, n_steps, h, noise))
     X = np.concatenate(terminals)[:n_samples]
     exact_mean = x0 * np.exp(-k * T)
     exact_var = (1 - np.exp(-2 * k * T)) / (2 * k)
