@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigurationError
+from .girsanov import mesh_stride
 from .potentials import (
     CosineWellPotential,
     Interval,
@@ -249,6 +250,9 @@ class ExperimentConfig:
             multiples.append(("T", "dt"))
         for key, unit in multiples:
             whole_multiple(getattr(self, key), getattr(self, unit), key, unit)
+        if self.mode in ("importance", "sweep", "table5"):
+            tau = 100 * self.h if self.mode == "table5" else self.tau
+            mesh_stride(tau, self.h, whole_multiple(self.T, self.h, "T", "h"))
         if self.mode in ("importance", "sweep") and self.sampling == "none":
             raise ConfigurationError(
                 f"mode={self.mode} needs a sampling potential "

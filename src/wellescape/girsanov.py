@@ -129,11 +129,13 @@ class WeightAccumulator:
         self.noise = noise
         self.h = h
         self.strides = [mesh_stride(t, h, n_steps) for t in taus]
+        self._due = [tuple(j for j, m in enumerate(self.strides) if i % m == 0)
+                     for i in range(n_steps)]
         self._sums = None
 
     def observe(self, i, X):
         """Add the integrand at step i if due; return -grad V~(X) then, else None."""
-        due = [j for j, m in enumerate(self.strides) if i % m == 0]
+        due = self._due[i]
         if not due:
             return None
         g, grad_sampling = generator_difference(

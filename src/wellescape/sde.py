@@ -151,6 +151,8 @@ def evolve_block(potential, noise, x0, n_steps, h, noise_block, observer=None):
     - 1); this is how streaming weight accumulators tap the trajectory
     without storing it.  An observer may return the step's drift
     ``-potential.gradient(X)``, which is then not evaluated again.
+    ``X`` is updated in place, so an observer must copy anything of it
+    that it keeps; ``noise_block`` is only read.
     """
     X = np.full(noise_block.shape[0], float(x0))
     amp = noise.sigma * math.sqrt(h)
@@ -158,8 +160,9 @@ def evolve_block(potential, noise, x0, n_steps, h, noise_block, observer=None):
         f = observer(i, X) if observer is not None else None
         if f is None:
             f = -np.asarray(potential.gradient(X))
-        X = X + f * h + amp * noise_block[:, i]
-        if not np.all(np.isfinite(X)):
+        X += f * h
+        X += amp * noise_block[:, i]
+        if not np.isfinite(X).all():
             raise SimulationError(
                 f"a sample became non-finite at step {i} (t={(i + 1) * h:g})", step=i
             )

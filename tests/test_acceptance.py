@@ -351,6 +351,7 @@ def _inverted_tail_mass(eps, **grid):
     return mass, [str(w.message) for w in caught]
 
 
+@pytest.mark.slow
 def test_ac9_small_noise_trend(cosine_rate):
     with warnings.catch_warnings():
         # rare-hit warnings expected at eps=0.25

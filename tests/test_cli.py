@@ -256,11 +256,12 @@ def test_horizon_off_the_step_grid_is_a_config_error(tmp_path, capsys,
 ], ids=["importance", "sweep", "table5"])
 def test_mesh_that_does_not_divide_the_horizon_is_a_config_error(
         tmp_path, capsys, overrides):
-    # the config accepts these meshes; the run finds the partial cell
+    # the config check finds the partial cell before any sampling
     path = _write_cfg(tmp_path, BASE)
     assert main(["run", path, "--N", "256", *overrides]) == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert "config error: tau=" in err and "does not divide the horizon" in err
+    assert "plain:" not in out
 
 
 def test_overflowing_bound_is_reported_as_infinite(tmp_path, capsys):

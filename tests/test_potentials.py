@@ -3,12 +3,14 @@ import pytest
 
 from wellescape.errors import ConstructionError, EvaluationError
 from wellescape.potentials import (
+    _BOUNDARY_MATCH_TOL,
     CosineWellPotential,
     Interval,
     LinearPotential,
     NoiseScale,
     QuadraticPotential,
     ZeroPotential,
+    _boundary_match_residual,
     flatten_on_region,
     generator_apply_to_self,
     invert_on_region,
@@ -150,3 +152,42 @@ def test_region_supremum_on_cosine():
     assert region_supremum(lambda x: np.abs(V.gradient(x)), D_PI) == pytest.approx(
         1.0, abs=1e-6
     )
+
+
+def _cosine_well_points():
+    rng = np.random.default_rng(2012)
+    pi = np.pi
+    special = [pi, -pi, np.nextafter(pi, 0), np.nextafter(pi, 4),
+               np.nextafter(-pi, 0), np.nextafter(-pi, -4), pi / 2, -pi / 2,
+               0.0, -0.0, 1e6, -1e6]
+    return np.concatenate([special, rng.uniform(-4, 4, 100_000),
+                           rng.uniform(-1e6, 1e6, 100_000)])
+
+
+def test_cosine_well_derivatives_match_sin_and_cos():
+    # the half-angle forms of V' and V'' agree with libm within 2.3e-16
+    V = CosineWellPotential()
+    x = _cosine_well_points()
+    assert np.max(np.abs(V.gradient(x) - np.sin(x))) <= 2.3e-16
+    assert np.max(np.abs(V.laplacian(x) - np.cos(x))) <= 2.3e-16
+    # odd V' keeps the sign of zero, as sin does
+    assert np.signbit(V.gradient(-0.0)) and not np.signbit(V.gradient(0.0))
+
+
+def test_cosine_well_boundary_is_exactly_flat():
+    V = CosineWellPotential()
+    for b in (np.pi, -np.pi):
+        assert V.value(b) == 0.0
+        assert V.laplacian(b) == -1.0
+    assert _boundary_match_residual(V, D_PI)[0] < _BOUNDARY_MATCH_TOL
+
+
+def test_cosine_well_scalar_and_array_calls_agree_exactly():
+    # one element of a block equals the one-point call, bit for bit: the
+    # SIMD body, its tail (4099 = 4096 + 3) and a 0-d call give one float
+    V = CosineWellPotential()
+    x = np.random.default_rng(7).uniform(-4, 4, 4099)
+    x[:4] = (np.pi, -np.pi, 0.0, -0.0)
+    for method in (V.value, V.gradient, V.laplacian):
+        block = method(x)
+        assert all(block[k] == method(float(x[k])) for k in range(x.size))

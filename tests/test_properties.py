@@ -108,14 +108,17 @@ def valid_configs(draw):
     h = draw(st.sampled_from([1e-3, 1e-2, 0.05]))
     dt = draw(st.sampled_from([5e-4, 1e-3]))
     step = dt if mode == "fp" else h
+    stride = draw(st.integers(1, 100))
+    # the horizon holds whole Riemann cells: tau, or 100 h in table5
+    cell = {"importance": stride, "sweep": stride, "table5": 100}.get(mode, 1)
     a = draw(_REAL)
     epsilons = tuple(draw(st.lists(_POSITIVE, min_size=1, max_size=4)))
     values = dict(
         mode=mode, potential=draw(st.sampled_from(POTENTIALS)),
         stiffness=draw(_POSITIVE), slope=draw(_REAL),
         sampling=draw(st.sampled_from(samplings)), x0=draw(_REAL),
-        region=(a, a + draw(_POSITIVE)), T=step * draw(st.integers(1, 2000)),
-        h=h, tau=h * draw(st.integers(1, 100)), dt=dt,
+        region=(a, a + draw(_POSITIVE)),
+        T=step * (cell * draw(st.integers(1, 2000))), h=h, tau=h * stride, dt=dt,
         N=draw(st.integers(1, 10**7)),
         # seeds past 2**53 have no exact float; they must still re-parse
         seed=draw(st.integers(0, 2**32) | st.integers(2**53, 2**64)),

@@ -117,6 +117,24 @@ def test_evolve_block_matches_per_sample_paths():
         assert terminal[k] == pytest.approx(path.terminal, abs=1e-12)
 
 
+def test_in_place_step_leaves_the_noise_untouched():
+    # evolve_block updates its state array in place; the draws it reads,
+    # and the increments a recorded path returns, stay what was passed in
+    V = QuadraticPotential(k=1.2)
+    noise_block = RngPolicy(3).block_normals(0, 20)
+    kept = noise_block.copy()
+    seen = []
+    evolve_block(V, SIGMA1, 0.4, 20, 1e-2, noise_block,
+                 lambda i, X: seen.append(X.copy()))
+    assert np.array_equal(noise_block, kept)
+    assert len(seen) == 20 and not np.array_equal(seen[0], seen[-1])
+    xi = kept[5].copy()
+    path = simulate(V, SIGMA1, 0.4, 0.2, 1e-2, xi)
+    assert np.array_equal(path.increments, kept[5])
+    assert np.array_equal(xi, kept[5])
+    assert path.terminal == evolve_block(V, SIGMA1, 0.4, 20, 1e-2, kept[5:6])[0]
+
+
 def test_ou_moments_match_exact_solution():
     # weak-convergence probe: OU process dX = -k X dt + sigma dW
     # E X_T = x0 e^{-kT},  Var X_T = sigma^2 (1 - e^{-2kT}) / (2k)
