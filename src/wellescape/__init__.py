@@ -29,12 +29,8 @@ from .potentials import (
     invert_on_region,
     region_supremum,
 )
-from .sde import BLOCK_SAMPLES, RngPolicy, SamplePath, simulate
-from .girsanov import (
-    LogWeight,
-    log_weight_generator_form,
-    log_weight_stochastic_integral_form,
-)
+from .sde import BLOCK_SAMPLES, RngPolicy
+from .girsanov import log_weight_stochastic_integral_form
 from .density import (
     DensityEstimate,
     approximate,

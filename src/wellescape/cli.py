@@ -21,7 +21,7 @@ from dataclasses import fields
 import numpy as np
 
 from .action import minimize_exit_action
-from .config import ExperimentConfig
+from .config import TABLE5_MESHES, ExperimentConfig
 from .density import bounds
 from .errors import ConfigurationError, WellEscapeError
 from .estimators import (
@@ -97,12 +97,12 @@ def _run_importance(cfg):
 
 def _run_table5(cfg):
     """The seven-row escape table: one plain run, two reweighted potentials
-    evaluated at three Riemann meshes (100h, 10h, h) each."""
+    evaluated at the three Riemann meshes of ``TABLE5_MESHES`` each."""
     V = cfg.build_potential()
     region = cfg.build_region()
     noise = cfg.noise()
     event = EscapeEvent(region, cfg.T)
-    taus = (100 * cfg.h, 10 * cfg.h, cfg.h)
+    taus = tuple(m * cfg.h for m in TABLE5_MESHES)
     plain = run_plain(V, noise, cfg.x0, event, cfg.h, cfg.N,
                       RngPolicy(cfg.seed), cfg.workers)
     rows = [csv_row(plain, potential_label=V.label, tau=None, h=cfg.h,

@@ -31,6 +31,8 @@ from .sde import whole_multiple
 MODES = ("plain", "importance", "density", "fp", "action", "sweep", "table5")
 POTENTIALS = ("cosine", "zero", "quadratic", "linear")
 SAMPLINGS = ("none", "same", "flatten", "invert")
+# table5's Riemann meshes, as multiples of the step h, coarsest first
+TABLE5_MESHES = (100, 10, 1)
 
 
 def parse_scalar(token):
@@ -243,16 +245,13 @@ class ExperimentConfig:
         a, b = self.region
         if not b > a:
             raise ConfigurationError(f"region must satisfy a < b, got ({a}, {b})")
-        multiples = [("tau", "h")]
         if self.mode in ("plain", "importance", "table5", "sweep"):
-            multiples.append(("T", "h"))
+            n_steps = whole_multiple(self.T, self.h, "T", "h")
         elif self.mode == "fp":
-            multiples.append(("T", "dt"))
-        for key, unit in multiples:
-            whole_multiple(getattr(self, key), getattr(self, unit), key, unit)
+            whole_multiple(self.T, self.dt, "T", "dt")
         if self.mode in ("importance", "sweep", "table5"):
-            tau = 100 * self.h if self.mode == "table5" else self.tau
-            mesh_stride(tau, self.h, whole_multiple(self.T, self.h, "T", "h"))
+            tau = TABLE5_MESHES[0] * self.h if self.mode == "table5" else self.tau
+            mesh_stride(tau, self.h, n_steps)
         if self.mode in ("importance", "sweep") and self.sampling == "none":
             raise ConfigurationError(
                 f"mode={self.mode} needs a sampling potential "

@@ -16,38 +16,24 @@ U = V~ - V, is
                  - sigma^-2 / 2 * integral U'(X_s)^2 ds.
 
 The generator form is a left-endpoint Riemann sum on a coarsened mesh tau
-(an integer multiple of the simulation step h); the stochastic form is
-taken on the simulation grid using the recorded driving increments.  For
-linear U the two discrete forms agree to machine precision when tau = h;
-in general they differ at the Riemann error level, so the stochastic form
-serves as an independent check of the generator form.
-
-The integrand ``g_V - g_V~`` is
-:func:`wellescape.potentials.generator_difference`, summed once over a
-recorded path by :func:`log_weight_generator_form` and block-wide, step by
-step, by :class:`WeightAccumulator` while :func:`wellescape.sde.evolve_block`
-runs.
+(an integer multiple of the simulation step h), taken in one place:
+:class:`WeightAccumulator` adds the integrand ``g_V - g_V~``
+(:func:`wellescape.potentials.generator_difference`) block-wide, step by
+step, while :func:`wellescape.sde.evolve_block` runs.  The stochastic form,
+:func:`log_weight_stochastic_integral_form`, is taken on the simulation
+grid from recorded states and the driving increments.  For linear U the
+two discrete forms agree to machine precision when tau = h; in general
+they differ at the Riemann error level, so the stochastic form serves as
+an independent check of the generator form.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .potentials import generator_difference
 from .sde import whole_multiple
-
-
-@dataclass
-class LogWeight:
-    """A decomposed log change-of-measure weight,
-    ``log_value = boundary_term + running_integral``."""
-
-    log_value: float
-    boundary_term: float
-    running_integral: float
 
 
 def mesh_stride(tau, h, n_steps=None):
@@ -61,54 +47,26 @@ def mesh_stride(tau, h, n_steps=None):
     return m
 
 
-def _require_increments(path):
-    if path.increments is None or len(path.increments) != path.n_steps:
-        raise ValueError(
-            "path does not carry one recorded increment per step; "
-            "reweighting needs the driving noise"
-        )
+def log_weight_stochastic_integral_form(states, increments, h, potential,
+                                        sampling_potential, noise):
+    """Weights of P~-paths under P via the classical stochastic integral.
 
-
-def log_weight_generator_form(path, potential, sampling_potential, noise, tau):
-    """Weight of a P~-path under P, generator form, left-endpoint Riemann sum.
-
-    ``path`` must have been simulated under the sampling potential; the
-    running integrand is evaluated at times 0, tau, 2 tau, ..., T - tau.
+    ``states`` has shape (..., n+1) and ``increments``, the unit-variance
+    draws xi_i that drove each step, shape (..., n); the result has one
+    log-weight per leading index.  With U = V~ - V the discrete stochastic
+    integral is sum U'(X_i) sqrt(h) xi_i.  Defined only for nondegenerate
+    noise.
     """
-    h = path.h
-    m = mesh_stride(tau, h, path.n_steps)
-    inv_eps = 1.0 / noise.sigma ** 2
-    g, _ = generator_difference(potential, sampling_potential, noise,
-                                path.states[:-1][::m])
-    running = inv_eps * 0.5 * (m * h) * float(np.sum(g))
-    boundary = inv_eps * float(
-        potential.value(path.x0) - potential.value(path.terminal)
-        - sampling_potential.value(path.x0) + sampling_potential.value(path.terminal))
-    return LogWeight(
-        log_value=boundary + running,
-        boundary_term=boundary,
-        running_integral=running,
-    )
-
-
-def log_weight_stochastic_integral_form(path, potential, sampling_potential, noise):
-    """Weight of a P~-path under P via the classical stochastic integral.
-
-    Uses U = V~ - V and the recorded unit-variance draws xi_i of the path:
-    the discrete stochastic integral is sum U'(X_i) sqrt(h) xi_i.
-    Defined only for nondegenerate noise.
-    """
-    _require_increments(path)
     if noise.sigma == 0:
         raise ValueError("stochastic-integral form requires sigma > 0")
-    h = path.h
-    left = path.states[:-1]
+    states, xi = np.asarray(states, dtype=float), np.asarray(increments, dtype=float)
+    if xi.shape != states[..., 1:].shape:
+        raise ValueError(f"increments {xi.shape} do not fit states {states.shape}")
+    left = states[..., :-1]
     gu = (np.asarray(sampling_potential.gradient(left))
           - np.asarray(potential.gradient(left)))
-    running = (np.sqrt(h) / noise.sigma) * float(np.sum(gu * path.increments)) \
-        - 0.5 / noise.sigma ** 2 * h * float(np.sum(gu * gu))
-    return LogWeight(log_value=running, boundary_term=0.0,
-                     running_integral=running)
+    return (np.sqrt(h) / noise.sigma) * np.sum(gu * xi, axis=-1) \
+        - 0.5 / noise.sigma ** 2 * h * np.sum(gu * gu, axis=-1)
 
 
 class WeightAccumulator:

@@ -6,9 +6,10 @@ The scheme for ``dX = -V'(X) dt + sigma dW`` with step ``h`` is
 
 where the ``xi_i`` are independent standard normal draws.  There is one
 Euler loop, :func:`evolve_block`, which advances a block of samples at
-once; a single recorded path is that loop run on a one-row block.  Paths
-record the unit-variance draws alongside the states so that reweighting in
-:mod:`wellescape.girsanov` can rebuild the driving increments exactly.
+once and returns only their terminal states.  A caller that needs whole
+trajectories passes an observer that copies the states it is shown; a
+single path is that loop run on a one-row block.  The streaming weight
+:class:`wellescape.girsanov.WeightAccumulator` is such an observer.
 
 Reproducibility is organised around :class:`RngPolicy`: noise is generated
 in fixed blocks of :data:`BLOCK_SAMPLES` samples, block ``j`` seeded by
@@ -21,7 +22,6 @@ counts, or scheduling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,46 +48,11 @@ class RngPolicy:
                         math.prod(shape)):
             return gen.standard_normal(shape)
 
-    def normals_for_sample(self, sample_index, n_steps):
-        """The noise draws sample ``sample_index`` receives, shape (n_steps,)."""
-        block, row = divmod(int(sample_index), BLOCK_SAMPLES)
-        return self.block_normals(block, n_steps)[row]
-
     def n_blocks(self, n_samples):
         return -(-int(n_samples) // BLOCK_SAMPLES)
 
     def __repr__(self):
         return f"RngPolicy(master_seed={self.master_seed})"
-
-
-@dataclass
-class SamplePath:
-    """One simulated trajectory on a uniform time grid.
-
-    ``states[i]`` is the state at ``times[i]``; ``increments[i]`` is the
-    unit-variance normal draw that produced the step from ``times[i]`` to
-    ``times[i+1]`` (the Brownian increment is ``sigma * sqrt(h) * increments[i]``).
-    """
-
-    times: np.ndarray
-    states: np.ndarray
-    increments: np.ndarray
-
-    @property
-    def x0(self):
-        return self.states[0]
-
-    @property
-    def terminal(self):
-        return self.states[-1]
-
-    @property
-    def n_steps(self):
-        return len(self.times) - 1
-
-    @property
-    def h(self):
-        return float(self.times[1] - self.times[0])
 
 
 def whole_multiple(value, unit, name, unit_name):
@@ -107,38 +72,6 @@ def steps_for(horizon, h):
     if h <= 0 or horizon <= 0:
         raise ValueError("horizon and step must be positive")
     return whole_multiple(horizon, h, "horizon", "step")
-
-
-def simulate(potential, noise, x0, horizon, h, increments):
-    """Euler-Maruyama path of the Langevin SDE dX = -V'(X) dt + sigma dW.
-
-    The path is :func:`evolve_block` run on a one-row block, with the
-    state recorded at the start of every step.
-
-    Parameters
-    ----------
-    potential : PotentialField
-    noise : NoiseScale
-    x0 : float
-        Initial state.
-    horizon, h : float
-        Final time and step size; ``horizon / h`` must be a whole number.
-    increments : ndarray, shape (n_steps,)
-        The unit-variance draws, e.g. ``RngPolicy.normals_for_sample(k,
-        n_steps)`` for sample k; a recorded path's ``increments`` replay
-        it exactly.
-    """
-    n = steps_for(horizon, h)
-    xi = np.asarray(increments, dtype=float)
-    if xi.shape != (n,):
-        raise ValueError(f"increment array has shape {xi.shape}, expected {(n,)}")
-    states = np.empty(n + 1)
-
-    def record(i, X):
-        states[i] = X[0]
-
-    states[n] = evolve_block(potential, noise, x0, n, h, xi[None], record)[0]
-    return SamplePath(times=h * np.arange(n + 1), states=states, increments=xi)
 
 
 def evolve_block(potential, noise, x0, n_steps, h, noise_block, observer=None):

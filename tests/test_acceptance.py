@@ -37,7 +37,6 @@ from wellescape import (
     NoiseScale,
     QuadraticPotential,
     RngPolicy,
-    SamplePath,
     ZeroPotential,
     approximate,
     bounds,
@@ -47,17 +46,16 @@ from wellescape import (
     flatten_on_region,
     integrate_density,
     invert_on_region,
-    log_weight_generator_form,
     log_weight_stochastic_integral_form,
     minimize_exit_action,
     region_supremum,
     run_importance_meshes,
     run_plain,
-    simulate,
     small_noise_sweep,
     theorem3_bound,
     write_csv,
 )
+from wellescape.girsanov import WeightAccumulator
 
 T = 1.0
 SIGMA1 = NoiseScale(sigma=1.0)
@@ -237,14 +235,24 @@ def _evolve_paths(potential, noise, x0, h, xi):
     return states
 
 
+def _streamed_weights(target, reference, h, states):
+    """Log-weights of paths from x0 = 0: the accumulator fed their states."""
+    n = states.shape[1] - 1
+    acc = WeightAccumulator(target, reference, SIGMA1, h, n, [h])
+    for i in range(n):
+        acc.observe(i, states[:, i])
+    return acc.finalize(0.0, states[:, -1])[0]
+
+
 def test_ac6_weight_form_agreement():
     # linear pair: the two forms coincide identically at the simulation mesh
     target, reference = LinearPotential(1.3), LinearPotential(-0.7)
-    path = simulate(reference, SIGMA1, 0.0, T, 1e-2,
-                    RngPolicy(5).normals_for_sample(0, round(T / 1e-2)))
-    gen = log_weight_generator_form(path, target, reference, SIGMA1, 1e-2)
-    sto = log_weight_stochastic_integral_form(path, target, reference, SIGMA1)
-    lin_gap = abs(gen.log_value - sto.log_value)
+    xi = RngPolicy(5).block_normals(0, round(T / 1e-2))[:1]
+    states = _evolve_paths(reference, SIGMA1, 0.0, 1e-2, xi)
+    gen = _streamed_weights(target, reference, 1e-2, states)
+    sto = log_weight_stochastic_integral_form(states, xi, 1e-2, target, reference,
+                                              SIGMA1)
+    lin_gap = abs(gen[0] - sto[0])
     # cosine well with the inverted reference: mean per-path gap shrinks
     means = []
     for j, h in enumerate((1e-2, 1e-3, 1e-4)):
@@ -252,14 +260,9 @@ def test_ac6_weight_form_agreement():
         n = round(T / h)
         xi = rng.standard_normal((200, n))
         states = _evolve_paths(INV, SIGMA1, 0.0, h, xi)
-        times = h * np.arange(n + 1)
-        gaps = []
-        for b in range(200):
-            p = SamplePath(times=times, states=states[b], increments=xi[b])
-            g = log_weight_generator_form(p, COSINE, INV, SIGMA1, h)
-            s = log_weight_stochastic_integral_form(p, COSINE, INV, SIGMA1)
-            gaps.append(abs(g.log_value - s.log_value))
-        means.append(float(np.mean(gaps)))
+        gen = _streamed_weights(COSINE, INV, h, states)
+        sto = log_weight_stochastic_integral_form(states, xi, h, COSINE, INV, SIGMA1)
+        means.append(float(np.mean(np.abs(gen - sto))))
     ok = lin_gap <= 1e-12 and means[0] > means[1] > means[2]
     detail = (
         f"linear gap={lin_gap:.2e}<=1e-12; cosine mean gaps "

@@ -77,7 +77,8 @@ def test_cross_field_validation(tmp_path):
     with pytest.raises(ConfigurationError, match="at most one of"):
         ExperimentConfig.from_file(path, ["--sigma", "1", "--epsilon", "2"])
     with pytest.raises(ConfigurationError, match="multiple of h"):
-        ExperimentConfig.from_file(path, ["--tau", "0.005"])
+        ExperimentConfig.from_file(path, ["--mode", "importance", "--sampling",
+                                          "invert", "--tau", "0.005"])
     with pytest.raises(ConfigurationError, match="mode must be"):
         ExperimentConfig.from_file(path, ["--mode", "dance"])
     with pytest.raises(ConfigurationError, match="needs the endpoint"):
@@ -262,6 +263,20 @@ def test_mesh_that_does_not_divide_the_horizon_is_a_config_error(
     out, err = capsys.readouterr()
     assert "config error: tau=" in err and "does not divide the horizon" in err
     assert "plain:" not in out
+
+
+@pytest.mark.parametrize("overrides, code", [
+    (["--mode", "plain"], 0),
+    (["--mode", "table5", "--N", "512"], 0),
+    (["--mode", "importance", "--sampling", "invert"], 1),
+], ids=["plain", "table5", "importance"])
+def test_tau_is_checked_only_where_it_is_a_mesh(tmp_path, capsys, overrides, code):
+    # tau = 0.01 is off the grid of h = 0.003; table5 meshes at 100h, 10h, h
+    path = _write_cfg(tmp_path, BASE)
+    assert main(["run", path, "--h", "3e-3", "--T", "0.3", *overrides]) == code
+    err = capsys.readouterr().err
+    message = "config error: tau=0.01 must be a whole multiple of h=0.003"
+    assert (message in err) == (code == 1)
 
 
 def test_overflowing_bound_is_reported_as_infinite(tmp_path, capsys):

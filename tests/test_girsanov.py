@@ -4,7 +4,6 @@ import pytest
 from wellescape.errors import ConfigurationError
 from wellescape.girsanov import (
     WeightAccumulator,
-    log_weight_generator_form,
     log_weight_stochastic_integral_form,
     mesh_stride,
 )
@@ -15,25 +14,43 @@ from wellescape.potentials import (
     NoiseScale,
     QuadraticPotential,
     ZeroPotential,
+    generator_difference,
     invert_on_region,
 )
-from wellescape.sde import RngPolicy, evolve_block, simulate, steps_for
+from wellescape.sde import RngPolicy, evolve_block, steps_for
 
 SIGMA1 = NoiseScale(sigma=1.0)
 
 
-def brownian_path(seed, x0=0.0, T=1.0, h=1e-3, sigma=SIGMA1):
-    return simulate(ZeroPotential(), sigma, x0, T, h,
-                    RngPolicy(seed).normals_for_sample(0, steps_for(T, h)))
+def recorded(sampler, x0, h, xi, acc=None):
+    """States (B, n+1) of the rows of ``xi`` under ``sampler``; ``acc`` rides along."""
+    n = xi.shape[1]
+    states = np.empty((len(xi), n + 1))
+
+    def observe(i, X):
+        states[:, i] = X
+        return acc.observe(i, X) if acc else None
+
+    states[:, n] = evolve_block(sampler, SIGMA1, x0, n, h, xi, observe)
+    return states
+
+
+def brownian_draws(seed, T=1.0, h=1e-3):
+    # a copy, so the rest of the 4096-row block is freed at once
+    return RngPolicy(seed).block_normals(0, steps_for(T, h))[:1].copy()
 
 
 def test_identical_potentials_have_zero_weight():
     V = CosineWellPotential()
-    path = simulate(V, SIGMA1, 0.0, 1.0, 1e-2, RngPolicy(1).normals_for_sample(0, 100))
-    w = log_weight_generator_form(path, V, V, SIGMA1, 1e-2)
-    assert w.log_value == 0.0 and w.boundary_term == 0.0
-    ws = log_weight_stochastic_integral_form(path, V, V, SIGMA1)
-    assert ws.log_value == 0.0
+    xi = RngPolicy(1).block_normals(0, 100)[:1]
+    acc = WeightAccumulator(V, V, SIGMA1, 1e-2, 100, [1e-2])
+    states = recorded(V, 0.0, 1e-2, xi, acc)
+    X_T = states[:, -1]
+    assert acc.finalize(0.0, X_T)[0, 0] == 0.0
+    # finalize from x0 = X_T has a zero boundary term: the running part alone
+    assert acc.finalize(X_T[0], X_T)[0, 0] == 0.0
+    ws = log_weight_stochastic_integral_form(states, xi, 1e-2, V, V, SIGMA1)
+    assert ws[0] == 0.0
 
 
 def test_constant_shift_has_zero_weight():
@@ -44,21 +61,25 @@ def test_constant_shift_has_zero_weight():
 
     V = QuadraticPotential(k=1.0)
     Vc = Shifted(k=1.0)
-    path = simulate(V, SIGMA1, 0.2, 0.5, 1e-2, RngPolicy(2).normals_for_sample(0, 50))
-    w = log_weight_generator_form(path, V, Vc, SIGMA1, 1e-2)
-    assert abs(w.log_value) < 1e-7
+    acc = WeightAccumulator(V, Vc, SIGMA1, 1e-2, 50, [1e-2])
+    X_T = evolve_block(Vc, SIGMA1, 0.2, 50, 1e-2,
+                       RngPolicy(2).block_normals(0, 50)[:1], acc.observe)
+    assert abs(acc.finalize(0.2, X_T)[0, 0]) < 1e-7
 
 
 def test_linear_potential_weight_closed_form():
     # V = a x against Brownian motion (V~ = 0), sigma = 1:
     #   log w = a (x0 - X_T) - a^2 T / 2
     a, x0, T, h = 1.3, 0.4, 1.0, 1e-3
-    path = brownian_path(3, x0, T, h)
-    w = log_weight_generator_form(path, LinearPotential(a), ZeroPotential(), SIGMA1, h)
-    expect = a * (x0 - path.terminal) - a**2 * T / 2
-    assert w.log_value == pytest.approx(expect, abs=1e-10)
-    assert w.boundary_term == pytest.approx(a * (x0 - path.terminal), abs=1e-12)
-    assert w.running_integral == pytest.approx(-(a**2) * T / 2, abs=1e-10)
+    acc = WeightAccumulator(LinearPotential(a), ZeroPotential(), SIGMA1, h, 1000, [h])
+    X_T = evolve_block(ZeroPotential(), SIGMA1, x0, 1000, h, brownian_draws(3, T, h),
+                       acc.observe)
+    w = acc.finalize(x0, X_T)[0, 0]
+    running = acc.finalize(X_T[0], X_T)[0, 0]
+    expect = a * (x0 - X_T[0]) - a**2 * T / 2
+    assert w == pytest.approx(expect, abs=1e-10)
+    assert w - running == pytest.approx(a * (x0 - X_T[0]), abs=1e-12)
+    assert running == pytest.approx(-(a**2) * T / 2, abs=1e-10)
 
 
 def test_generator_and_stochastic_forms_agree_for_linear_mismatch():
@@ -66,10 +87,13 @@ def test_generator_and_stochastic_forms_agree_for_linear_mismatch():
     # at tau = h (the gradient terms cancel exactly through the update rule)
     a = 0.8
     V = LinearPotential(a)
-    path = brownian_path(4, 0.0, 1.0, 1e-3)
-    wg = log_weight_generator_form(path, V, ZeroPotential(), SIGMA1, 1e-3)
-    ws = log_weight_stochastic_integral_form(path, V, ZeroPotential(), SIGMA1)
-    assert wg.log_value == pytest.approx(ws.log_value, abs=1e-12)
+    xi = brownian_draws(4)
+    acc = WeightAccumulator(V, ZeroPotential(), SIGMA1, 1e-3, 1000, [1e-3])
+    states = recorded(ZeroPotential(), 0.0, 1e-3, xi, acc)
+    wg = acc.finalize(0.0, states[:, -1])[0]
+    ws = log_weight_stochastic_integral_form(states, xi, 1e-3, V, ZeroPotential(),
+                                             SIGMA1)
+    assert wg[0] == pytest.approx(ws[0], abs=1e-12)
 
 
 def test_forms_converge_together_as_h_shrinks():
@@ -78,16 +102,14 @@ def test_forms_converge_together_as_h_shrinks():
     V = QuadraticPotential(k=1.0)
     gaps = []
     for h in (1e-1, 1e-2, 1e-3):
-        diffs = []
-        for seed in range(20):
-            path = simulate(
-                ZeroPotential(), SIGMA1, 0.3, 1.0, h,
-                RngPolicy(100 + seed).normals_for_sample(0, steps_for(1.0, h)),
-            )
-            wg = log_weight_generator_form(path, V, ZeroPotential(), SIGMA1, h)
-            ws = log_weight_stochastic_integral_form(path, V, ZeroPotential(), SIGMA1)
-            diffs.append(abs(wg.log_value - ws.log_value))
-        gaps.append(np.mean(diffs))
+        # one path per seed, run side by side as the rows of one block
+        xi = np.concatenate([brownian_draws(100 + seed, 1.0, h) for seed in range(20)])
+        acc = WeightAccumulator(V, ZeroPotential(), SIGMA1, h, steps_for(1.0, h), [h])
+        states = recorded(ZeroPotential(), 0.3, h, xi, acc)
+        wg = acc.finalize(0.3, states[:, -1])[0]
+        ws = log_weight_stochastic_integral_form(states, xi, h, V, ZeroPotential(),
+                                                 SIGMA1)
+        gaps.append(np.mean(np.abs(wg - ws)))
     assert gaps[0] > gaps[1] > gaps[2]
 
 
@@ -98,29 +120,35 @@ def test_mesh_validation():
         mesh_stride(1.5e-3, 1e-3)
     with pytest.raises(ConfigurationError):
         mesh_stride(3e-3, 1e-3, 1000)  # 1000 steps not divisible by 3
-    path = brownian_path(5, 0.0, 1.0, 1e-3)
     with pytest.raises(ConfigurationError):
-        log_weight_generator_form(
-            path, QuadraticPotential(), ZeroPotential(), SIGMA1, 2.5e-3
-        )
+        WeightAccumulator(QuadraticPotential(), ZeroPotential(), SIGMA1, 1e-3,
+                          1000, [2.5e-3])
+
+
+def _riemann_weight(V, Vt, x0, states, m, h):
+    """The generator-form weight as one left-endpoint sum over the recorded
+    states at stride m (sigma = 1)."""
+    g, _ = generator_difference(V, Vt, SIGMA1, states[:, :-1:m])
+    X_T = states[:, -1]
+    boundary = V.value(x0) - V.value(X_T) - Vt.value(x0) + Vt.value(X_T)
+    return boundary + 0.5 * (m * h) * g.sum(axis=1)
 
 
 def test_streaming_accumulator_matches_per_path_weights():
+    # each stride's sum takes the integrand exactly on its own due steps
     V = CosineWellPotential()
     Vt = ZeroPotential()
     h, n_steps = 1e-3, 500
     taus = [1e-3, 1e-2, 1e-1]
-    policy = RngPolicy(11)
-    noise_block = policy.block_normals(0, n_steps)[:64]
+    noise_block = RngPolicy(11).block_normals(0, n_steps)[:64]
     acc = WeightAccumulator(V, Vt, SIGMA1, h, n_steps, taus)
-    terminal = evolve_block(Vt, SIGMA1, 0.0, n_steps, h, noise_block, acc.observe)
-    logw = acc.finalize(0.0, terminal)
+    states = recorded(Vt, 0.0, h, noise_block, acc)
+    logw = acc.finalize(0.0, states[:, -1])
     assert logw.shape == (3, 64)
-    for k in (0, 5, 63):
-        path = simulate(Vt, SIGMA1, 0.0, n_steps * h, h, noise_block[k])
-        for j, tau in enumerate(taus):
-            ref = log_weight_generator_form(path, V, Vt, SIGMA1, tau)
-            assert logw[j, k] == pytest.approx(ref.log_value, abs=1e-12)
+    assert acc.strides == [1, 10, 100]
+    for j, m in enumerate(acc.strides):
+        ref = _riemann_weight(V, Vt, 0.0, states, m, h)
+        assert np.abs(logw[j] - ref).max() <= 1e-12
 
 
 def test_fused_accumulator_agrees_with_recorded_path_weights():
@@ -131,23 +159,41 @@ def test_fused_accumulator_agrees_with_recorded_path_weights():
     mean_gaps = []
     for h in (1e-2, 1e-3):
         n_steps = round(0.5 / h)
-        policy = RngPolicy(17)
-        noise_block = policy.block_normals(0, n_steps)[:16]
+        noise_block = RngPolicy(17).block_normals(0, n_steps)[:16]
         acc = WeightAccumulator(V, Vt, SIGMA1, h, n_steps, [h])
-        terminal = evolve_block(Vt, SIGMA1, 0.0, n_steps, h, noise_block,
-                                acc.observe)
-        logw = acc.finalize(0.0, terminal)[0]
-        gaps = []
-        for k in range(16):
-            path = simulate(Vt, SIGMA1, 0.0, n_steps * h, h, noise_block[k])
-            assert terminal[k] == path.terminal
-            ref = log_weight_generator_form(path, V, Vt, SIGMA1, h)
-            assert logw[k] == pytest.approx(ref.log_value, abs=1e-12)
-            sto = log_weight_stochastic_integral_form(path, V, Vt, SIGMA1)
-            gaps.append(abs(logw[k] - sto.log_value))
-        mean_gaps.append(np.mean(gaps))
+        states = recorded(Vt, 0.0, h, noise_block, acc)
+        logw = acc.finalize(0.0, states[:, -1])[0]
+        # the fused drift moves the block exactly as V~'s own gradient does
+        assert np.array_equal(
+            states[:, -1], evolve_block(Vt, SIGMA1, 0.0, n_steps, h, noise_block))
+        ref = _riemann_weight(V, Vt, 0.0, states, 1, h)
+        assert np.abs(logw - ref).max() <= 1e-12
+        sto = log_weight_stochastic_integral_form(states, noise_block, h, V, Vt,
+                                                  SIGMA1)
+        mean_gaps.append(np.mean(np.abs(logw - sto)))
     # the AC-6 oracle: the stochastic-integral form closes in as h shrinks
     assert mean_gaps[1] < mean_gaps[0]
+
+
+def test_stochastic_form_of_a_batch_is_its_rows_evaluated_alone():
+    V = CosineWellPotential()
+    Vt = invert_on_region(V, Interval(-np.pi, np.pi))
+    h, n = 1e-2, 50
+    xi = RngPolicy(23).block_normals(0, n)[:33]
+    states = recorded(Vt, 0.2, h, xi)
+    batch = log_weight_stochastic_integral_form(states, xi, h, V, Vt, SIGMA1)
+    assert batch.shape == (33,)
+    for k in range(33):
+        alone = log_weight_stochastic_integral_form(states[k], xi[k], h, V, Vt,
+                                                    SIGMA1)
+        assert batch[k] == alone
+    with pytest.raises(ValueError, match="do not fit"):
+        log_weight_stochastic_integral_form(states, xi[:, 1:], h, V, Vt, SIGMA1)
+    with pytest.raises(ValueError, match="do not fit"):
+        log_weight_stochastic_integral_form(states[:3], xi, h, V, Vt, SIGMA1)
+    with pytest.raises(ValueError, match="sigma > 0"):
+        log_weight_stochastic_integral_form(states, xi, h, V, Vt,
+                                            NoiseScale(sigma=0.0))
 
 
 def test_weights_average_to_one_under_sampling_law():

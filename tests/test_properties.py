@@ -4,14 +4,14 @@ mean and worker invariance.
 
 A recorded path is :func:`evolve_block` run on a one-row block, so its
 states must equal, bit for bit, the rows the block loop passes through;
-and the per-path generator-form weight must equal the streaming
-accumulator's up to summation order.  A noise scale given in any one
-convention reads the same in all three, and a resolved config re-parses
-from its dump to an equal config.  Merging the summaries of any split of
-a sample, in any order, gives the summary of the whole sample.  The
-stochastic-integral weight is exactly the likelihood ratio of the Euler
-chains, so its sampled mean is 1 up to Monte Carlo error.  A run's
-summary does not depend on its worker count.
+and the streaming accumulator's weight must equal, up to summation order,
+a left-endpoint sum of ``generator_difference`` over those states at its
+stride.  A noise scale given in any one convention reads the same in all
+three, and a resolved config re-parses from its dump to an equal config.
+Merging the summaries of any split of a sample, in any order, gives the
+summary of the whole sample.  The stochastic-integral weight is exactly
+the likelihood ratio of the Euler chains, so its sampled mean is 1 up to
+Monte Carlo error.  A run's summary does not depend on its worker count.
 """
 
 import math
@@ -22,26 +22,17 @@ from hypothesis import strategies as st
 
 from wellescape.config import MODES, POTENTIALS, SAMPLINGS, ExperimentConfig
 from wellescape.estimators import EscapeEvent, EstimatorSummary, run_importance
-from wellescape.girsanov import (
-    WeightAccumulator,
-    log_weight_generator_form,
-    log_weight_stochastic_integral_form,
-)
+from wellescape.girsanov import WeightAccumulator, log_weight_stochastic_integral_form
 from wellescape.potentials import (
     CosineWellPotential,
     Interval,
     NoiseScale,
     QuadraticPotential,
     flatten_on_region,
+    generator_difference,
     invert_on_region,
 )
-from wellescape.sde import (
-    BLOCK_SAMPLES,
-    RngPolicy,
-    SamplePath,
-    evolve_block,
-    simulate,
-)
+from wellescape.sde import BLOCK_SAMPLES, RngPolicy, evolve_block
 
 COSINE = CosineWellPotential()
 WELL = Interval(-np.pi, np.pi)
@@ -77,13 +68,18 @@ def test_recorded_path_is_one_row_of_the_block_loop(name, seed, row, n_steps,
         return acc.observe(i, X)
 
     terminal = evolve_block(sampler, NOISE, x0, n_steps, H, block, observe)
-    path = simulate(sampler, NOISE, x0, n_steps * H, H,
-                    policy.normals_for_sample(row, n_steps))
-    assert np.array_equal(path.states, np.array(rows + [terminal[row]]))
+    alone = []
+    X_T = evolve_block(sampler, NOISE, x0, n_steps, H, block[row:row + 1],
+                       lambda i, X: alone.append(X[0]))
+    path = np.array(alone + [X_T[0]])
+    assert np.array_equal(path, np.array(rows + [terminal[row]]))
 
     streamed = acc.finalize(x0, terminal)[0, row]
-    per_path = log_weight_generator_form(path, target, sampler, NOISE, stride * H)
-    assert abs(streamed - per_path.log_value) <= 1e-12
+    g, _ = generator_difference(target, sampler, NOISE, path[:-1:stride])
+    boundary = (target.value(x0) - target.value(path[-1])
+                - sampler.value(x0) + sampler.value(path[-1]))
+    per_path = (boundary + 0.5 * (stride * H) * g.sum()) / NOISE.sigma ** 2
+    assert abs(streamed - per_path) <= 1e-12
 
 
 @settings(max_examples=200, deadline=None)
@@ -196,10 +192,8 @@ def test_stochastic_integral_weight_has_mean_one(name, seed, n_steps):
 
     states[:, -1] = evolve_block(sampler, NOISE, x0, n_steps, H, block,
                                  record)
-    times = H * np.arange(n_steps + 1)
-    w = np.exp([log_weight_stochastic_integral_form(
-        SamplePath(times, states[k], block[k]), target, sampler, NOISE).log_value
-        for k in range(BLOCK_SAMPLES)])
+    w = np.exp(log_weight_stochastic_integral_form(states, block, H, target,
+                                                   sampler, NOISE))
     se = w.std(ddof=1) / math.sqrt(w.size)
     assert abs(w.mean() - 1.0) <= 4 * se
 
