@@ -33,7 +33,6 @@ from .sde import BLOCK_SAMPLES, RngPolicy
 from .girsanov import log_weight_stochastic_integral_form
 from .density import (
     DensityEstimate,
-    approximate,
     bounds,
     corridor_violation_bound,
     gaussian_kernel,

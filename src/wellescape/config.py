@@ -196,20 +196,12 @@ class ExperimentConfig:
 
     def check(self):
         """Validate cross-field invariants; raise ConfigurationError."""
-        if self.mode not in MODES:
-            raise ConfigurationError(
-                f"mode must be one of {', '.join(MODES)}; got {self.mode!r}"
-            )
-        if self.potential not in POTENTIALS:
-            raise ConfigurationError(
-                f"potential must be one of {', '.join(POTENTIALS)}; "
-                f"got {self.potential!r}"
-            )
-        if self.sampling not in SAMPLINGS:
-            raise ConfigurationError(
-                f"sampling must be one of {', '.join(SAMPLINGS)}; "
-                f"got {self.sampling!r}"
-            )
+        for key, allowed in (("mode", MODES), ("potential", POTENTIALS),
+                             ("sampling", SAMPLINGS)):
+            value = getattr(self, key)
+            if value not in allowed:
+                raise ConfigurationError(
+                    f"{key} must be one of {', '.join(allowed)}; got {value!r}")
         given = [k for k in ("sigma", "epsilon", "beta")
                  if getattr(self, k) is not None]
         if len(given) > 1:

@@ -14,10 +14,11 @@ by two constants: a Lipschitz bound K on ``g_V`` near the chord, entering
 through ``M1 = K / 2``, and the probability that the Brownian bridge
 strays further than ``delta`` from the chord, bounded by
 ``2 exp(-2 delta^2 / (sigma^2 t))``.  Explicit two-sided bounds built from
-these constants are returned by :func:`bounds`; with ``delta ~ t^0.4``
-both error terms vanish as ``t -> 0``, the exponential one faster than
-any power of t.  The paper states these asymptotics in R^d; this module
-keeps the one-dimensional case.
+these constants are returned by :func:`bounds`, whose ``value`` is the
+chord expression itself; with ``delta ~ t^0.4`` both error terms vanish
+as ``t -> 0``, the exponential one faster than any power of t.  The
+paper states these asymptotics in R^d; this module keeps the
+one-dimensional case.
 """
 
 from __future__ import annotations
@@ -76,28 +77,6 @@ def _simpson(y, x):
     return np.sum(tmp)
 
 
-def _chord_integral(integrand, x, y):
-    r = np.linspace(0.0, 1.0, _CHORD_NODES)
-    vals = np.asarray(integrand((1 - r) * float(x) + r * float(y)), dtype=float)
-    return float(_simpson(vals, r))
-
-
-def approximate(potential, noise, x, y, t):
-    """Leading-order short-time density p_t(x, y) for Langevin dynamics.
-
-    Exact for every t when the potential is linear (the drift is constant
-    and the density stays Gaussian); exact trivially for V = 0.
-    """
-    if t <= 0:
-        raise ValueError("time must be positive")
-    integral = _chord_integral(
-        lambda p: generator_apply_to_self(potential, noise, p), x, y
-    )
-    bracket = float(potential.value(x)) - float(potential.value(y)) + 0.5 * t * integral
-    kernel = gaussian_kernel(noise, t, float(y) - float(x))
-    return math.exp(bracket / noise.sigma ** 2) * kernel
-
-
 def corridor_violation_bound(noise, t, delta):
     """Upper bound on P(bridge deviates more than delta from its chord).
 
@@ -118,27 +97,21 @@ def _slope_and_sup(func, lo, hi):
     return float(np.max(np.abs(np.gradient(vals, grid)))), float(np.max(np.abs(vals)))
 
 
-def lipschitz_estimate(func, lo, hi):
-    """Grid estimate of the Lipschitz constant of a function on [lo, hi].
-
-    Takes the largest slope seen on a 10,000-point grid.  A grid
-    estimate can only undershoot the true constant, so callers apply a
-    safety factor.
-    """
-    return _slope_and_sup(func, lo, hi)[0]
-
-
 def bounds(potential, noise, x, y, t, delta=None):
-    """Two-sided bounds on p_t(x, y) around the chord approximation.
+    """The chord approximation of p_t(x, y) with two-sided bounds around it.
 
-    The Lipschitz constant K of the running integrand and its sup are
+    ``value`` is the chord expression; it is exact for every t when V is
+    linear (constant drift keeps the density Gaussian) and for V = 0.  The
+    Lipschitz constant K of the running integrand and its sup are
     estimated on one grid over [min(x, y), max(x, y)] widened by
     3 sigma sqrt(t) on each side, and K is multiplied by a safety factor
-    of 1.2 to absorb the grid estimation error.  The
-    corridor half-width defaults to ``t ** 0.4``, which sends both error
-    terms to zero as t -> 0.  The lower bound is clamped at 0 (the bound
-    is vacuous when the corridor constants are large).  Raises
-    :class:`SolverError` when a bound or the value leaves the float range.
+    of 1.2 to absorb the grid estimation error.  The corridor half-width
+    defaults to ``t ** 0.4``, which sends both error terms to zero as
+    t -> 0; ``gamma`` is half of :func:`corridor_violation_bound`, which
+    raises ``ValueError`` for ``delta <= 0``.  The lower bound is clamped
+    at 0 (the bound is vacuous when the corridor constants are large).
+    Raises :class:`SolverError` when a bound or the value leaves the float
+    range.
     """
     if t <= 0:
         raise ValueError("time must be positive")
@@ -148,7 +121,9 @@ def bounds(potential, noise, x, y, t, delta=None):
     inv_eps = 1.0 / sigma ** 2
 
     g = lambda p: generator_apply_to_self(potential, noise, p)
-    integral = _chord_integral(g, x, y)
+    r = np.linspace(0.0, 1.0, _CHORD_NODES)
+    chord = np.asarray(g((1 - r) * float(x) + r * float(y)), dtype=float)
+    integral = float(_simpson(chord, r))
     v_diff = float(potential.value(x)) - float(potential.value(y))
     bracket = v_diff + 0.5 * t * integral
     kernel = gaussian_kernel(noise, t, float(y) - float(x))
@@ -160,7 +135,7 @@ def bounds(potential, noise, x, y, t, delta=None):
     m1 = 0.5 * K
     try:
         m2 = 2.0 * math.exp(inv_eps * (v_diff + 0.5 * t * sup_abs_g))
-        gamma = math.exp(-2.0 * delta ** 2 / (sigma ** 2 * t))
+        gamma = 0.5 * corridor_violation_bound(noise, t, delta)
         value = math.exp(inv_eps * bracket) * kernel
         upper = (math.exp(inv_eps * (bracket + m1 * delta * t)) + m2 * gamma) * kernel
         lower = (math.exp(inv_eps * (bracket - m1 * delta * t)) - m2 * gamma) * kernel

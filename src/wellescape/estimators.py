@@ -24,7 +24,8 @@ the weight on A is at most
 
 so Lambda <= W P(A), and when W <= 1 the variance ratio to plain
 sampling is at most W: an a-priori certificate of variance reduction
-before any sampling is done.
+before any sampling is done.  :func:`theorem3_m` takes M on 4,001
+points of the open interval D; ``validate`` prints that same M.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .girsanov import WeightAccumulator
-from .potentials import NoiseScale, region_supremum
+from .potentials import NoiseScale
 from .sde import BLOCK_SAMPLES, RngPolicy, evolve_block, steps_for
 
 _LOG_WEIGHT_CLIP = 700.0
@@ -237,22 +238,30 @@ def run_importance_meshes(potential, sampling_potential, noise, x0, event, h,
     return dict(zip(taus, summaries))
 
 
+def interior_grid(region):
+    """4,001 points of the open interval D, one of them at its midpoint."""
+    return np.linspace(region.a + 1e-9, region.b - 1e-9, 4001)
+
+
+def theorem3_m(potential, sampling_potential, region):
+    """Theorem 3's M = 1/2 sup_D (Laplace V - Laplace V~) on :func:`interior_grid`."""
+    x = interior_grid(region)
+    return 0.5 * float(np.max(np.asarray(potential.laplacian(x))
+                              - np.asarray(sampling_potential.laplacian(x))))
+
+
 def theorem3_bound(potential, sampling_potential, region, noise, horizon, x0):
     """A-priori bound on the variance ratio of importance to plain sampling.
 
     W = exp( eps^-1 (V(x0) - V~(x0)) + T M ) with
-    M = 1/2 sup_D (Laplace V - Laplace V~).  On the escape event
-    V~(X_T) = V(X_T), and |V~'| <= |V'| on D makes the running integrand
-    g_V - g_V~ at most sigma^2 (V'' - V~''), so every weight there is at
-    most W.  When W <= 1 (``validate``'s noise condition) the variance
-    ratio is then at most W.  An exponent too large for a float gives
-    ``math.inf``, a true but vacuous bound.
+    M = 1/2 sup_D (Laplace V - Laplace V~) from :func:`theorem3_m`.  On
+    the escape event V~(X_T) = V(X_T), and |V~'| <= |V'| on D makes the
+    running integrand g_V - g_V~ at most sigma^2 (V'' - V~''), so every
+    weight there is at most W.  When W <= 1 (``validate``'s noise
+    condition) the variance ratio is then at most W.  An exponent too
+    large for a float gives ``math.inf``, a true but vacuous bound.
     """
-    m_const = 0.5 * region_supremum(
-        lambda x: np.asarray(potential.laplacian(x))
-        - np.asarray(sampling_potential.laplacian(x)),
-        region,
-    )
+    m_const = theorem3_m(potential, sampling_potential, region)
     gap = float(potential.value(x0)) - float(sampling_potential.value(x0))
     try:
         return math.exp(gap / noise.epsilon + horizon * m_const)

@@ -108,9 +108,9 @@ class WeightAccumulator:
         """Log-weights, shape (n_taus, block); call after the last step."""
         inv_eps = 1.0 / self.noise.sigma ** 2
         boundary = inv_eps * (
-            float(self.potential.value(x0))
+            self.potential.value(x0)
             - np.asarray(self.potential.value(terminal))
-            - float(self.sampling_potential.value(x0))
+            - self.sampling_potential.value(x0)
             + np.asarray(self.sampling_potential.value(terminal))
         )
         out = np.empty((len(self.strides), len(terminal)))

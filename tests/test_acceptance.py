@@ -38,7 +38,6 @@ from wellescape import (
     QuadraticPotential,
     RngPolicy,
     ZeroPotential,
-    approximate,
     bounds,
     corridor_violation_bound,
     csv_row,
@@ -215,7 +214,7 @@ def test_ac5_short_time_order_on_ornstein_uhlenbeck():
         mean = x * math.exp(-k * t)
         var = (1 - math.exp(-2 * k * t)) / (2 * k)
         exact = math.exp(-(y - mean) ** 2 / (2 * var)) / math.sqrt(2 * math.pi * var)
-        errs.append(abs(approximate(pot, SIGMA1, x, y, t) - exact) / exact)
+        errs.append(abs(bounds(pot, SIGMA1, x, y, t).value - exact) / exact)
     slope = float(np.polyfit(np.log(ts), np.log(errs), 1)[0])
     ok = slope >= 1.0
     detail = f"rel errors {['%.2e' % e for e in errs]} fit order={slope:.2f}>=1.0"

@@ -370,6 +370,28 @@ def test_validate_reports_are_honest(tmp_path, capsys):
     assert "no reference potential" in none
 
 
+@pytest.mark.parametrize("sampling, cell", [
+    ("flatten", "0.223130160148"),   # e^{-3/2}
+    ("invert", "0.0497870683679"),   # e^{-3}
+])
+def test_theorem3_bound_uses_the_m_that_validate_prints(tmp_path, capsys,
+                                                        sampling, cell):
+    path = _write_cfg(tmp_path, BASE)
+    out = str(tmp_path / "is.csv")
+    assert main(["validate", path, "--sampling", sampling]) == 0
+    m_line = [ln for ln in capsys.readouterr().out.splitlines()
+              if ln.startswith("M = ")]
+    m = float(m_line[0].rsplit("=", 1)[1])
+    assert main(["run", path, "--mode", "importance", "--sampling", sampling,
+                 "--x0", "0", "--sigma", "1", "--T", "1", "--out", out]) == 0
+    with open(out) as fh:
+        got = next(csv.DictReader(fh))["theorem3_bound"]
+    cfg = ExperimentConfig.from_file(path, ["--sampling", sampling])
+    V = cfg.build_potential()
+    gap = float(V.value(0.0)) - float(cfg.build_sampling_potential(V).value(0.0))
+    assert got == format(math.exp(gap / 1.0 + 1.0 * m), ".12g") == cell
+
+
 def test_sweep_mode_prints_rows(tmp_path, capsys):
     path = _write_cfg(tmp_path, BASE)
     out = str(tmp_path / "sweep.csv")

@@ -6,11 +6,10 @@ import pytest
 from wellescape.density import (
     DensityEstimate,
     _simpson,
-    approximate,
+    _slope_and_sup,
     bounds,
     corridor_violation_bound,
     gaussian_kernel,
-    lipschitz_estimate,
 )
 from wellescape.potentials import (
     CosineWellPotential,
@@ -36,14 +35,14 @@ def test_time_must_be_positive():
     with pytest.raises(ValueError):
         gaussian_kernel(SIGMA1, 0.0, 0.1)
     with pytest.raises(ValueError):
-        approximate(ZeroPotential(), SIGMA1, 0.0, 1.0, -0.5)
+        bounds(ZeroPotential(), SIGMA1, 0.0, 1.0, -0.5)
     with pytest.raises(ValueError):
         corridor_violation_bound(SIGMA1, 1.0, 0.0)
 
 
 def test_zero_potential_gives_plain_kernel():
     for t in (0.01, 0.3, 2.0):
-        got = approximate(ZeroPotential(), SIGMA1, 0.2, -0.5, t)
+        got = bounds(ZeroPotential(), SIGMA1, 0.2, -0.5, t).value
         assert got == pytest.approx(gaussian_kernel(SIGMA1, t, -0.7), rel=1e-14)
 
 
@@ -55,7 +54,7 @@ def test_linear_potential_is_exact():
         t = rng.uniform(0.05, 2.0)
         sigma = rng.uniform(0.5, 2.0)
         ns = NoiseScale(sigma=sigma)
-        got = approximate(LinearPotential(a), ns, x, y, t)
+        got = bounds(LinearPotential(a), ns, x, y, t).value
         exact = gaussian_kernel(ns, t, y - (x - a * t))
         assert got == pytest.approx(exact, rel=1e-12)
 
@@ -69,7 +68,7 @@ def test_ou_error_shrinks_with_time():
         var = (1 - math.exp(-2 * t)) / 2
         return math.exp(-((y - m) ** 2) / (2 * var)) / math.sqrt(2 * math.pi * var)
 
-    errs = [abs(approximate(V, SIGMA1, x, y, t) - exact(t)) / exact(t)
+    errs = [abs(bounds(V, SIGMA1, x, y, t).value - exact(t)) / exact(t)
             for t in (0.2, 0.05)]
     assert errs[1] < errs[0]
 
@@ -158,7 +157,7 @@ def test_approximation_consistent_with_bridge_average():
     w = np.exp(V.value(x) - V.value(y) + 0.5 * integral)
     mc = gaussian_kernel(SIGMA1, t, y - x) * w.mean()
     se = gaussian_kernel(SIGMA1, t, y - x) * w.std() / math.sqrt(len(w))
-    got = approximate(V, SIGMA1, x, y, t)
+    got = bounds(V, SIGMA1, x, y, t).value
     assert abs(got - mc) < 3 * se + 0.005 * mc
 
 
@@ -178,10 +177,10 @@ def test_chord_deviation_bound_along_corridor_paths():
     chord_int = 0.5 * t * np.trapezoid(
         generator_apply_to_self(V, SIGMA1, (1 - r) * x + r * y), r
     )
-    K = 1.2 * lipschitz_estimate(
+    K = 1.2 * _slope_and_sup(
         lambda p: generator_apply_to_self(V, SIGMA1, p),
         min(x, y) - delta, max(x, y) + delta,
-    )
+    )[0]
     bound = 0.5 * K * delta * t
     assert np.all(np.abs(path_int - chord_int) <= bound * 1.02 + 1e-12)
 
@@ -193,5 +192,8 @@ def test_estimate_fields_are_coherent():
     assert est.gamma == pytest.approx(
         math.exp(-2 * est.delta**2 / (1.0 * 0.05)), rel=1e-12
     )
+    assert 2.0 * est.gamma == corridor_violation_bound(SIGMA1, 0.05, est.delta)
     assert est.m1 == pytest.approx(0.5 * est.lipschitz, rel=1e-12)
     assert est.lower >= 0.0
+    with pytest.raises(ValueError):
+        bounds(CosineWellPotential(), SIGMA1, 0.0, 0.5, 0.05, delta=0.0)

@@ -75,11 +75,24 @@ def test_linear_potential_weight_closed_form():
     X_T = evolve_block(ZeroPotential(), SIGMA1, x0, 1000, h, brownian_draws(3, T, h),
                        acc.observe)
     w = acc.finalize(x0, X_T)[0, 0]
-    running = acc.finalize(X_T[0], X_T)[0, 0]
+    running = acc.finalize(X_T, X_T)[0, 0]
     expect = a * (x0 - X_T[0]) - a**2 * T / 2
     assert w == pytest.approx(expect, abs=1e-10)
     assert w - running == pytest.approx(a * (x0 - X_T[0]), abs=1e-12)
     assert running == pytest.approx(-(a**2) * T / 2, abs=1e-10)
+
+
+def test_finalize_accepts_an_array_start_point():
+    # x0 as a one-element array, such as X_T of a one-row block, gives the
+    # scalar call's log-weights bit for bit
+    V = CosineWellPotential()
+    ref = invert_on_region(V, Interval(-np.pi, np.pi))
+    acc = WeightAccumulator(V, ref, SIGMA1, 1e-2, 100, [1e-2, 1e-1])
+    X_T = evolve_block(ref, SIGMA1, 0.0, 100, 1e-2,
+                       RngPolicy(6).block_normals(0, 100)[:8], acc.observe)
+    scalar = acc.finalize(0.0, X_T)
+    assert np.array_equal(acc.finalize(np.array([0.0]), X_T), scalar)
+    assert np.array_equal(acc.finalize(np.zeros(8), X_T), scalar)
 
 
 def test_generator_and_stochastic_forms_agree_for_linear_mismatch():
