@@ -40,13 +40,11 @@ from .density import (
 from .estimators import (
     EscapeEvent,
     EstimatorSummary,
-    csv_row,
     run_importance,
     run_importance_meshes,
     run_plain,
     small_noise_sweep,
     theorem3_bound,
-    write_csv,
 )
 from .fokker_planck import (
     FpGrid,
@@ -54,11 +52,9 @@ from .fokker_planck import (
     evolve,
     gaussian_bump,
     integrate_density,
-    stationary_density,
 )
 from .action import (
     ActionResult,
-    DiscretePath,
     action,
     action_gradient,
     minimize_action_pinned,

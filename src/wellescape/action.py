@@ -39,58 +39,34 @@ _MAX_ITER = 10_000
 
 
 @dataclass
-class DiscretePath:
-    """A path on a uniform time grid over [0, horizon]."""
-
-    knots: np.ndarray
-    horizon: float
-
-    @property
-    def n_segments(self):
-        return len(self.knots) - 1
-
-    @property
-    def dt(self):
-        return self.horizon / self.n_segments
-
-    @property
-    def times(self):
-        return np.linspace(0.0, self.horizon, len(self.knots))
-
-
-@dataclass
 class ActionResult:
     value: float
-    path: DiscretePath
+    knots: np.ndarray       # the path on a uniform grid over [0, horizon]
     converged: bool
     iterations: int
     grad_norm: float
 
 
-def _segments(knots):
-    diffs = np.diff(knots, axis=0)
+def _residual(knots, dt, potential):
+    """Segment midpoints m_j and rate residuals (phi_{j+1} - phi_j) / dt + V'(m_j)."""
     mids = 0.5 * (knots[:-1] + knots[1:])
-    return diffs, mids
+    return mids, np.diff(knots) / dt + np.asarray(potential.gradient(mids))
 
 
-def action(path, potential):
-    """Discrete Freidlin-Wentzell action of the path under the potential."""
-    dt = path.dt
-    diffs, mids = _segments(np.asarray(path.knots, dtype=float))
-    resid = diffs / dt + np.asarray(potential.gradient(mids))
+def action(knots, dt, potential):
+    """Discrete Freidlin-Wentzell action of the path with knots ``dt`` apart."""
+    _, resid = _residual(np.asarray(knots, dtype=float), dt, potential)
     return 0.5 * dt * float(np.sum(resid * resid))
 
 
-def action_gradient(path, potential):
+def action_gradient(knots, dt, potential):
     """Gradient of the discrete action with respect to every knot.
 
     Callers that keep endpoints pinned simply ignore the first and last
     entries.
     """
-    knots = np.asarray(path.knots, dtype=float)
-    dt = path.dt
-    diffs, mids = _segments(knots)
-    resid = diffs / dt + np.asarray(potential.gradient(mids))
+    knots = np.asarray(knots, dtype=float)
+    mids, resid = _residual(knots, dt, potential)
     hr = np.asarray(potential.laplacian(mids)) * resid
     grad = np.zeros_like(knots)
     # segment j contributes to knots j and j+1:
@@ -111,13 +87,13 @@ def _kinetic_banded(m_free, dt):
     return ab
 
 
-def _descend(objective, gradient, knots0, dt, grad_tol):
-    """Preconditioned gradient descent with Armijo backtracking over the
-    interior knots; the two endpoints stay pinned."""
+def _descend(potential, knots0, dt, grad_tol):
+    """Preconditioned gradient descent on the action with Armijo backtracking
+    over the interior knots; the two endpoints stay pinned."""
     from scipy.linalg import solve_banded
     knots = knots0.copy()
     with np.errstate(over="ignore"):
-        f = objective(knots)
+        f = action(knots, dt, potential)
     if not math.isfinite(f):
         # descent only accepts smaller values, so a finite start ends finite
         raise SolverError(f"the action of the starting path is {f}, not finite")
@@ -126,7 +102,7 @@ def _descend(objective, gradient, knots0, dt, grad_tol):
     it = 0
     gnorm = math.inf
     for it in range(1, _MAX_ITER + 1):
-        g = gradient(knots)[1:-1]
+        g = action_gradient(knots, dt, potential)[1:-1]
         gnorm = float(np.max(np.abs(g)))
         if gnorm <= grad_tol:
             return knots, f, True, it - 1, gnorm
@@ -136,7 +112,7 @@ def _descend(objective, gradient, knots0, dt, grad_tol):
         for _ in range(_MAX_BACKTRACKS):
             trial = knots.copy()
             trial[1:-1] = knots[1:-1] - alpha * step
-            f_trial = objective(trial)
+            f_trial = action(trial, dt, potential)
             if f_trial <= f - _ARMIJO_C * alpha * slope:
                 knots, f = trial, f_trial
                 break
@@ -156,21 +132,10 @@ def minimize_action_pinned(potential, x_start, x_end, horizon, n_segments=200,
     with allocating(SolverError, f"a path of {n_segments + 1} knots", n_segments + 1):
         r = np.linspace(0.0, 1.0, n_segments + 1)
     knots = (1 - r) * float(x_start) + r * float(x_end)
-    dt = horizon / n_segments
-
-    def objective(k):
-        return action(DiscretePath(k, horizon), potential)
-
-    def gradient(k):
-        return action_gradient(DiscretePath(k, horizon), potential)
-
-    knots, f, ok, iters, gnorm = _descend(
-        objective, gradient, knots, dt, grad_tol
-    )
-    return ActionResult(
-        value=f, path=DiscretePath(knots, horizon), converged=ok,
-        iterations=iters, grad_norm=gnorm,
-    )
+    knots, f, ok, iters, gnorm = _descend(potential, knots, horizon / n_segments,
+                                          grad_tol)
+    return ActionResult(value=f, knots=knots, converged=ok, iterations=iters,
+                        grad_norm=gnorm)
 
 
 def minimize_exit_action(potential, x0, region, horizon, n_segments=200,
@@ -185,10 +150,8 @@ def minimize_exit_action(potential, x0, region, horizon, n_segments=200,
         with allocating(SolverError, f"a path of {n_segments + 1} knots",
                         n_segments + 1):
             knots = np.full(n_segments + 1, float(x0))
-        return ActionResult(
-            value=0.0, path=DiscretePath(knots, horizon),
-            converged=True, iterations=0, grad_norm=0.0,
-        )
+        return ActionResult(value=0.0, knots=knots, converged=True,
+                            iterations=0, grad_norm=0.0)
     best = None
     for z in (region.a, region.b):
         res = minimize_action_pinned(potential, x0, z, horizon, n_segments, grad_tol)

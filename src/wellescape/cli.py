@@ -15,21 +15,18 @@ runtime failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 from dataclasses import fields
 
 import numpy as np
 
 from .action import minimize_exit_action
-from .config import TABLE5_MESHES, ExperimentConfig
+from .config import SAMPLER_BUILDERS, TABLE5_MESHES, ExperimentConfig
 from .density import bounds
 from .errors import ConfigurationError, WellEscapeError
 from .estimators import (
-    CSV_COLUMNS,
     EscapeEvent,
-    _fmt,
-    _write_rows,
-    csv_row,
     interior_grid,
     run_importance,
     run_importance_meshes,
@@ -39,18 +36,52 @@ from .estimators import (
     theorem3_m,
 )
 from .fokker_planck import escape_probability
-from .potentials import (
-    _boundary_match_residual,
-    flatten_on_region,
-    invert_on_region,
-)
+from .potentials import _boundary_match_residual
 from .sde import RngPolicy
+
+CSV_COLUMNS = [
+    "estimator", "potential", "N", "tau", "h", "seed", "mean",
+    "per_sample_variance", "std_error", "relative_error", "lambda",
+    "variance_ratio", "theorem3_bound",
+]
 
 
 def _echo(cfg):
     print("# resolved configuration")
     print(cfg.dump(), end="")
     print("# ---")
+
+
+def _fmt(value):
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return format(value, ".12g")
+    return str(value)
+
+
+def csv_row(summary, *, potential_label, tau, h, seed, baseline=None,
+            bound=None):
+    """One result row, its cells in ``CSV_COLUMNS`` order.  An importance
+    row reports Lambda, its variance ratio to the plain ``baseline`` run
+    and the a-priori ``bound`` on Lambda."""
+    return [
+        summary.kind, potential_label, summary.n, "" if tau is None else tau,
+        h, seed, summary.mean, summary.variance, summary.std_error,
+        summary.relative_error,
+        summary.lambda_factor if summary.kind == "importance" else None,
+        summary.variance_ratio(baseline) if baseline is not None else None,
+        bound,
+    ]
+
+
+def _write_rows(path, header, rows):
+    """Write a header and rows of values as CSV with stable formatting."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
 
 
 # ------------------------------------------------------------------ modes
@@ -110,9 +141,8 @@ def _run_table5(cfg):
     rows = [csv_row(plain, potential_label=V.label, tau=None, h=cfg.h,
                     seed=cfg.seed)]
     _say(_moments(plain), "plain")
-    samplers = (("flatten", flatten_on_region), ("invert", invert_on_region))
-    for seed, (name, patch) in enumerate(samplers, start=cfg.seed + 1):
-        ref = patch(V, region)
+    for seed, name in enumerate(("flatten", "invert"), start=cfg.seed + 1):
+        ref = SAMPLER_BUILDERS[name](V, region)
         summaries = run_importance_meshes(
             V, ref, noise, cfg.x0, event, cfg.h, taus, cfg.N,
             RngPolicy(seed), cfg.workers,
@@ -153,8 +183,8 @@ def _run_action(cfg):
                                cfg.segments)
     _say([("action", res.value), ("converged", res.converged),
           ("iterations", res.iterations), ("grad_norm", res.grad_norm)])
-    return ("time", "position"), list(zip(res.path.times.tolist(),
-                                          np.asarray(res.path.knots).tolist()))
+    times = np.linspace(0.0, cfg.T, cfg.segments + 1)
+    return ("time", "position"), list(zip(times.tolist(), res.knots.tolist()))
 
 
 def _run_sweep(cfg):

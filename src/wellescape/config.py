@@ -12,7 +12,7 @@ interval endpoints like ``(-pi, pi)`` can be written exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigurationError
 from .girsanov import mesh_stride
@@ -29,10 +29,23 @@ from .potentials import (
 from .sde import whole_multiple
 
 MODES = ("plain", "importance", "density", "fp", "action", "sweep", "table5")
-POTENTIALS = ("cosine", "zero", "quadratic", "linear")
-SAMPLINGS = ("none", "same", "flatten", "invert")
 # table5's Riemann meshes, as multiples of the step h, coarsest first
 TABLE5_MESHES = (100, 10, 1)
+POTENTIAL_BUILDERS = {
+    "cosine": lambda cfg: CosineWellPotential(),
+    "zero": lambda cfg: ZeroPotential(),
+    "quadratic": lambda cfg: QuadraticPotential(k=cfg.stiffness),
+    "linear": lambda cfg: LinearPotential(cfg.slope),
+}
+# each builds the sampling potential from the target potential and region
+SAMPLER_BUILDERS = {
+    "none": None,
+    "same": lambda target, region: target,
+    "flatten": flatten_on_region,
+    "invert": invert_on_region,
+}
+POTENTIALS = tuple(POTENTIAL_BUILDERS)
+SAMPLINGS = tuple(SAMPLER_BUILDERS)
 
 
 def parse_scalar(token):
@@ -82,61 +95,58 @@ def _parse_int_list(token):
     return tuple(_parse_int(p) for p in str(token).split(",") if p.strip())
 
 
+def _key(default, parse, rule=None):
+    """A config key: its default, the parser of its text and its rule, which
+    is a tuple of allowed values, "positive" or a least integer.  A key left
+    at None is not checked."""
+    return field(default=default, metadata={"parse": parse, "rule": rule})
+
+
 @dataclass
 class ExperimentConfig:
     """Everything a run needs, with the documented defaults filled in."""
 
-    mode: str = "plain"
-    potential: str = "cosine"
-    stiffness: float = 1.0          # quadratic potential spring constant
-    slope: float = 1.0              # linear potential slope
-    sampling: str = "none"
-    sigma: float = None
-    epsilon: float = None
-    beta: float = None
-    x0: float = 0.0
-    region: tuple = (-math.pi, math.pi)
-    T: float = 1.0
-    h: float = 1e-3
-    tau: float = 1e-2
-    N: int = 100_000
-    seed: int = 0
-    workers: int = 1
-    out: str = None
+    mode: str = _key("plain", str, MODES)
+    potential: str = _key("cosine", str, POTENTIALS)
+    # quadratic potential spring constant
+    stiffness: float = _key(1.0, parse_scalar, "positive")
+    slope: float = _key(1.0, parse_scalar)      # linear potential slope
+    sampling: str = _key("none", str, SAMPLINGS)
+    sigma: float = _key(None, parse_scalar, "positive")
+    epsilon: float = _key(None, parse_scalar, "positive")
+    beta: float = _key(None, parse_scalar, "positive")
+    x0: float = _key(0.0, parse_scalar)
+    region: tuple = _key((-math.pi, math.pi), _parse_interval)
+    T: float = _key(1.0, parse_scalar, "positive")
+    h: float = _key(1e-3, parse_scalar, "positive")
+    tau: float = _key(1e-2, parse_scalar, "positive")
+    N: int = _key(100_000, _parse_int, 1)
+    seed: int = _key(0, _parse_int, 0)
+    workers: int = _key(1, _parse_int, 1)
+    out: str = _key(None, str)
     # density mode
-    y: float = None
-    t: float = None
-    delta: float = None
+    y: float = _key(None, parse_scalar)
+    t: float = _key(None, parse_scalar, "positive")
+    delta: float = _key(None, parse_scalar, "positive")
     # fp mode
-    n_cells: int = 6144
-    dt: float = 5e-4
+    n_cells: int = _key(6144, _parse_int, 3)
+    dt: float = _key(5e-4, parse_scalar, "positive")
     # action mode
-    segments: int = 200
+    segments: int = _key(200, _parse_int, 2)
     # sweep mode
-    epsilons: tuple = (1.0, 0.5, 0.25)
-    sweep_n: tuple = None
-
-    _PARSERS = {
-        "mode": str, "potential": str, "sampling": str, "out": str,
-        "stiffness": parse_scalar, "slope": parse_scalar,
-        "sigma": parse_scalar, "epsilon": parse_scalar, "beta": parse_scalar,
-        "x0": parse_scalar, "region": _parse_interval,
-        "T": parse_scalar, "h": parse_scalar, "tau": parse_scalar,
-        "N": _parse_int, "seed": _parse_int, "workers": _parse_int,
-        "y": parse_scalar, "t": parse_scalar, "delta": parse_scalar,
-        "n_cells": _parse_int, "dt": parse_scalar, "segments": _parse_int,
-        "epsilons": _parse_list, "sweep_n": _parse_int_list,
-    }
+    epsilons: tuple = _key((1.0, 0.5, 0.25), _parse_list)
+    sweep_n: tuple = _key(None, _parse_int_list)
 
     @classmethod
     def from_pairs(cls, pairs):
         """Build and validate a config from (key, value, context) triples."""
+        parsers = {f.name: f.metadata["parse"] for f in fields(cls)}
         values = {}
         for key, raw, context in pairs:
-            if key not in cls._PARSERS:
+            if key not in parsers:
                 raise ConfigurationError(f"{context}: unknown key {key!r}")
             try:
-                values[key] = cls._PARSERS[key](raw)
+                values[key] = parsers[key](raw)
             except (ValueError, TypeError) as exc:
                 raise ConfigurationError(
                     f"{context}: bad value for {key!r}: {exc}"
@@ -196,26 +206,27 @@ class ExperimentConfig:
 
     def check(self):
         """Validate cross-field invariants; raise ConfigurationError."""
-        for key, allowed in (("mode", MODES), ("potential", POTENTIALS),
-                             ("sampling", SAMPLINGS)):
-            value = getattr(self, key)
-            if value not in allowed:
-                raise ConfigurationError(
-                    f"{key} must be one of {', '.join(allowed)}; got {value!r}")
+        for f in fields(self):
+            rule, value = f.metadata["rule"], getattr(self, f.name)
+            if rule is None or value is None:
+                continue
+            if isinstance(rule, tuple):
+                if value not in rule:
+                    raise ConfigurationError(f"{f.name} must be one of "
+                                             f"{', '.join(rule)}; got {value!r}")
+            elif rule == "positive":
+                if value <= 0:
+                    raise ConfigurationError(f"{f.name} must be positive")
+            elif value < rule:
+                raise ConfigurationError(f"{f.name} must be at least {rule}")
         given = [k for k in ("sigma", "epsilon", "beta")
                  if getattr(self, k) is not None]
         if len(given) > 1:
             raise ConfigurationError(
                 f"give at most one of sigma/epsilon/beta, got {given}"
             )
-        optional = [k for k in ("t", "delta") if getattr(self, k) is not None]
-        for key in ("T", "h", "tau", "stiffness", "dt", *given, *optional):
-            if getattr(self, key) <= 0:
-                raise ConfigurationError(f"{key} must be positive")
-        for key, least in (("N", 1), ("seed", 0), ("workers", 1), ("n_cells", 3),
-                           ("segments", 2)):
-            if getattr(self, key) < least:
-                raise ConfigurationError(f"{key} must be at least {least}")
+        if not self.epsilons:
+            raise ConfigurationError("epsilons must list at least one value")
         if not all(e > 0 for e in self.epsilons):
             raise ConfigurationError(
                 f"epsilons must all be positive, got {self.epsilons}")
@@ -255,37 +266,23 @@ class ExperimentConfig:
     # ------------------------------------------------------------- builders
 
     def noise(self):
-        if self.sigma is not None:
-            return NoiseScale(sigma=self.sigma)
-        if self.epsilon is not None:
-            return NoiseScale(epsilon=self.epsilon)
-        if self.beta is not None:
-            return NoiseScale(beta=self.beta)
-        return NoiseScale(sigma=1.0)
+        given = {k: getattr(self, k) for k in ("sigma", "epsilon", "beta")
+                 if getattr(self, k) is not None}
+        return NoiseScale(**given) if given else NoiseScale(sigma=1.0)
 
     def build_region(self):
         return Interval(*self.region)
 
     def build_potential(self):
-        if self.potential == "cosine":
-            return CosineWellPotential()
-        if self.potential == "zero":
-            return ZeroPotential()
-        if self.potential == "quadratic":
-            return QuadraticPotential(k=self.stiffness)
-        return LinearPotential(self.slope)
+        return POTENTIAL_BUILDERS[self.potential](self)
 
     def build_sampling_potential(self, target=None):
         """The sampling potential built on ``target`` (default: a new one), or None."""
-        if self.sampling == "none":
+        build = SAMPLER_BUILDERS[self.sampling]
+        if build is None:
             return None
         target = target if target is not None else self.build_potential()
-        if self.sampling == "same":
-            return target
-        region = self.build_region()
-        if self.sampling == "flatten":
-            return flatten_on_region(target, region)
-        return invert_on_region(target, region)
+        return build(target, self.build_region())
 
     # ---------------------------------------------------------------- echo
 
@@ -293,8 +290,6 @@ class ExperimentConfig:
         """Canonical key=value text that re-parses to an equal config."""
         out = []
         for f in fields(self):
-            if f.name.startswith("_"):
-                continue
             value = getattr(self, f.name)
             if value is None:
                 continue

@@ -30,7 +30,6 @@ points of the open interval D; ``validate`` prints that same M.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -45,12 +44,6 @@ from .potentials import NoiseScale
 from .sde import BLOCK_SAMPLES, RngPolicy, evolve_block, steps_for
 
 _LOG_WEIGHT_CLIP = 700.0
-
-CSV_COLUMNS = [
-    "estimator", "potential", "N", "tau", "h", "seed", "mean",
-    "per_sample_variance", "std_error", "relative_error", "lambda",
-    "variance_ratio", "theorem3_bound",
-]
 
 
 @dataclass(frozen=True)
@@ -316,39 +309,3 @@ def small_noise_sweep(potential, sampling_potential, region, x0, horizon, h,
         rows.append(SweepRow(eps, n, summary.hits, summary.mean, lam, ell))
     return rows
 
-
-def _fmt(value):
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return format(value, ".12g")
-    return str(value)
-
-
-def csv_row(summary, *, potential_label, tau, h, seed, baseline=None,
-            bound=None):
-    """One result row, its cells in ``CSV_COLUMNS`` order.  An importance
-    row reports Lambda, its variance ratio to the plain ``baseline`` run
-    and the a-priori ``bound`` on Lambda."""
-    return [
-        summary.kind, potential_label, summary.n, "" if tau is None else tau,
-        h, seed, summary.mean, summary.variance, summary.std_error,
-        summary.relative_error,
-        summary.lambda_factor if summary.kind == "importance" else None,
-        summary.variance_ratio(baseline) if baseline is not None else None,
-        bound,
-    ]
-
-
-def _write_rows(path, header, rows):
-    """Write a header and rows of values as CSV with stable formatting."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
-def write_csv(path, rows):
-    """Write :func:`csv_row` rows under ``CSV_COLUMNS``."""
-    _write_rows(path, CSV_COLUMNS, rows)

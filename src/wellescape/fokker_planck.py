@@ -68,14 +68,6 @@ def gaussian_bump(center, std):
     return p0
 
 
-def stationary_density(potential, noise, x):
-    """Gibbs density exp(-2 V / sigma^2), normalized so sum(p) * dx = 1."""
-    v = np.asarray(potential.value(x), dtype=float)
-    p = np.exp(-2.0 * (v - v.min()) / noise.sigma**2)
-    dx = float(x[1] - x[0])
-    return p / (p.sum() * dx)
-
-
 def _operator_diagonals(potential, noise, x):
     """Lower/main/upper diagonals of the discrete Fokker-Planck operator
     with reflecting (zero-flux) walls."""

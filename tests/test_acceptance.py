@@ -40,7 +40,6 @@ from wellescape import (
     ZeroPotential,
     bounds,
     corridor_violation_bound,
-    csv_row,
     escape_probability,
     flatten_on_region,
     integrate_density,
@@ -52,8 +51,8 @@ from wellescape import (
     run_plain,
     small_noise_sweep,
     theorem3_bound,
-    write_csv,
 )
+from wellescape.cli import CSV_COLUMNS, _write_rows, csv_row
 from wellescape.girsanov import WeightAccumulator
 
 T = 1.0
@@ -417,7 +416,7 @@ def test_ac10_determinism_worker_invariance_and_merge(tmp_path):
         summary = run_plain(*args, RngPolicy(99), workers=workers)
         row = csv_row(summary, potential_label=COSINE.label, tau=None,
                       h=1e-2, seed=99)
-        write_csv(path, [row])
+        _write_rows(path, CSV_COLUMNS, [row])
         return summary
 
     s1 = one_file(tmp_path / "a.csv", 1)

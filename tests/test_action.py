@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from wellescape.action import (
-    DiscretePath,
     action,
     action_gradient,
     minimize_action_pinned,
@@ -22,9 +21,9 @@ WELL = Interval(-math.pi, math.pi)
 
 def test_resting_at_a_critical_point_costs_nothing():
     V = CosineWellPotential()
-    path = DiscretePath(np.zeros(51), horizon=1.0)
-    assert action(path, V) == 0.0
-    g = action_gradient(path, V)
+    knots = np.zeros(51)
+    assert action(knots, 1.0 / 50, V) == 0.0
+    g = action_gradient(knots, 1.0 / 50, V)
     assert np.all(g == 0.0)
 
 
@@ -34,21 +33,20 @@ def test_free_motion_minimizer_is_straight_line():
     assert res.iterations == 0
     assert res.value == pytest.approx(math.pi**2 / 2, rel=1e-14)
     straight = np.linspace(0.0, math.pi, 101)
-    assert np.allclose(res.path.knots, straight, atol=1e-12)
+    assert np.allclose(res.knots, straight, atol=1e-12)
 
 
 def test_gradient_matches_finite_differences_1d():
     V = CosineWellPotential()
     t = np.linspace(0.0, 1.0, 41)
     knots = 0.4 * np.sin(2.1 * t) + 0.3 * t
-    path = DiscretePath(knots, horizon=1.0)
-    g = action_gradient(path, V)
+    g = action_gradient(knots, 1.0 / 40, V)
     step = 1e-6
     for j in (0, 1, 17, 39, 40):
         bumped = knots.copy(); bumped[j] += step
         dipped = knots.copy(); dipped[j] -= step
-        fd = (action(DiscretePath(bumped, 1.0), V)
-              - action(DiscretePath(dipped, 1.0), V)) / (2 * step)
+        fd = (action(bumped, 1.0 / 40, V)
+              - action(dipped, 1.0 / 40, V)) / (2 * step)
         assert g[j] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 
@@ -68,7 +66,7 @@ def test_gradient_flow_of_the_inverted_well_is_free():
         k4 = f(x[i] + dt * k3)
         x[i + 1] = x[i] + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6
     assert x[-1] > math.pi - 0.01  # nearly out by the horizon
-    assert action(DiscretePath(x, T), tilted) < 1e-6
+    assert action(x, dt, tilted) < 1e-6
     # ... but the flow started at the well bottom never moves at all
     assert float(tilted.gradient(0.0)) == 0.0
 
@@ -77,7 +75,7 @@ def test_already_escaped_start_costs_nothing():
     res = minimize_exit_action(CosineWellPotential(), 4.0, WELL, 1.0, 50)
     assert res.value == 0.0
     assert res.converged
-    assert np.all(res.path.knots == 4.0)
+    assert np.all(res.knots == 4.0)
 
 
 def test_well_exit_value_against_independent_optimizer():
@@ -90,11 +88,11 @@ def test_well_exit_value_against_independent_optimizer():
 
     def obj(inner):
         knots = np.concatenate([[0.0], inner, [math.pi]])
-        return action(DiscretePath(knots, 1.0), V)
+        return action(knots, 1.0 / m, V)
 
     def grad(inner):
         knots = np.concatenate([[0.0], inner, [math.pi]])
-        return action_gradient(DiscretePath(knots, 1.0), V)[1:-1]
+        return action_gradient(knots, 1.0 / m, V)[1:-1]
 
     x0 = np.linspace(0.0, math.pi, m + 1)[1:-1]
     ref = sp_minimize(obj, x0, jac=grad, method="L-BFGS-B",
@@ -121,5 +119,5 @@ def test_result_reports_convergence_details():
     assert res.converged
     assert res.grad_norm <= 1e-6
     assert res.iterations >= 1
-    assert res.path.n_segments == 50
-    assert res.path.dt == pytest.approx(0.02)
+    assert len(res.knots) - 1 == 50
+    assert 1.0 / (len(res.knots) - 1) == pytest.approx(0.02)

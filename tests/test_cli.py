@@ -3,12 +3,13 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wellescape.cli import main
+from wellescape.cli import _fmt, main
 from wellescape.config import ExperimentConfig, parse_scalar
 from wellescape.errors import ConfigurationError
 
@@ -217,18 +218,41 @@ def test_runtime_failures_end_in_one_line(tmp_path, capsys, overrides, message):
     ["--epsilon", "1e-320"],
     ["--beta", "1e-310"],
     ["--mode", "sweep", "--sampling", "invert", "--epsilons", "1,1e-320"],
+    ["--mode", "sweep", "--sampling", "invert", "--epsilons", ","],
 ], ids=["importance-sigma0", "table5-sigma0", "sweep-eps0", "sigma-neg",
         "beta0", "sweep-n0", "sweep-n-short", "T-inf", "N-inf", "n_cells-inf",
         "workers-inf", "T-nan", "fp-epsilon-nan", "action-x0-nan",
         "density-t0", "density-t-neg", "density-delta0", "action-segments1",
         "fp-n_cells1", "fp-n_cells2", "density-sigma-tiny",
         "importance-sigma-tiny", "fp-sigma-huge", "density-sigma-huge",
-        "epsilon-subnormal", "beta-tiny", "sweep-eps-subnormal"])
+        "epsilon-subnormal", "beta-tiny", "sweep-eps-subnormal",
+        "sweep-eps-empty"])
 def test_bad_noise_levels_and_counts_are_config_errors(tmp_path, capsys,
                                                        overrides):
     path = _write_cfg(tmp_path, BASE)
     assert main(["run", path, "--N", "256", *overrides]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def _violation(rule):
+    """A value that breaks a key's rule, and the end of the message it gives."""
+    if isinstance(rule, tuple):
+        return "bogus", f"must be one of {', '.join(rule)}; got 'bogus'"
+    if rule == "positive":
+        return "0", "must be positive"
+    return str(rule - 1), f"must be at least {rule}"
+
+
+_RULES = {f.name: f.metadata["rule"] for f in fields(ExperimentConfig)
+          if f.metadata["rule"] is not None}
+
+
+@pytest.mark.parametrize("key", _RULES)
+def test_each_key_rule_is_a_config_error(tmp_path, capsys, key):
+    value, message = _violation(_RULES[key])
+    path = _write_cfg(tmp_path, BASE)
+    assert main(["run", path, f"--{key}", value]) == 1
+    assert capsys.readouterr().err == f"config error: {key} {message}\n"
 
 
 @pytest.mark.parametrize("overrides", [
@@ -425,6 +449,11 @@ def test_action_mode_writes_the_exit_path(tmp_path, capsys):
     assert "converged=True" in capsys.readouterr().out
     data = np.loadtxt(out, delimiter=",", skiprows=1)
     assert data.shape == (51, 2)
+    with open(out) as fh:
+        times = [row["time"] for row in csv.DictReader(fh)]
+    assert times == [_fmt(t) for t in np.linspace(0, 1.0, 51).tolist()]
+    assert data[0, 1] == 0.0                       # x0
+    assert abs(data[-1, 1]) == float(_fmt(math.pi))
 
 
 _SCIPY_FREE_MODES = {

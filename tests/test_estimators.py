@@ -5,18 +5,16 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from wellescape.cli import CSV_COLUMNS, _write_rows, csv_row
 from wellescape.errors import ConfigurationError
 from wellescape.estimators import (
-    CSV_COLUMNS,
     EscapeEvent,
     EstimatorSummary,
-    csv_row,
     run_importance,
     run_importance_meshes,
     run_plain,
     small_noise_sweep,
     theorem3_bound,
-    write_csv,
 )
 from wellescape.potentials import (
     CosineWellPotential,
@@ -287,14 +285,14 @@ def test_csv_row_and_file_format(tmp_path):
     assert cells["mean"] == 0.5
     assert cells["lambda"] is None
     path = tmp_path / "out.csv"
-    write_csv(path, [row])
+    _write_rows(path, CSV_COLUMNS, [row])
     text = path.read_text()
     lines = text.split("\n")
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert lines[1].startswith("plain,cosine,4,,0.01,42,0.5,")
     # stable formatting: writing twice gives identical bytes
     path2 = tmp_path / "out2.csv"
-    write_csv(path2, [row])
+    _write_rows(path2, CSV_COLUMNS, [row])
     assert path.read_bytes() == path2.read_bytes()
     with open(path) as fh:
         parsed = list(csv.DictReader(fh))

@@ -9,7 +9,6 @@ from wellescape.fokker_planck import (
     evolve,
     gaussian_bump,
     integrate_density,
-    stationary_density,
 )
 from wellescape.potentials import (
     CosineWellPotential,
@@ -20,6 +19,14 @@ from wellescape.potentials import (
 )
 
 SIGMA1 = NoiseScale(sigma=1.0)
+
+
+def stationary_density(potential, noise, x):
+    """Gibbs density exp(-2 V / sigma^2), normalized so sum(p) * dx = 1."""
+    v = np.asarray(potential.value(x), dtype=float)
+    p = np.exp(-2.0 * (v - v.min()) / noise.sigma**2)
+    dx = float(x[1] - x[0])
+    return p / (p.sum() * dx)
 
 
 def _normal_pdf(x, mean, var):
