@@ -50,7 +50,7 @@ class ActionResult:
 def _residual(knots, dt, potential):
     """Segment midpoints m_j and rate residuals (phi_{j+1} - phi_j) / dt + V'(m_j)."""
     mids = 0.5 * (knots[:-1] + knots[1:])
-    return mids, np.diff(knots) / dt + np.asarray(potential.gradient(mids))
+    return mids, np.diff(knots) / dt + potential.gradient(mids)
 
 
 def action(knots, dt, potential):
@@ -67,7 +67,7 @@ def action_gradient(knots, dt, potential):
     """
     knots = np.asarray(knots, dtype=float)
     mids, resid = _residual(knots, dt, potential)
-    hr = np.asarray(potential.laplacian(mids)) * resid
+    hr = potential.laplacian(mids) * resid
     grad = np.zeros_like(knots)
     # segment j contributes to knots j and j+1:
     #   d/d phi_j   = -(v_j + G_j) + dt/2 H_j (v_j + G_j)

@@ -170,8 +170,7 @@ def _run_fp(cfg):
     V = cfg.build_potential()
     p, grid = escape_probability(
         V, cfg.noise(), cfg.x0, cfg.build_region(), cfg.T,
-        n_cells=cfg.n_cells, dt=cfg.dt, return_grid=True,
-    )
+        n_cells=cfg.n_cells, dt=cfg.dt)
     _say([("escape_probability", p)])
     _say([("mass", grid.mass), ("cells", len(grid.x)), ("dx", grid.dx)])
     return ("x", "density"), list(zip(grid.x.tolist(), grid.density.tolist()))
@@ -190,7 +189,7 @@ def _run_action(cfg):
 def _run_sweep(cfg):
     V = cfg.build_potential()
     ref = cfg.build_sampling_potential(V)
-    ns = list(cfg.sweep_n) if cfg.sweep_n else cfg.N
+    ns = cfg.sweep_n or (cfg.N,) * len(cfg.epsilons)
     rows = small_noise_sweep(V, ref, cfg.build_region(), cfg.x0, cfg.T,
                              cfg.h, cfg.tau, cfg.epsilons, ns, cfg.seed,
                              cfg.workers)
@@ -257,12 +256,10 @@ def _cmd_validate(cfg):
     v0, r0 = float(V.value(cfg.x0)), float(ref.value(cfg.x0))
     _report("(i) start-point lift V(x0) < Vref(x0)",
             f"V(x0)={_fmt(v0)} Vref(x0)={_fmt(r0)}", v0 < r0)
-    gap = np.max(np.abs(np.asarray(ref.gradient(inside)))
-                 - np.abs(np.asarray(V.gradient(inside))))
+    gap = np.max(np.abs(ref.gradient(inside)) - np.abs(V.gradient(inside)))
     _report("(ii) gradient domination on D",
             f"sup(|grad Vref| - |grad V|)={_fmt(float(gap))}", gap <= 1e-9)
-    outside_gap = float(np.max(np.abs(np.asarray(ref.value(ring))
-                                      - np.asarray(V.value(ring)))))
+    outside_gap = float(np.max(np.abs(ref.value(ring) - V.value(ring))))
     _report("(iii) agreement outside D",
             f"max|Vref - V|={_fmt(outside_gap)}", outside_gap <= 1e-12)
     lap_gap = theorem3_m(V, ref, region)
@@ -289,7 +286,7 @@ def _cmd_validate(cfg):
     dt = cfg.T / n_steps
     y = float(cfg.x0)
     exit_time = None
-    f = lambda z: -float(np.asarray(ref.gradient(z)))
+    f = lambda z: -float(ref.gradient(z))
     for i in range(n_steps):
         k1 = f(y)
         k2 = f(y + 0.5 * dt * k1)

@@ -29,6 +29,7 @@ from .potentials import (
 from .sde import whole_multiple
 
 MODES = ("plain", "importance", "density", "fp", "action", "sweep", "table5")
+SAMPLED_MODES = ("plain", "importance", "table5", "sweep")
 # table5's Riemann meshes, as multiples of the step h, coarsest first
 TABLE5_MESHES = (100, 10, 1)
 POTENTIAL_BUILDERS = {
@@ -95,11 +96,13 @@ def _parse_int_list(token):
     return tuple(_parse_int(p) for p in str(token).split(",") if p.strip())
 
 
-def _key(default, parse, rule=None):
-    """A config key: its default, the parser of its text and its rule, which
-    is a tuple of allowed values, "positive" or a least integer.  A key left
-    at None is not checked."""
-    return field(default=default, metadata={"parse": parse, "rule": rule})
+def _key(default, parse, rule=None, modes=None):
+    """A config key: its default, the parser of its text, its rule, which
+    is a tuple of allowed values, "positive" or a least integer, and the
+    modes that read it (None: every mode).  A key left at None, or one the
+    current mode does not read, is not checked."""
+    return field(default=default,
+                 metadata={"parse": parse, "rule": rule, "modes": modes})
 
 
 @dataclass
@@ -118,21 +121,21 @@ class ExperimentConfig:
     x0: float = _key(0.0, parse_scalar)
     region: tuple = _key((-math.pi, math.pi), _parse_interval)
     T: float = _key(1.0, parse_scalar, "positive")
-    h: float = _key(1e-3, parse_scalar, "positive")
-    tau: float = _key(1e-2, parse_scalar, "positive")
-    N: int = _key(100_000, _parse_int, 1)
-    seed: int = _key(0, _parse_int, 0)
-    workers: int = _key(1, _parse_int, 1)
+    h: float = _key(1e-3, parse_scalar, "positive", SAMPLED_MODES)
+    tau: float = _key(1e-2, parse_scalar, "positive", ("importance", "sweep"))
+    N: int = _key(100_000, _parse_int, 1, SAMPLED_MODES)
+    seed: int = _key(0, _parse_int, 0, SAMPLED_MODES)
+    workers: int = _key(1, _parse_int, 1, SAMPLED_MODES)
     out: str = _key(None, str)
     # density mode
     y: float = _key(None, parse_scalar)
-    t: float = _key(None, parse_scalar, "positive")
-    delta: float = _key(None, parse_scalar, "positive")
+    t: float = _key(None, parse_scalar, "positive", ("density",))
+    delta: float = _key(None, parse_scalar, "positive", ("density",))
     # fp mode
-    n_cells: int = _key(6144, _parse_int, 3)
-    dt: float = _key(5e-4, parse_scalar, "positive")
+    n_cells: int = _key(6144, _parse_int, 3, ("fp",))
+    dt: float = _key(5e-4, parse_scalar, "positive", ("fp",))
     # action mode
-    segments: int = _key(200, _parse_int, 2)
+    segments: int = _key(200, _parse_int, 2, ("action",))
     # sweep mode
     epsilons: tuple = _key((1.0, 0.5, 0.25), _parse_list)
     sweep_n: tuple = _key(None, _parse_int_list)
@@ -207,8 +210,10 @@ class ExperimentConfig:
     def check(self):
         """Validate cross-field invariants; raise ConfigurationError."""
         for f in fields(self):
-            rule, value = f.metadata["rule"], getattr(self, f.name)
-            if rule is None or value is None:
+            rule, modes = f.metadata["rule"], f.metadata["modes"]
+            value = getattr(self, f.name)
+            skipped = modes is not None and self.mode not in modes
+            if rule is None or value is None or skipped:
                 continue
             if isinstance(rule, tuple):
                 if value not in rule:
@@ -248,7 +253,7 @@ class ExperimentConfig:
         a, b = self.region
         if not b > a:
             raise ConfigurationError(f"region must satisfy a < b, got ({a}, {b})")
-        if self.mode in ("plain", "importance", "table5", "sweep"):
+        if self.mode in SAMPLED_MODES:
             n_steps = whole_multiple(self.T, self.h, "T", "h")
         elif self.mode == "fp":
             whole_multiple(self.T, self.dt, "T", "dt")

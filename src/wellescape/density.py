@@ -61,8 +61,7 @@ def gaussian_kernel(noise, t, z):
         raise ValueError("time must be positive")
     z = np.asarray(z, dtype=float)
     var = noise.sigma ** 2 * t
-    out = (2 * math.pi * var) ** -0.5 * np.exp(-z * z / (2 * var))
-    return float(out) if np.ndim(out) == 0 else out
+    return (2 * math.pi * var) ** -0.5 * np.exp(-z * z / (2 * var))
 
 
 def _simpson(y, x):
@@ -93,7 +92,7 @@ def _slope_and_sup(func, lo, hi):
     """Largest |slope| and largest |func| on a 10,000-point grid over
     [lo, hi], from one evaluation of ``func``."""
     grid = np.linspace(lo, hi, _GRID_POINTS)
-    vals = np.asarray(func(grid), dtype=float)
+    vals = func(grid)
     return float(np.max(np.abs(np.gradient(vals, grid)))), float(np.max(np.abs(vals)))
 
 
@@ -122,7 +121,7 @@ def bounds(potential, noise, x, y, t, delta=None):
 
     g = lambda p: generator_apply_to_self(potential, noise, p)
     r = np.linspace(0.0, 1.0, _CHORD_NODES)
-    chord = np.asarray(g((1 - r) * float(x) + r * float(y)), dtype=float)
+    chord = g((1 - r) * float(x) + r * float(y))
     integral = float(_simpson(chord, r))
     v_diff = float(potential.value(x)) - float(potential.value(y))
     bracket = v_diff + 0.5 * t * integral

@@ -54,8 +54,7 @@ class EscapeEvent:
     horizon: float
 
     def indicator(self, terminal):
-        inside = np.asarray(self.region.indicator(terminal))
-        return 1.0 - inside.astype(float)
+        return 1.0 - self.region.indicator(terminal)
 
 
 @dataclass
@@ -239,8 +238,8 @@ def interior_grid(region):
 def theorem3_m(potential, sampling_potential, region):
     """Theorem 3's M = 1/2 sup_D (Laplace V - Laplace V~) on :func:`interior_grid`."""
     x = interior_grid(region)
-    return 0.5 * float(np.max(np.asarray(potential.laplacian(x))
-                              - np.asarray(sampling_potential.laplacian(x))))
+    return 0.5 * float(np.max(potential.laplacian(x)
+                              - sampling_potential.laplacian(x)))
 
 
 def theorem3_bound(potential, sampling_potential, region, noise, horizon, x0):
@@ -280,12 +279,10 @@ def small_noise_sweep(potential, sampling_potential, region, x0, horizon, h,
     For sampling schemes that keep the exit mechanism deterministic and
     flat on the boundary, eps * log(Lambda) tends to 0 as eps -> 0
     (asymptotic optimality); the rows returned here make that decay
-    empirically checkable.  ``n_samples`` may be one int for all noise
-    levels or a sequence of the same length as ``epsilons``; each level
-    uses the derived master seed ``seed + its index``.
+    empirically checkable.  ``n_samples`` holds one sample count per
+    entry of ``epsilons``; each level uses the derived master seed
+    ``seed + its index``.
     """
-    if isinstance(n_samples, int):
-        n_samples = [n_samples] * len(epsilons)
     if len(n_samples) != len(epsilons):
         raise ConfigurationError(
             f"n_samples needs one entry per epsilon ({len(epsilons)}), "

@@ -75,7 +75,7 @@ def _operator_diagonals(potential, noise, x):
     dx = float(x[1] - x[0])
     dc = 0.5 * noise.sigma**2
     faces = x[:-1] + 0.5 * dx
-    b = np.asarray(potential.gradient(faces), dtype=float)  # V' at faces
+    b = potential.gradient(faces)  # V' at faces
     if not np.all(np.isfinite(b)):
         raise SolverError("drift is non-finite on the grid")
 
@@ -111,8 +111,7 @@ def _apply(lower, main, upper, p):
     return out
 
 
-def evolve(potential, noise, initial, domain, n_cells, horizon, dt,
-           smooth_start=True):
+def evolve(potential, noise, initial, domain, n_cells, horizon, dt):
     """Advance an initial density to time ``horizon`` between reflecting walls.
 
     Parameters
@@ -126,9 +125,6 @@ def evolve(potential, noise, initial, domain, n_cells, horizon, dt,
     horizon, dt : float
         Final time and Crank-Nicolson step; ``horizon`` must be a whole
         multiple of ``dt``.
-    smooth_start : bool
-        Start with two backward-Euler half steps (recommended for point
-        initial data).
 
     Raises :class:`SolverError` when the density turns invalid, or when its
     terminal mass departs from 1 by more than 1e-8 (it underflowed, or
@@ -157,30 +153,19 @@ def evolve(potential, noise, initial, domain, n_cells, horizon, dt,
     lower, main, upper = _operator_diagonals(potential, noise, x)
     n_steps = steps_for(horizon, dt)
 
-    def run(steps, step_dt, lu, rhs_diags):
-        nonlocal p
-        for i in range(steps):
-            rhs = _apply(*rhs_diags, p) if rhs_diags is not None else p
-            p, _ = dgttrs(*lu, rhs)
-            if (i % _CHECK_EVERY == 0 or i == steps - 1) and not _healthy(p):
-                raise SolverError(
-                    f"density became invalid at t={min((i + 1) * step_dt, horizon):g}; "
-                    "try a smaller dt or a finer grid"
-                )
-
-    def _healthy(q):
-        return bool(np.all(np.isfinite(q)) and q.min() >= -_NEGATIVE_TOL * max(1.0, q.max()))
-
     # I - (dt/2) A is both the backward-Euler half-step matrix and the
-    # Crank-Nicolson left-hand side, so one factorization serves every step.
+    # Crank-Nicolson left-hand side, so one factorization serves every step:
+    # solves 0 and 1 are the half steps, solve i >= 2 ends at t = i * dt.
     lu = _factor(lower, main, upper, -0.5 * dt, 1.0)
-    remaining = n_steps
-    if smooth_start and n_steps >= 1:
-        run(2, 0.5 * dt, lu, None)
-        remaining -= 1
-    if remaining > 0:
-        rhs_diags = (0.5 * dt * lower, 1.0 + 0.5 * dt * main, 0.5 * dt * upper)
-        run(remaining, dt, lu, rhs_diags)
+    rhs_diags = (0.5 * dt * lower, 1.0 + 0.5 * dt * main, 0.5 * dt * upper)
+    for i in range(n_steps + 1):
+        p, _ = dgttrs(*lu, p if i < 2 else _apply(*rhs_diags, p))
+        due = i < 2 or (i - 2) % _CHECK_EVERY == 0 or i == n_steps
+        if due and not (np.all(np.isfinite(p))
+                        and p.min() >= -_NEGATIVE_TOL * max(1.0, p.max())):
+            t = (i + 1) * dt / 2 if i < 2 else i * dt
+            raise SolverError(f"density became invalid at t={t:g}; "
+                              "try a smaller dt or a finer grid")
 
     mass = float(p.sum() * dx)
     if not abs(mass - 1.0) <= _MASS_TOL:
@@ -204,14 +189,14 @@ def integrate_density(grid, a, b):
 
 
 def escape_probability(potential, noise, x0, region, horizon, *,
-                       n_cells=6144, dt=5e-4, return_grid=False):
+                       n_cells=6144, dt=5e-4):
     """P(X_T outside D) for X started at x0, by solving the forward PDE.
 
     The grid covers D and the start point inflated by 6 sigma sqrt(T)
     on each side so that reflecting far walls do not influence the
     answer; the point start is mollified to a Gaussian of standard
-    deviation one grid cell.  Returns 1 minus the density mass left in D
-    at the horizon, plus the terminal grid when ``return_grid`` is set.
+    deviation one grid cell.  Returns ``(p, grid)``: 1 minus the density
+    mass left in D at the horizon, and the terminal :class:`FpGrid`.
 
     That difference has an absolute roundoff floor near 1e-12 and can
     come out slightly negative (about -5e-12 for the inverted cosine well
@@ -232,7 +217,4 @@ def escape_probability(potential, noise, x0, region, horizon, *,
         potential, noise, gaussian_bump(float(x0), dx), (lo, hi),
         n_cells, horizon, dt,
     )
-    p = 1.0 - integrate_density(grid, a, b)
-    if return_grid:
-        return p, grid
-    return p
+    return 1.0 - integrate_density(grid, a, b), grid

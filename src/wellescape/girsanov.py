@@ -63,8 +63,7 @@ def log_weight_stochastic_integral_form(states, increments, h, potential,
     if xi.shape != states[..., 1:].shape:
         raise ValueError(f"increments {xi.shape} do not fit states {states.shape}")
     left = states[..., :-1]
-    gu = (np.asarray(sampling_potential.gradient(left))
-          - np.asarray(potential.gradient(left)))
+    gu = sampling_potential.gradient(left) - potential.gradient(left)
     return (np.sqrt(h) / noise.sigma) * np.sum(gu * xi, axis=-1) \
         - 0.5 / noise.sigma ** 2 * h * np.sum(gu * gu, axis=-1)
 
@@ -102,16 +101,16 @@ class WeightAccumulator:
             self._sums = np.zeros((len(self.strides), len(X)))
         for j in due:
             self._sums[j] += g
-        return -np.asarray(grad_sampling)
+        return -grad_sampling
 
     def finalize(self, x0, terminal):
         """Log-weights, shape (n_taus, block); call after the last step."""
         inv_eps = 1.0 / self.noise.sigma ** 2
         boundary = inv_eps * (
             self.potential.value(x0)
-            - np.asarray(self.potential.value(terminal))
+            - self.potential.value(terminal)
             - self.sampling_potential.value(x0)
-            + np.asarray(self.sampling_potential.value(terminal))
+            + self.sampling_potential.value(terminal)
         )
         out = np.empty((len(self.strides), len(terminal)))
         for j, m in enumerate(self.strides):

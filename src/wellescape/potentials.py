@@ -3,7 +3,9 @@
 The central object is :class:`PotentialField`: a scalar field ``V`` with
 ``value``, ``gradient`` and ``laplacian`` evaluators, which every
 subclass implements in closed form.  Fields act elementwise on arrays of
-any shape (scalars in, python floats out).
+any shape and return numpy values of that shape: an array for an array,
+a numpy scalar or 0-d array for a scalar, which ``float()`` turns into a
+python float.
 
 One differential expression recurs throughout the package, built from
 the generator ``L_V = -V' d/dx + beta^{-1} d^2/dx^2`` of the overdamped
@@ -24,14 +26,6 @@ import numpy as np
 from .errors import ConstructionError, EvaluationError
 
 _BOUNDARY_MATCH_TOL = 1e-8
-
-
-def _as_float(a):
-    """Return a python float for 0-d results, pass arrays through."""
-    a = np.asarray(a)
-    if a.ndim == 0:
-        return float(a)
-    return a
 
 
 class NoiseScale:
@@ -113,7 +107,7 @@ class ZeroPotential(PotentialField):
     label = "zero"
 
     def value(self, x):
-        return _as_float(np.zeros(np.shape(x)))
+        return np.zeros(np.shape(x))
 
     def gradient(self, x):
         return self.value(x)
@@ -130,13 +124,13 @@ class LinearPotential(PotentialField):
         self.label = f"linear(a={np.round(self.slope, 12)})"
 
     def value(self, x):
-        return _as_float(self.slope * np.asarray(x, dtype=float))
+        return self.slope * np.asarray(x, dtype=float)
 
     def gradient(self, x):
-        return _as_float(np.full(np.shape(x), self.slope))
+        return np.full(np.shape(x), self.slope)
 
     def laplacian(self, x):
-        return _as_float(np.zeros(np.shape(x)))
+        return np.zeros(np.shape(x))
 
 
 class QuadraticPotential(PotentialField):
@@ -147,13 +141,13 @@ class QuadraticPotential(PotentialField):
         self.label = f"quadratic(k={self.k})"
 
     def value(self, x):
-        return _as_float(0.5 * self.k * np.asarray(x, dtype=float) ** 2)
+        return 0.5 * self.k * np.asarray(x, dtype=float) ** 2
 
     def gradient(self, x):
-        return _as_float(self.k * np.asarray(x, dtype=float))
+        return self.k * np.asarray(x, dtype=float)
 
     def laplacian(self, x):
-        return _as_float(np.full(np.shape(x), self.k))
+        return np.full(np.shape(x), self.k)
 
 
 class CosineWellPotential(PotentialField):
@@ -170,15 +164,15 @@ class CosineWellPotential(PotentialField):
     label = "cosine_well"
 
     def value(self, x):
-        return _as_float(-np.cos(np.asarray(x, dtype=float)) - 1.0)
+        return -np.cos(np.asarray(x, dtype=float)) - 1.0
 
     def gradient(self, x):
         t = np.tan(0.5 * np.asarray(x, dtype=float))
-        return _as_float(2.0 * t / (1.0 + t * t))
+        return 2.0 * t / (1.0 + t * t)
 
     def laplacian(self, x):
         t2 = np.square(np.tan(0.5 * np.asarray(x, dtype=float)))
-        return _as_float((1.0 - t2) / (1.0 + t2))
+        return (1.0 - t2) / (1.0 + t2)
 
 
 class Interval:
@@ -193,10 +187,7 @@ class Interval:
 
     def indicator(self, x):
         x = np.asarray(x, dtype=float)
-        out = (x > self.a) & (x < self.b)
-        if out.ndim == 0:
-            return bool(out)
-        return out
+        return (x > self.a) & (x < self.b)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.label})"
@@ -207,7 +198,7 @@ def _boundary_match_residual(potential, region):
     worst = 0.0
     worst_point = None
     for p in (region.a, region.b):
-        r = max(abs(potential.value(p)), abs(potential.gradient(p)))
+        r = float(max(abs(potential.value(p)), abs(potential.gradient(p))))
         if r >= worst:
             worst, worst_point = r, p
     return worst, worst_point
@@ -243,8 +234,8 @@ class PatchedPotential(PotentialField):
         inside = self.region.indicator(x)
         if self.sign:
             scale = np.where(inside, self.sign, 1.0)
-            return tuple(_as_float(scale * f) for f in fields)
-        return tuple(_as_float(np.where(inside, 0.0, f)) for f in fields)
+            return tuple(scale * f for f in fields)
+        return tuple(np.where(inside, 0.0, f) for f in fields)
 
     def value(self, x):
         return self.patch(x, self.base.value(x))[0]
@@ -282,9 +273,9 @@ def generator_apply_to_self(potential, noise, x):
     :class:`EvaluationError` if the result is non-finite.
     """
     g, lap = potential.gradient(x), potential.laplacian(x)
-    out = noise.sigma ** 2 * np.asarray(lap) - g * g
+    out = noise.sigma ** 2 * lap - g * g
     _check_finite(out, x, f"(L+L0) applied to {potential.label!r}")
-    return _as_float(out)
+    return out
 
 
 def generator_difference(potential, sampling_potential, noise, x):
@@ -302,7 +293,7 @@ def generator_difference(potential, sampling_potential, noise, x):
         gt = sampling_potential.gradient(x)
         lapt = sampling_potential.laplacian(x)
     s2 = noise.sigma ** 2
-    out = (s2 * np.asarray(lap) - g * g) - (s2 * np.asarray(lapt) - gt * gt)
+    out = (s2 * lap - g * g) - (s2 * lapt - gt * gt)
     _check_finite(out, x, f"integrand of {potential.label!r} "
                   f"against {sampling_potential.label!r}")
     return out, gt
@@ -315,7 +306,7 @@ def region_supremum(func, region):
     masked by the indicator of the open interval.
     """
     pts = np.linspace(region.a, region.b, 10_000)
-    inside = np.asarray(region.indicator(pts))
+    inside = region.indicator(pts)
     if not inside.any():
         raise ValueError("no grid point falls inside the region")
     return float(np.max(np.asarray(func(pts))[inside]))

@@ -92,7 +92,7 @@ def evolve_block(potential, noise, x0, n_steps, h, noise_block, observer=None):
     for i in range(n_steps):
         f = observer(i, X) if observer is not None else None
         if f is None:
-            f = -np.asarray(potential.gradient(X))
+            f = -potential.gradient(X)
         X += f * h
         X += amp * noise_block[:, i]
         if not np.isfinite(X).all():

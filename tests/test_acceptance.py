@@ -79,7 +79,7 @@ def _report(tag, ok, detail):
 
 @pytest.fixture(scope="module")
 def fp_oracle():
-    return escape_probability(COSINE, SIGMA1, 0.0, REGION, T)
+    return escape_probability(COSINE, SIGMA1, 0.0, REGION, T)[0]
 
 
 @pytest.fixture(scope="module")
@@ -343,9 +343,7 @@ def _inverted_tail_mass(eps, **grid):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         _, fp_grid = escape_probability(
-            INV, NoiseScale(epsilon=eps), 0.0, REGION, T, return_grid=True,
-            **grid,
-        )
+            INV, NoiseScale(epsilon=eps), 0.0, REGION, T, **grid)
     a, b = REGION.a, REGION.b
     mass = (integrate_density(fp_grid, fp_grid.x[0], a)
             + integrate_density(fp_grid, b, fp_grid.x[-1]))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from wellescape.cli import _fmt, main
-from wellescape.config import ExperimentConfig, parse_scalar
+from wellescape.config import MODES, ExperimentConfig, parse_scalar
 from wellescape.errors import ConfigurationError
 
 
@@ -243,16 +243,30 @@ def _violation(rule):
     return str(rule - 1), f"must be at least {rule}"
 
 
-_RULES = {f.name: f.metadata["rule"] for f in fields(ExperimentConfig)
-          if f.metadata["rule"] is not None}
+_RULES = {f.name: (f.metadata["rule"], f.metadata["modes"] or MODES)
+          for f in fields(ExperimentConfig) if f.metadata["rule"] is not None}
 
 
 @pytest.mark.parametrize("key", _RULES)
 def test_each_key_rule_is_a_config_error(tmp_path, capsys, key):
-    value, message = _violation(_RULES[key])
+    rule, modes = _RULES[key]
+    value, message = _violation(rule)
     path = _write_cfg(tmp_path, BASE)
-    assert main(["run", path, f"--{key}", value]) == 1
+    # the first mode that reads the key; y makes density mode valid
+    argv = ["run", path, "--mode", modes[0], "--y", "0.5", f"--{key}", value]
+    assert main(argv) == 1
     assert capsys.readouterr().err == f"config error: {key} {message}\n"
+
+
+@pytest.mark.parametrize("overrides", [
+    ["--tau", "0"], ["--dt", "0"], ["--n_cells", "2"], ["--segments", "1"],
+    ["--t", "0"], ["--delta", "0"], ["--mode", "fp", "--N", "0"],
+], ids=["plain-tau", "plain-dt", "plain-n_cells", "plain-segments", "plain-t",
+        "plain-delta", "fp-N"])
+def test_keys_a_mode_does_not_read_are_not_checked(tmp_path, capsys, overrides):
+    path = _write_cfg(tmp_path, BASE)
+    assert main(["run", path, "--N", "256", *overrides]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("overrides", [

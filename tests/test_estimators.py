@@ -252,7 +252,7 @@ def test_sweep_row_fields_and_low_hit_warning():
     flat = flatten_on_region(V, WELL)
     with pytest.warns(UserWarning, match="hits"):
         rows = small_noise_sweep(V, flat, WELL, 0.0, 1.0, 1e-2, 1e-2,
-                                 (2.0, 1.0), 2048, seed=500)
+                                 (2.0, 1.0), (2048, 2048), seed=500)
     assert len(rows) == 2
     assert rows[0].epsilon == 2.0
     for row in rows:

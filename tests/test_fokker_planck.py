@@ -36,7 +36,7 @@ def _normal_pdf(x, mean, var):
 def test_free_diffusion_matches_heat_kernel():
     s0 = 0.05
     grid = evolve(ZeroPotential(), SIGMA1, gaussian_bump(0.3, s0), (-5.0, 5.0),
-                  2001, 0.2, 4e-4, smooth_start=False)
+                  2001, 0.2, 4e-4)
     exact = _normal_pdf(grid.x, 0.3, s0**2 + 0.2)
     err = np.max(np.abs(grid.density - exact)) / exact.max()
     assert err < 1e-4
@@ -68,7 +68,7 @@ def test_second_order_spatial_convergence():
     errs = []
     for n in (401, 801, 1601):
         grid = evolve(ZeroPotential(), SIGMA1, gaussian_bump(0.0, s0),
-                      (-2.0, 2.0), n, t, 2.5e-4, smooth_start=False)
+                      (-2.0, 2.0), n, t, 2.5e-4)
         exact = _normal_pdf(grid.x, 0.0, s0**2 + t)
         errs.append(np.max(np.abs(grid.density - exact)) / exact.max())
     assert 3.0 < errs[0] / errs[1] < 5.0
@@ -86,15 +86,16 @@ def test_reflecting_walls_conserve_mass():
 
 def test_escape_probability_free_diffusion():
     # X_T ~ N(0, T): P(|X_T| > 1) = 2 Phi(-1)
-    p = escape_probability(ZeroPotential(), SIGMA1, 0.0, Interval(-1.0, 1.0), 1.0)
+    p, _ = escape_probability(ZeroPotential(), SIGMA1, 0.0, Interval(-1.0, 1.0),
+                              1.0)
     exact = 2 * (1 - 0.5 * (1 + math.erf(1 / math.sqrt(2))))
     assert p == pytest.approx(exact, rel=1e-4)
 
 
 def test_cosine_well_escape_reference_value():
     # pinned high-resolution solver output for the sigma = 1, T = 1 well
-    p = escape_probability(CosineWellPotential(), SIGMA1, 0.0,
-                           Interval(-math.pi, math.pi), 1.0)
+    p, _ = escape_probability(CosineWellPotential(), SIGMA1, 0.0,
+                              Interval(-math.pi, math.pi), 1.0)
     assert p == pytest.approx(1.9094103707861798e-4, rel=1e-6)
 
 
@@ -126,6 +127,20 @@ def test_nan_potential_raises_solver_error():
     bad = QuadraticPotential(k=np.nan)
     with pytest.raises(SolverError):
         evolve(bad, SIGMA1, gaussian_bump(0.0, 0.2), (-1.0, 1.0), 401, 0.1, 1e-3)
+
+
+@pytest.mark.filterwarnings("ignore:grid spacing")
+def test_invalid_density_error_names_the_failing_step_time():
+    # a stiff well and a large dt: the first Crank-Nicolson step, which
+    # ends at t = 2 * dt, is the first to fail the health check
+    with pytest.raises(SolverError, match=r"invalid at t=0\.5;"):
+        evolve(QuadraticPotential(200), SIGMA1, gaussian_bump(0.3, 0.01),
+               (-1.0, 1.0), 2001, 5.0, 0.25)
+    # here the first backward-Euler half step already fails
+    with pytest.raises(SolverError, match=r"invalid at t=0\.125;"):
+        escape_probability(QuadraticPotential(200), SIGMA1, 0.0,
+                           Interval(-math.pi, math.pi), 5.0, n_cells=501,
+                           dt=0.25)
 
 
 def test_coarse_grid_warns():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -182,12 +184,38 @@ def test_cosine_well_boundary_is_exactly_flat():
     assert _boundary_match_residual(V, D_PI)[0] < _BOUNDARY_MATCH_TOL
 
 
-def test_cosine_well_scalar_and_array_calls_agree_exactly():
+_FIELDS = {
+    "zero": ZeroPotential(),
+    "linear": LinearPotential(-0.7),
+    "quadratic": QuadraticPotential(k=2.5),
+    "cosine": CosineWellPotential(),
+    "flatten": flatten_on_region(CosineWellPotential(), D_PI),
+    "invert": invert_on_region(CosineWellPotential(), D_PI),
+}
+
+
+@pytest.mark.parametrize("name", _FIELDS)
+def test_field_scalar_and_array_calls_agree_exactly(name):
     # one element of a block equals the one-point call, bit for bit: the
     # SIMD body, its tail (4099 = 4096 + 3) and a 0-d call give one float
-    V = CosineWellPotential()
+    V = _FIELDS[name]
     x = np.random.default_rng(7).uniform(-4, 4, 4099)
     x[:4] = (np.pi, -np.pi, 0.0, -0.0)
     for method in (V.value, V.gradient, V.laplacian):
         block = method(x)
         assert all(block[k] == method(float(x[k])) for k in range(x.size))
+
+
+@pytest.mark.parametrize("name", _FIELDS)
+def test_fields_return_numpy_values_of_the_input_shape(name):
+    V = _FIELDS[name]
+    for shape in ((), (7,), (3, 4)):
+        # a python float in gives a numpy scalar or 0-d array out
+        x = np.linspace(-4.0, 4.0, 12)[:math.prod(shape)].reshape(shape)
+        x = x if shape else 0.5
+        for out, dtype in ((V.value(x), np.float64),
+                           (V.gradient(x), np.float64),
+                           (V.laplacian(x), np.float64),
+                           (D_PI.indicator(x), np.bool_)):
+            assert isinstance(out, (np.ndarray, np.generic))
+            assert out.shape == shape and out.dtype == dtype
