@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError, allocating
+from .fokker_planck import _factor
 
 _ARMIJO_C = 1e-4
 _MAX_BACKTRACKS = 60
@@ -77,28 +78,23 @@ def action_gradient(knots, dt, potential):
     return grad
 
 
-def _kinetic_banded(m_free, dt):
-    """Banded form of the kinetic Hessian on the interior knots: the
-    pinned discrete Laplacian scaled by 1/dt."""
-    ab = np.zeros((3, m_free))
-    ab[0, 1:] = -1.0 / dt
-    ab[1, :] = 2.0 / dt
-    ab[2, :-1] = -1.0 / dt
-    return ab
-
-
 def _descend(potential, knots0, dt, grad_tol):
     """Preconditioned gradient descent on the action with Armijo backtracking
     over the interior knots; the two endpoints stay pinned."""
-    from scipy.linalg import solve_banded
+    from scipy.linalg.lapack import dgttrs
     knots = knots0.copy()
     with np.errstate(over="ignore"):
         f = action(knots, dt, potential)
     if not math.isfinite(f):
         # descent only accepts smaller values, so a finite start ends finite
         raise SolverError(f"the action of the starting path is {f}, not finite")
-    m_free = len(knots) - 2
-    precond = _kinetic_banded(m_free, dt)
+    # the kinetic Hessian on the m interior knots, the pinned Laplacian / dt,
+    # factored once; two decoupled unit rows lift it to LAPACK's least size, 3
+    m = len(knots) - 2
+    row = np.arange(m + 2)
+    off = np.where(row < m - 1, -1.0 / dt, 0.0)
+    precond = _factor(np.roll(off, 1), np.where(row < m, 2.0 / dt, 1.0), off,
+                      1.0, 0.0)
     it = 0
     gnorm = math.inf
     for it in range(1, _MAX_ITER + 1):
@@ -106,7 +102,7 @@ def _descend(potential, knots0, dt, grad_tol):
         gnorm = float(np.max(np.abs(g)))
         if gnorm <= grad_tol:
             return knots, f, True, it - 1, gnorm
-        step = solve_banded((1, 1), precond, g)
+        step = dgttrs(*precond, np.append(g, (0.0, 0.0)))[0][:m]
         slope = float(np.sum(g * step))
         alpha = 1.0
         for _ in range(_MAX_BACKTRACKS):

@@ -99,8 +99,9 @@ def _parse_int_list(token):
 def _key(default, parse, rule=None, modes=None):
     """A config key: its default, the parser of its text, its rule, which
     is a tuple of allowed values, "positive" or a least integer, and the
-    modes that read it (None: every mode).  A key left at None, or one the
-    current mode does not read, is not checked."""
+    modes that read it (None: every mode).  A list key's rule applies to
+    each entry.  A key left at None, or one the current mode does not
+    read, is not checked."""
     return field(default=default,
                  metadata={"parse": parse, "rule": rule, "modes": modes})
 
@@ -137,8 +138,9 @@ class ExperimentConfig:
     # action mode
     segments: int = _key(200, _parse_int, 2, ("action",))
     # sweep mode
-    epsilons: tuple = _key((1.0, 0.5, 0.25), _parse_list)
-    sweep_n: tuple = _key(None, _parse_int_list)
+    epsilons: tuple = _key((1.0, 0.5, 0.25), _parse_list, "positive",
+                           ("sweep",))
+    sweep_n: tuple = _key(None, _parse_int_list, 1, ("sweep",))
 
     @classmethod
     def from_pairs(cls, pairs):
@@ -215,44 +217,34 @@ class ExperimentConfig:
             skipped = modes is not None and self.mode not in modes
             if rule is None or value is None or skipped:
                 continue
-            if isinstance(rule, tuple):
-                if value not in rule:
+            for entry in value if isinstance(value, tuple) else (value,):
+                if isinstance(rule, tuple) and entry not in rule:
                     raise ConfigurationError(f"{f.name} must be one of "
-                                             f"{', '.join(rule)}; got {value!r}")
-            elif rule == "positive":
-                if value <= 0:
+                                             f"{', '.join(rule)}; got {entry!r}")
+                if rule == "positive" and entry <= 0:
                     raise ConfigurationError(f"{f.name} must be positive")
-            elif value < rule:
-                raise ConfigurationError(f"{f.name} must be at least {rule}")
+                if isinstance(rule, int) and entry < rule:
+                    raise ConfigurationError(f"{f.name} must be at least {rule}")
         given = [k for k in ("sigma", "epsilon", "beta")
                  if getattr(self, k) is not None]
         if len(given) > 1:
             raise ConfigurationError(
                 f"give at most one of sigma/epsilon/beta, got {given}"
             )
-        if not self.epsilons:
-            raise ConfigurationError("epsilons must list at least one value")
-        if not all(e > 0 for e in self.epsilons):
-            raise ConfigurationError(
-                f"epsilons must all be positive, got {self.epsilons}")
-        levels = [(k, getattr(self, k), self.noise()) for k in given]
-        levels += [("epsilons", e, NoiseScale(epsilon=e)) for e in self.epsilons]
-        for key, value, noise in levels:
-            s2 = noise.sigma * noise.sigma
-            if not (0.0 < s2 < math.inf and 1.0 / s2 < math.inf):
+        if self.mode == "sweep":
+            if not self.epsilons:
+                raise ConfigurationError("epsilons must list at least one value")
+            if self.sweep_n is not None and len(self.sweep_n) != len(self.epsilons):
                 raise ConfigurationError(
-                    f"{key}={value:g} is out of range: sigma^2 and 1/sigma^2 "
-                    "must both be positive and finite")
-        if self.sweep_n is not None and not all(n >= 1 for n in self.sweep_n):
-            raise ConfigurationError(
-                f"sweep_n must all be positive, got {self.sweep_n}")
-        if self.sweep_n is not None and len(self.sweep_n) != len(self.epsilons):
-            raise ConfigurationError(
-                f"sweep_n needs one entry per epsilon ({len(self.epsilons)}), "
-                f"got {len(self.sweep_n)}")
-        a, b = self.region
-        if not b > a:
-            raise ConfigurationError(f"region must satisfy a < b, got ({a}, {b})")
+                    f"sweep_n needs one entry per epsilon ({len(self.epsilons)}), "
+                    f"got {len(self.sweep_n)}")
+        try:
+            self.noise()
+            for e in self.epsilons if self.mode == "sweep" else ():
+                NoiseScale(epsilon=e)
+            self.build_region()
+        except ValueError as exc:
+            raise ConfigurationError(str(exc)) from exc
         if self.mode in SAMPLED_MODES:
             n_steps = whole_multiple(self.T, self.h, "T", "h")
         elif self.mode == "fp":

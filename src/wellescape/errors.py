@@ -41,7 +41,8 @@ class ConstructionError(WellEscapeError):
 
 class SimulationError(WellEscapeError):
     """A simulation could not run: a trajectory left the representable
-    range (blow-up), or its noise block could not be allocated.
+    range (blow-up), its importance weights overflowed, or its noise block
+    could not be allocated.
 
     ``step`` is the index of the Euler step at which the state first
     became non-finite (None for an allocation failure).

@@ -38,12 +38,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, SimulationError
 from .girsanov import WeightAccumulator
 from .potentials import NoiseScale
 from .sde import BLOCK_SAMPLES, RngPolicy, evolve_block, steps_for
-
-_LOG_WEIGHT_CLIP = 700.0
 
 
 @dataclass(frozen=True)
@@ -143,6 +141,15 @@ class EstimatorSummary:
         return 3.0 / self.n
 
 
+def _finite(summaries):
+    """``summaries``, if each n * sum(w^2 1_A) is finite: by Cauchy-Schwarz
+    that bounds (sum w 1_A)^2, m2 and every merge term."""
+    if not all(math.isfinite(s.n * s.sum_w2_ind) for s in summaries):
+        raise SimulationError("importance weights overflow: n * sum(w^2 1_A) is "
+                              "not finite; the sampler is too far from the target")
+    return summaries
+
+
 def _reduce_blocks(per_block, n_blocks, workers):
     if workers <= 1:
         results = [per_block(b) for b in range(n_blocks)]
@@ -190,19 +197,13 @@ def _run(potential, sampling_potential, noise, x0, event, h, taus, n_samples,
         if not weighted:
             return [EstimatorSummary.from_values(ind, kind, hits)]
         logw = acc.finalize(x0, terminal)
-        if np.any(logw > _LOG_WEIGHT_CLIP):
-            warnings.warn(
-                "some log-weights exceed the overflow clip; results may be "
-                "inaccurate (is the sampling potential sensible?)",
-                stacklevel=2,
-            )
-            logw = np.minimum(logw, _LOG_WEIGHT_CLIP)
-        w_ind = np.exp(logw) * ind
-        return [EstimatorSummary.from_values(w_ind[j], kind, hits)
-                for j in range(n_slots)]
+        # 0 off the event, never inf * 0; _finite refuses an overflow on it
+        with np.errstate(over="ignore", invalid="ignore"):
+            w_ind = np.exp(np.where(ind > 0, logw, -np.inf))
+            return _finite([EstimatorSummary.from_values(w_ind[j], kind, hits)
+                            for j in range(n_slots)])
 
-    summaries = _reduce_blocks(per_block, policy.n_blocks(n_samples), workers)
-    return summaries
+    return _finite(_reduce_blocks(per_block, policy.n_blocks(n_samples), workers))
 
 
 def run_plain(potential, noise, x0, event, h, n_samples, policy, workers=1):

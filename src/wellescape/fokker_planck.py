@@ -134,7 +134,7 @@ def evolve(potential, noise, initial, domain, n_cells, horizon, dt):
     with allocating(SolverError, f"a grid of {int(n_cells)} cells", int(n_cells)):
         x = np.linspace(lo, hi, int(n_cells))
     dx = float(x[1] - x[0])
-    if noise.sigma > 0 and dx > 0.25 * noise.sigma * math.sqrt(dt):
+    if dx > 0.25 * noise.sigma * math.sqrt(dt):
         warnings.warn(
             f"grid spacing dx={dx:.2e} is coarse relative to the diffusion "
             f"scale sigma*sqrt(dt)/4={0.25 * noise.sigma * math.sqrt(dt):.2e}; "

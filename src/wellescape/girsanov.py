@@ -54,11 +54,8 @@ def log_weight_stochastic_integral_form(states, increments, h, potential,
     ``states`` has shape (..., n+1) and ``increments``, the unit-variance
     draws xi_i that drove each step, shape (..., n); the result has one
     log-weight per leading index.  With U = V~ - V the discrete stochastic
-    integral is sum U'(X_i) sqrt(h) xi_i.  Defined only for nondegenerate
-    noise.
+    integral is sum U'(X_i) sqrt(h) xi_i.
     """
-    if noise.sigma == 0:
-        raise ValueError("stochastic-integral form requires sigma > 0")
     states, xi = np.asarray(states, dtype=float), np.asarray(increments, dtype=float)
     if xi.shape != states[..., 1:].shape:
         raise ValueError(f"increments {xi.shape} do not fit states {states.shape}")
@@ -79,8 +76,6 @@ class WeightAccumulator:
     """
 
     def __init__(self, potential, sampling_potential, noise, h, n_steps, taus):
-        if noise.sigma == 0:
-            raise ConfigurationError("generator-form weights need sigma > 0")
         self.potential = potential
         self.sampling_potential = sampling_potential
         self.noise = noise

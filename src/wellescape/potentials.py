@@ -35,28 +35,26 @@ class NoiseScale:
     ``dX = -grad(V) dt + sigma dW``, the inverse temperature
     ``beta = 2 / sigma^2``, or the small-noise parameter
     ``epsilon = sigma^2``.  It is given once, in one convention, and is
-    immutable.  ``sigma = 0`` (degenerate noise, ``beta = inf``) is
-    allowed so deterministic dynamics can be exercised in tests.
+    immutable.  The given value must be positive, and sigma^2 and
+    1/sigma^2 positive finite floats: every weight, density bound and
+    oracle divides by epsilon.
     """
 
     def __init__(self, sigma=None, *, beta=None, epsilon=None):
-        given = [v for v in (sigma, beta, epsilon) if v is not None]
+        given = [(k, float(v)) for k, v in zip(("sigma", "beta", "epsilon"),
+                                               (sigma, beta, epsilon)) if v is not None]
         if len(given) != 1:
             raise ValueError("specify exactly one of sigma, beta, epsilon")
-        if sigma is not None:
-            sigma = float(sigma)
-            if sigma < 0:
-                raise ValueError("sigma must be nonnegative")
-        elif beta is not None:
-            beta = float(beta)
-            if beta <= 0:
-                raise ValueError("beta must be positive")
-            sigma = (2.0 / beta) ** 0.5
-        else:
-            epsilon = float(epsilon)
-            if epsilon < 0:
-                raise ValueError("epsilon must be nonnegative")
-            sigma = epsilon ** 0.5
+        (name, value), = given
+        if not value > 0:
+            raise ValueError(f"{name} must be positive")
+        sigma = (value if name == "sigma" else
+                 (2.0 / value) ** 0.5 if name == "beta" else value ** 0.5)
+        s2 = sigma * sigma
+        if not (0.0 < s2 < np.inf and 1.0 / s2 < np.inf):
+            raise ValueError(
+                f"{name}={value:g} is out of range: sigma^2 and 1/sigma^2 "
+                "must both be positive and finite")
         self._sigma = sigma
 
     @property
@@ -69,8 +67,6 @@ class NoiseScale:
 
     @property
     def beta(self):
-        if self._sigma == 0.0:
-            return np.inf
         return 2.0 / self._sigma ** 2
 
     def __repr__(self):
@@ -121,7 +117,9 @@ class LinearPotential(PotentialField):
 
     def __init__(self, slope):
         self.slope = float(slope)
-        self.label = f"linear(a={np.round(self.slope, 12)})"
+        with np.errstate(over="ignore"):  # round scales by 1e12
+            rounded = np.round(self.slope, 12)
+        self.label = f"linear(a={rounded if np.isfinite(rounded) else self.slope})"
 
     def value(self, x):
         return self.slope * np.asarray(x, dtype=float)
@@ -180,8 +178,8 @@ class Interval:
 
     def __init__(self, a, b):
         a, b = float(a), float(b)
-        if a > b:
-            raise ValueError(f"empty interval: a={a} > b={b}")
+        if not a < b:
+            raise ValueError(f"region must satisfy a < b, got ({a}, {b})")
         self.a, self.b = a, b
         self.label = f"interval({a:g},{b:g})"
 

@@ -261,8 +261,12 @@ def test_each_key_rule_is_a_config_error(tmp_path, capsys, key):
 @pytest.mark.parametrize("overrides", [
     ["--tau", "0"], ["--dt", "0"], ["--n_cells", "2"], ["--segments", "1"],
     ["--t", "0"], ["--delta", "0"], ["--mode", "fp", "--N", "0"],
+    ["--epsilons", "1,0"], ["--sweep_n", "0"], ["--sweep_n", "5,5"],
+    ["--mode", "fp", "--epsilons", ","],
+    ["--mode", "action", "--epsilons", "1,1e-320"],
 ], ids=["plain-tau", "plain-dt", "plain-n_cells", "plain-segments", "plain-t",
-        "plain-delta", "fp-N"])
+        "plain-delta", "fp-N", "plain-epsilons", "plain-sweep_n",
+        "plain-sweep_n-short", "fp-epsilons-empty", "action-epsilons-subnormal"])
 def test_keys_a_mode_does_not_read_are_not_checked(tmp_path, capsys, overrides):
     path = _write_cfg(tmp_path, BASE)
     assert main(["run", path, "--N", "256", *overrides]) == 0

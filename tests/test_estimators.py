@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wellescape.cli import CSV_COLUMNS, _write_rows, csv_row
-from wellescape.errors import ConfigurationError
+from wellescape.errors import ConfigurationError, SimulationError
 from wellescape.estimators import (
     EscapeEvent,
     EstimatorSummary,
@@ -20,6 +20,7 @@ from wellescape.potentials import (
     CosineWellPotential,
     Interval,
     NoiseScale,
+    PotentialField,
     ZeroPotential,
     flatten_on_region,
     invert_on_region,
@@ -213,12 +214,39 @@ def test_zero_samples_is_a_configuration_error(run):
                            1e-2, 1e-2, 0, RngPolicy(1))
 
 
-def test_importance_without_noise_is_a_configuration_error():
-    V = CosineWellPotential()
-    event = EscapeEvent(WELL, horizon=0.1)
-    with pytest.raises(ConfigurationError, match="sigma > 0"):
-        run_importance(V, flatten_on_region(V, WELL), NoiseScale(sigma=0.0),
-                       0.0, event, 1e-2, 1e-2, 100, RngPolicy(1))
+def test_importance_without_noise_is_refused_at_construction():
+    # the weight divides by sigma^2: zero noise never reaches a run
+    with pytest.raises(ValueError, match="sigma must be positive"):
+        NoiseScale(sigma=0.0)
+
+
+class _LiftedStart(PotentialField):
+    """V' = V'' = 0, but V(0) = c against V = 0 elsewhere: against a
+    ZeroPotential sampler, every path from x0 = 0 has log-weight c."""
+
+    def __init__(self, c):
+        self.c = c
+
+    def value(self, x):
+        return np.where(np.asarray(x) == 0.0, self.c, 0.0)
+
+    def gradient(self, x):
+        return np.zeros(np.shape(x))
+
+    laplacian = gradient
+
+
+@pytest.mark.parametrize("c, n", [(800.0, 4096), (400.0, 4096), (348.5, 8192)])
+def test_overflowing_weights_are_a_simulation_error(c, n):
+    # e^c or n * sum(w^2 1_A) leaves the float range: refused, not clipped
+    event = EscapeEvent(Interval(-0.5, 0.5), horizon=0.1)
+    with pytest.raises(SimulationError, match="weights overflow"):
+        run_importance(_LiftedStart(c), ZeroPotential(), SIGMA1, 0.0, event,
+                       1e-2, 1e-2, n, RngPolicy(3))
+    # a lift that fits runs: equal weights on A give Lambda = n / hits
+    s = run_importance(_LiftedStart(300.0), ZeroPotential(), SIGMA1, 0.0,
+                       event, 1e-2, 1e-2, n, RngPolicy(3))
+    assert s.lambda_factor == pytest.approx(n / s.hits, rel=1e-12)
 
 
 # ------------------------------------------------------------- diagnostics

@@ -204,9 +204,6 @@ def test_stochastic_form_of_a_batch_is_its_rows_evaluated_alone():
         log_weight_stochastic_integral_form(states, xi[:, 1:], h, V, Vt, SIGMA1)
     with pytest.raises(ValueError, match="do not fit"):
         log_weight_stochastic_integral_form(states[:3], xi, h, V, Vt, SIGMA1)
-    with pytest.raises(ValueError, match="sigma > 0"):
-        log_weight_stochastic_integral_form(states, xi, h, V, Vt,
-                                            NoiseScale(sigma=0.0))
 
 
 def test_weights_average_to_one_under_sampling_law():

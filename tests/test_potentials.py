@@ -46,8 +46,8 @@ def test_noise_scale_conversions_consistent():
         assert ns.sigma == 1.0 and ns.beta == 2.0 and ns.epsilon == 1.0
     ns = NoiseScale(sigma=0.5)
     assert ns.epsilon == 0.25 and ns.beta == 8.0
-    # degenerate noise allowed for deterministic tests
-    assert NoiseScale(sigma=0.0).beta == np.inf
+    with pytest.raises(ValueError):
+        NoiseScale(sigma=0.0)
     with pytest.raises(ValueError):
         NoiseScale(sigma=1.0, beta=2.0)
     with pytest.raises(ValueError):
@@ -62,6 +62,36 @@ def test_interval_is_open():
     x = np.array([-1.0, -0.999, 1.999, 2.0])
     assert list(D.indicator(x)) == [False, True, True, False]
     assert (D.a, D.b) == (-1.0, 2.0)
+    for a, b in ((1.0, 1.0), (1.0, 0.0), (np.nan, 1.0)):
+        with pytest.raises(ValueError, match="region must satisfy a < b"):
+            Interval(a, b)
+
+
+@pytest.mark.parametrize("given, message", [
+    ({"sigma": 0.0}, "sigma must be positive"),
+    ({"sigma": -1.0}, "sigma must be positive"),
+    ({"sigma": np.nan}, "sigma must be positive"),
+    ({"sigma": 1e-200}, "sigma=1e-200 is out of range"),
+    ({"sigma": 1e200}, "sigma=1e+200 is out of range"),
+    ({"epsilon": 1e-320}, "epsilon=9.99989e-321 is out of range"),
+    ({"beta": 1e-310}, "beta=1e-310 is out of range"),
+], ids=["sigma0", "sigma-neg", "sigma-nan", "sigma-tiny", "sigma-huge",
+        "epsilon-subnormal", "beta-tiny"])
+def test_noise_scale_refuses_what_the_cli_refuses(given, message):
+    # sigma^2 and 1/sigma^2 must be positive finite floats, with the
+    # config check's own text
+    with pytest.raises(ValueError) as info:
+        NoiseScale(**given)
+    assert str(info.value).startswith(message)
+    if "range" in message:
+        assert str(info.value).endswith(
+            ": sigma^2 and 1/sigma^2 must both be positive and finite")
+
+
+def test_linear_label_survives_a_slope_that_round_overflows():
+    # np.round(a, 12) scales by 1e12; the label falls back to the slope
+    assert LinearPotential(1e300).label == "linear(a=1e+300)"
+    assert LinearPotential(5.516981756634).label == "linear(a=5.516981756634)"
 
 
 def test_generator_apply_to_self_closed_forms():

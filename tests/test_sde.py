@@ -37,10 +37,9 @@ def test_constant_drift_shifts_linearly():
 
 
 def test_degenerate_noise_contracts_geometrically():
-    # sigma = 0, V = k x^2 / 2: X_n = x0 (1 - k h)^n
+    # a zero noise block, V = k x^2 / 2: X_n = x0 (1 - k h)^n
     k, h, n = 1.0, 1e-2, 200
-    X = evolve_block(QuadraticPotential(k), NoiseScale(sigma=0.0), 1.0, n, h,
-                     np.zeros((1, n)))
+    X = evolve_block(QuadraticPotential(k), SIGMA1, 1.0, n, h, np.zeros((1, n)))
     assert X[0] == pytest.approx((1 - k * h) ** n, rel=1e-12)
 
 
