@@ -27,7 +27,6 @@ from .potentials import (
     flatten_on_region,
     generator_apply_to_self,
     invert_on_region,
-    region_supremum,
 )
 from .sde import BLOCK_SAMPLES, RngPolicy
 from .girsanov import log_weight_stochastic_integral_form

@@ -103,19 +103,21 @@ def _descend(potential, knots0, dt, grad_tol):
         if gnorm <= grad_tol:
             return knots, f, True, it - 1, gnorm
         step = dgttrs(*precond, np.append(g, (0.0, 0.0)))[0][:m]
-        slope = float(np.sum(g * step))
-        alpha = 1.0
-        for _ in range(_MAX_BACKTRACKS):
-            trial = knots.copy()
-            trial[1:-1] = knots[1:-1] - alpha * step
-            f_trial = action(trial, dt, potential)
-            if f_trial <= f - _ARMIJO_C * alpha * slope:
-                knots, f = trial, f_trial
-                break
-            alpha *= 0.5
-        else:
-            # no acceptable step: gradient noise floor reached
-            return knots, f, False, it, gnorm
+        # a slope or trial action that overflows fails the Armijo test
+        with np.errstate(over="ignore", invalid="ignore"):
+            slope = float(np.sum(g * step))
+            alpha = 1.0
+            for _ in range(_MAX_BACKTRACKS):
+                trial = knots.copy()
+                trial[1:-1] = knots[1:-1] - alpha * step
+                f_trial = action(trial, dt, potential)
+                if f_trial <= f - _ARMIJO_C * alpha * slope:
+                    knots, f = trial, f_trial
+                    break
+                alpha *= 0.5
+            else:
+                # no acceptable step: gradient noise floor reached
+                return knots, f, False, it, gnorm
     return knots, f, False, it, gnorm
 
 

@@ -36,7 +36,7 @@ from .estimators import (
     theorem3_m,
 )
 from .fokker_planck import escape_probability
-from .potentials import _boundary_match_residual
+from .potentials import _BOUNDARY_MATCH_TOL, _boundary_match_residual
 from .sde import RngPolicy
 
 CSV_COLUMNS = [
@@ -272,7 +272,7 @@ def _cmd_validate(cfg):
     print("[inverted-well hypotheses]")
     flat = _boundary_match_residual(V, region)[0]
     _report("flat boundary V=0, grad V=0 on dD",
-            f"max boundary |V|,|grad V|={_fmt(flat)}", flat <= 1e-8)
+            f"max boundary |V|,|grad V|={_fmt(flat)}", flat <= _BOUNDARY_MATCH_TOL)
     step = 1e-6
     jump = max(
         abs(float(ref.laplacian(a + step)) - float(ref.laplacian(a - step))),

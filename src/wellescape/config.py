@@ -225,12 +225,6 @@ class ExperimentConfig:
                     raise ConfigurationError(f"{f.name} must be positive")
                 if isinstance(rule, int) and entry < rule:
                     raise ConfigurationError(f"{f.name} must be at least {rule}")
-        given = [k for k in ("sigma", "epsilon", "beta")
-                 if getattr(self, k) is not None]
-        if len(given) > 1:
-            raise ConfigurationError(
-                f"give at most one of sigma/epsilon/beta, got {given}"
-            )
         if self.mode == "sweep":
             if not self.epsilons:
                 raise ConfigurationError("epsilons must list at least one value")

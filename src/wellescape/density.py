@@ -61,7 +61,8 @@ def gaussian_kernel(noise, t, z):
         raise ValueError("time must be positive")
     z = np.asarray(z, dtype=float)
     var = noise.sigma ** 2 * t
-    return (2 * math.pi * var) ** -0.5 * np.exp(-z * z / (2 * var))
+    with np.errstate(over="ignore"):  # a huge z^2 / var underflows to 0
+        return (2 * math.pi * var) ** -0.5 * np.exp(-z * z / (2 * var))
 
 
 def _simpson(y, x):

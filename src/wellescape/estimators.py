@@ -60,16 +60,13 @@ class EstimatorSummary:
     """Mergeable moment summary of per-sample estimator values.
 
     ``mean`` and ``m2`` are the running mean and sum of squared deviations
-    (Welford); ``sum_w_ind`` and ``sum_w2_ind`` are the raw first and
-    second moments of weight-times-indicator needed for the second-moment
-    diagnostics; ``hits`` counts samples that realized the event.
+    (Welford), merged pairwise (Chan, Golub & LeVeque); ``hits`` counts
+    samples that realized the event.
     """
 
     n: int
     mean: float
     m2: float
-    sum_w_ind: float
-    sum_w2_ind: float
     hits: int
     kind: str
 
@@ -81,10 +78,7 @@ class EstimatorSummary:
         m2 = float(((values - mean) ** 2).sum())
         if hits is None:
             hits = int(np.count_nonzero(values))
-        return cls(
-            n=n, mean=mean, m2=m2, sum_w_ind=float(values.sum()),
-            sum_w2_ind=float((values**2).sum()), hits=int(hits), kind=kind,
-        )
+        return cls(n=n, mean=mean, m2=m2, hits=int(hits), kind=kind)
 
     def merge(self, other):
         """Combine two summaries as if their samples were pooled."""
@@ -98,12 +92,18 @@ class EstimatorSummary:
         delta = other.mean - self.mean
         mean = self.mean + delta * other.n / n
         m2 = self.m2 + other.m2 + delta**2 * self.n * other.n / n
-        return EstimatorSummary(
-            n=n, mean=mean, m2=m2,
-            sum_w_ind=self.sum_w_ind + other.sum_w_ind,
-            sum_w2_ind=self.sum_w2_ind + other.sum_w2_ind,
-            hits=self.hits + other.hits, kind=self.kind,
-        )
+        return EstimatorSummary(n=n, mean=mean, m2=m2,
+                                hits=self.hits + other.hits, kind=self.kind)
+
+    @property
+    def sum_w_ind(self):
+        """Sum of the values, sum(w 1_A) for an importance run."""
+        return self.n * self.mean
+
+    @property
+    def sum_w2_ind(self):
+        """Sum of the squared values, sum(w^2 1_A) for an importance run."""
+        return self.m2 + self.n * self.mean * self.mean
 
     @property
     def variance(self):
@@ -124,9 +124,11 @@ class EstimatorSummary:
 
     @property
     def lambda_factor(self):
-        """Lambda = n sum(w^2 1_A) / (sum w 1_A)^2, or None without weight."""
-        if self.sum_w_ind > 0:
-            return self.n * self.sum_w2_ind / self.sum_w_ind**2
+        """Lambda = n sum(w^2 1_A) / (sum w 1_A)^2 = 1 + m2 / (n mean^2),
+        or None without weight."""
+        s = self.sum_w_ind
+        if s > 0:
+            return self.n * self.sum_w2_ind / (s * s)
         return None
 
     def variance_ratio(self, baseline):
@@ -135,10 +137,6 @@ class EstimatorSummary:
         if not baseline.variance > 0:
             return None
         return self.variance / baseline.variance
-
-    def zero_hit_upper_bound(self):
-        """One-sided 95% 'rule of three' bound when no sample hit the event."""
-        return 3.0 / self.n
 
 
 def _finite(summaries):

@@ -41,10 +41,11 @@ class NoiseScale:
     """
 
     def __init__(self, sigma=None, *, beta=None, epsilon=None):
-        given = [(k, float(v)) for k, v in zip(("sigma", "beta", "epsilon"),
-                                               (sigma, beta, epsilon)) if v is not None]
+        given = [(k, float(v)) for k, v in zip(("sigma", "epsilon", "beta"),
+                                               (sigma, epsilon, beta)) if v is not None]
         if len(given) != 1:
-            raise ValueError("specify exactly one of sigma, beta, epsilon")
+            raise ValueError("give exactly one of sigma/epsilon/beta, got "
+                             f"{[k for k, _ in given]}")
         (name, value), = given
         if not value > 0:
             raise ValueError(f"{name} must be positive")
@@ -296,15 +297,3 @@ def generator_difference(potential, sampling_potential, noise, x):
                   f"against {sampling_potential.label!r}")
     return out, gt
 
-
-def region_supremum(func, region):
-    """Grid estimate of sup over D of a pointwise function.
-
-    Evaluates ``func`` on 10,000 evenly spaced points over [a, b],
-    masked by the indicator of the open interval.
-    """
-    pts = np.linspace(region.a, region.b, 10_000)
-    inside = region.indicator(pts)
-    if not inside.any():
-        raise ValueError("no grid point falls inside the region")
-    return float(np.max(np.asarray(func(pts))[inside]))

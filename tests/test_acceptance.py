@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+from _helpers import region_supremum
 from wellescape import (
     CosineWellPotential,
     EscapeEvent,
@@ -46,7 +47,6 @@ from wellescape import (
     invert_on_region,
     log_weight_stochastic_integral_form,
     minimize_exit_action,
-    region_supremum,
     run_importance_meshes,
     run_plain,
     small_noise_sweep,

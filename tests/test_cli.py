@@ -75,7 +75,7 @@ def test_unknown_keys_are_rejected_with_context(tmp_path):
 
 def test_cross_field_validation(tmp_path):
     path = _write_cfg(tmp_path, BASE)
-    with pytest.raises(ConfigurationError, match="at most one of"):
+    with pytest.raises(ConfigurationError, match="one of sigma/epsilon/beta"):
         ExperimentConfig.from_file(path, ["--sigma", "1", "--epsilon", "2"])
     with pytest.raises(ConfigurationError, match="multiple of h"):
         ExperimentConfig.from_file(path, ["--mode", "importance", "--sampling",
@@ -331,6 +331,21 @@ def test_overflowing_bound_is_reported_as_infinite(tmp_path, capsys):
     with open(out) as fh:
         rows = list(csv.DictReader(fh))
     assert rows[0]["theorem3_bound"] == "inf"
+
+
+@pytest.mark.parametrize("overrides, line", [
+    (["--mode", "density", "--epsilon", "5", "--y", "1e150", "--t", "5e-324"],
+     "kernel=0"),
+    (["--mode", "action", "--potential", "quadratic", "--stiffness", "5",
+      "--T", "1e150", "--segments", "3"], "converged=False"),
+], ids=["density-kernel-underflow", "action-trial-overflow"])
+def test_overflow_the_answer_absorbs_warns_nothing(tmp_path, capsys,
+                                                  overrides, line):
+    # the test settings turn a numpy RuntimeWarning into an error
+    path = _write_cfg(tmp_path, BASE)
+    assert main(["run", path, *overrides]) == 0
+    out, err = capsys.readouterr()
+    assert line in out and err == ""
 
 
 def test_csv_output_is_byte_identical_across_reruns(tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from _helpers import region_supremum
 from wellescape.errors import ConstructionError, EvaluationError
 from wellescape.potentials import (
     _BOUNDARY_MATCH_TOL,
@@ -16,7 +17,6 @@ from wellescape.potentials import (
     flatten_on_region,
     generator_apply_to_self,
     invert_on_region,
-    region_supremum,
 )
 
 D_PI = Interval(-np.pi, np.pi)

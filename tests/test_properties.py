@@ -170,10 +170,12 @@ def test_merge_is_associative_and_commutative_under_any_split(ks, data):
     scale = float(np.max(values)) or 1.0
     for merged in (_fold(parts, range(len(parts))), _fold(parts, order), right):
         assert (merged.n, merged.hits) == (whole.n, whole.hits)
-        assert merged.sum_w_ind == whole.sum_w_ind
-        assert merged.sum_w2_ind == whole.sum_w2_ind
         assert abs(merged.mean - whole.mean) <= 1e-12 * scale
         assert abs(merged.m2 - whole.m2) <= 1e-12 * scale**2 * whole.n
+        # the raw sums are read from the moments
+        assert abs(merged.sum_w_ind - values.sum()) <= 1e-12 * scale * whole.n
+        assert (abs(merged.sum_w2_ind - (values**2).sum())
+                <= 1e-12 * scale**2 * whole.n)
 
 
 @settings(max_examples=12, deadline=None)
