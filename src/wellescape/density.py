@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverError
+from .errors import EvaluationError, SolverError
 from .potentials import generator_apply_to_self
 
 DEFAULT_DELTA_EXPONENT = 0.4
@@ -56,11 +56,16 @@ def gaussian_kernel(noise, t, z):
     """Free-diffusion transition density rho_t(z) for displacement z.
 
     ``rho_t(z) = (2 pi sigma^2 t)^(-1/2) exp(-z^2 / (2 sigma^2 t))``.
+    Raises :class:`EvaluationError` when sigma^2 t underflows to 0.
     """
     if t <= 0:
         raise ValueError("time must be positive")
     z = np.asarray(z, dtype=float)
     var = noise.sigma ** 2 * t
+    if var == 0.0:
+        raise EvaluationError(
+            f"the kernel variance sigma^2 t = {noise.sigma ** 2:g} * {t:g} "
+            "underflows to 0")
     with np.errstate(over="ignore"):  # a huge z^2 / var underflows to 0
         return (2 * math.pi * var) ** -0.5 * np.exp(-z * z / (2 * var))
 

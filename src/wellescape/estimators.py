@@ -12,12 +12,14 @@ Langevin dynamics of a potential V.  Two estimators are provided:
 
 Runs stream over fixed noise blocks (see :class:`wellescape.sde.RngPolicy`)
 and reduce mergeable moment summaries in block order, so results are
-bit-for-bit independent of the worker count.  Efficiency diagnostics
-follow the usual second-moment analysis: the relative error of the
-importance estimator after N samples is sqrt((Lambda - P(A)^2) / N) / P(A)
-with Lambda = E~[w^2 1_A] >= P(A)^2.  When V~ = V outside D and
-|V~'| <= |V'| on D (the flattened and the inverted well both qualify),
-the weight on A is at most
+bit-for-bit independent of the worker count.  Each worker is a lane: one
+noise buffer, reused for its blocks, and a filler thread that draws the
+next half-block into it while the lane steps the current one.
+Efficiency diagnostics follow the usual second-moment analysis: the
+relative error of the importance estimator after N samples is
+sqrt((Lambda - P(A)^2) / N) / P(A) with Lambda = E~[w^2 1_A] >= P(A)^2.
+When V~ = V outside D and |V~'| <= |V'| on D (the flattened and the
+inverted well both qualify), the weight on A is at most
 
     W = exp( eps^-1 (V(x0) - V~(x0)) + T M ),
     M = 1/2 sup_D (Laplace V - Laplace V~),      eps = sigma^2,
@@ -41,7 +43,9 @@ import numpy as np
 from .errors import ConfigurationError, SimulationError
 from .girsanov import WeightAccumulator
 from .potentials import NoiseScale
-from .sde import BLOCK_SAMPLES, RngPolicy, evolve_block, steps_for
+from .sde import BLOCK_SAMPLES, RngPolicy, empty_block, evolve_block, steps_for
+
+_HALF = BLOCK_SAMPLES // 2
 
 
 @dataclass(frozen=True)
@@ -148,18 +152,6 @@ def _finite(summaries):
     return summaries
 
 
-def _reduce_blocks(per_block, n_blocks, workers):
-    if workers <= 1:
-        results = [per_block(b) for b in range(n_blocks)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(per_block, range(n_blocks)))
-    merged = results[0]
-    for r in results[1:]:
-        merged = [a.merge(b) for a, b in zip(merged, r)]
-    return merged
-
-
 def _run(potential, sampling_potential, noise, x0, event, h, taus, n_samples,
          policy, workers):
     """Shared engine: simulate n_samples under the sampling law, summarize.
@@ -167,6 +159,17 @@ def _run(potential, sampling_potential, noise, x0, event, h, taus, n_samples,
     Returns one summary per requested Riemann mesh (a single-entry list
     with tau None for plain runs).  All meshes share one simulation pass,
     and therefore one noise stream.
+
+    Lane k of ``workers`` steps the blocks b = k (mod workers), lane 0
+    on the calling thread, in one noise buffer.  A block's halves, rows
+    [0, 2048) and [2048, 4096) cut at the last sample, are drawn in
+    order from its one generator, so they hold the rows of
+    ``block_normals``; the lane's filler thread draws the next half into
+    the other rows while the lane steps this one.  A block's halves are
+    joined before it is summarized, and the summaries merge in block
+    order.  The lowest failing block runs again whole on
+    ``block_normals``, so the error raised is the one a serial
+    whole-block run meets first.
     """
     if n_samples < 1:
         raise ConfigurationError(f"n_samples must be at least 1, got {n_samples}")
@@ -174,34 +177,86 @@ def _run(potential, sampling_potential, noise, x0, event, h, taus, n_samples,
     weighted = sampling_potential is not None
     sampler = sampling_potential if weighted else potential
     kind = "importance" if weighted else "plain"
-    n_slots = len(taus) if weighted else 1
+    n_blocks = policy.n_blocks(n_samples)
+    lanes = max(1, min(int(workers), n_blocks))
+    buffers = [empty_block(n_steps) for _ in range(lanes)]
 
-    def per_block(b):
-        noise_block = policy.block_normals(b, n_steps)
-        take = min(BLOCK_SAMPLES, n_samples - b * BLOCK_SAMPLES)
-        if take < BLOCK_SAMPLES:
-            noise_block = noise_block[:take]
+    def take(b):
+        return min(BLOCK_SAMPLES, n_samples - b * BLOCK_SAMPLES)
+
+    def step(noise_block):
+        """Terminal states and log-weights (None for plain) of its rows."""
         acc = None
         if weighted:
             acc = WeightAccumulator(
                 potential, sampling_potential, noise, h, n_steps, taus
             )
-        terminal = evolve_block(
-            sampler, noise, x0, n_steps, h, noise_block,
-            acc.observe if acc else None,
-        )
+        # inf and nan are refused, not warned about: evolve_block, the
+        # integrand's _check_finite and _finite raise on them
+        with np.errstate(over="ignore", invalid="ignore"):
+            terminal = evolve_block(
+                sampler, noise, x0, n_steps, h, noise_block,
+                acc.observe if acc else None,
+            )
+            return terminal, acc.finalize(x0, terminal) if acc else None
+
+    def summarize(parts):
+        terminal = np.concatenate([t for t, _ in parts])
         ind = event.indicator(terminal)
         hits = int(np.count_nonzero(ind))
         if not weighted:
             return [EstimatorSummary.from_values(ind, kind, hits)]
-        logw = acc.finalize(x0, terminal)
+        logw = np.concatenate([w for _, w in parts], axis=1)
         # 0 off the event, never inf * 0; _finite refuses an overflow on it
         with np.errstate(over="ignore", invalid="ignore"):
             w_ind = np.exp(np.where(ind > 0, logw, -np.inf))
-            return _finite([EstimatorSummary.from_values(w_ind[j], kind, hits)
-                            for j in range(n_slots)])
+            return _finite([EstimatorSummary.from_values(row, kind, hits)
+                            for row in w_ind])
 
-    return _finite(_reduce_blocks(per_block, policy.n_blocks(n_samples), workers))
+    results = [None] * n_blocks
+    failures = {}
+
+    def lane(k):
+        blocks = range(k, n_blocks, lanes)
+        halves = [(b, lo, min(lo + _HALF, take(b)))
+                  for b in blocks for lo in range(0, take(b), _HALF)]
+        buffer, gen, parts = buffers[k], None, []
+
+        def fill(b, lo, hi):
+            nonlocal gen
+            if lo == 0:
+                gen = policy.block_generator(b)
+            gen.standard_normal(out=buffer[lo:hi])
+
+        try:
+            # consecutive halves use the other rows: the next half is drawn
+            # while this one is stepped, into rows stepped before it
+            with ThreadPoolExecutor(max_workers=1) as filler:
+                drawn = filler.submit(fill, *halves[0])
+                for i, (b, lo, hi) in enumerate(halves):
+                    drawn.result()
+                    if i + 1 < len(halves):
+                        drawn = filler.submit(fill, *halves[i + 1])
+                    parts.append(step(buffer[lo:hi]))
+                    if hi == take(b):
+                        results[b], parts = summarize(parts), []
+        except Exception as exc:
+            failures[next(b for b in blocks if results[b] is None)] = exc
+
+    with ThreadPoolExecutor(max_workers=lanes) as pool:
+        others = [pool.submit(lane, k) for k in range(1, lanes)]
+        lane(0)
+        for f in others:
+            f.result()
+    buffers.clear()
+    if failures:
+        b = min(failures)
+        summarize([step(policy.block_normals(b, n_steps)[:take(b)])])
+        raise failures[b]
+    merged = results[0]
+    for r in results[1:]:
+        merged = [a.merge(c) for a, c in zip(merged, r)]
+    return _finite(merged)
 
 
 def run_plain(potential, noise, x0, event, h, n_samples, policy, workers=1):

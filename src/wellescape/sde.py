@@ -16,7 +16,9 @@ in fixed blocks of :data:`BLOCK_SAMPLES` samples, block ``j`` seeded by
 ``SeedSequence(master_seed, spawn_key=(j,))``.  Sample ``k`` always reads
 row ``k mod BLOCK_SAMPLES`` of block ``k // BLOCK_SAMPLES``, so its noise
 depends only on ``(master_seed, k)`` and never on batch sizes, worker
-counts, or scheduling.
+counts, or scheduling.  A block's generator fills its rows in order, so
+consecutive row slices drawn from one :meth:`RngPolicy.block_generator`
+hold exactly the rows of :meth:`RngPolicy.block_normals`.
 """
 
 from __future__ import annotations
@@ -30,23 +32,35 @@ from .errors import ConfigurationError, SimulationError, allocating
 BLOCK_SAMPLES = 4096
 
 
+def empty_block(n_steps):
+    """An unfilled noise block, shape (BLOCK_SAMPLES, n_steps).
+
+    Raises :class:`SimulationError` when it cannot be allocated.
+    """
+    shape = (BLOCK_SAMPLES, n_steps)
+    with allocating(SimulationError, f"a noise block of shape {shape}",
+                    math.prod(shape)):
+        return np.empty(shape)
+
+
 class RngPolicy:
     """Deterministic per-sample noise streams derived from one master seed."""
 
     def __init__(self, master_seed):
         self.master_seed = int(master_seed)
 
+    def block_generator(self, block_index):
+        """The generator that draws block ``block_index``, row after row."""
+        ss = np.random.SeedSequence(self.master_seed, spawn_key=(int(block_index),))
+        return np.random.Generator(np.random.PCG64(ss))
+
     def block_normals(self, block_index, n_steps):
         """Standard normals for one block, shape (BLOCK_SAMPLES, n_steps).
 
         Raises :class:`SimulationError` when the block cannot be allocated.
         """
-        ss = np.random.SeedSequence(self.master_seed, spawn_key=(int(block_index),))
-        gen = np.random.Generator(np.random.PCG64(ss))
-        shape = (BLOCK_SAMPLES, n_steps)
-        with allocating(SimulationError, f"a noise block of shape {shape}",
-                        math.prod(shape)):
-            return gen.standard_normal(shape)
+        return self.block_generator(block_index).standard_normal(
+            out=empty_block(n_steps))
 
     def n_blocks(self, n_samples):
         return -(-int(n_samples) // BLOCK_SAMPLES)

@@ -176,10 +176,17 @@ def test_unallocatable_oracle_grid_is_a_runtime_error(tmp_path, capsys,
      "density mass is 0 at t=1e+300, not 1"),
     (["--mode", "action", "--T", "1e-300", "--segments", "4"],
      "the action of the starting path is inf"),
+    # no RuntimeWarning before the error line (the test settings make one
+    # an error): the integrand overflows, the kernel variance underflows
+    (["--mode", "importance", "--potential", "linear", "--slope", "1e300",
+      "--sampling", "same", "--T", "0.1", "--N", "100"],
+     "integrand of 'linear(a=1e+300)' against 'linear(a=1e+300)' is non-finite"),
+    (["--mode", "density", "--epsilon", "0.25", "--y", "1", "--t", "5e-324"],
+     "the kernel variance sigma^2 t = 0.25 * 4.94066e-324 underflows to 0"),
 ], ids=["noise-too-big", "noise-dimension", "noise-h-tiny", "fp-n_cells-huge",
         "action-segments-huge", "fp-x0-huge", "fp-region-huge", "density-t-huge",
         "density-delta-huge", "fp-mass-underflow", "fp-dt-huge",
-        "action-T-tiny"])
+        "action-T-tiny", "importance-integrand-overflow", "density-t-underflow"])
 def test_runtime_failures_end_in_one_line(tmp_path, capsys, overrides, message):
     path = _write_cfg(tmp_path, BASE)
     assert main(["run", path, *overrides]) == 2

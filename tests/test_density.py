@@ -112,7 +112,8 @@ def test_bounds_bracket_fokker_planck_reference():
 
 
 def test_bounds_evaluate_the_integrand_once_on_the_grid():
-    # the slope maximum and sup |g| both come from one 10^4-point grid
+    # the slope maximum and sup |g| both come from one 10^4-point grid,
+    # through one field evaluation: V' alone or (V', V'') together
     class Counting(CosineWellPotential):
         grid_calls = 0
 
@@ -120,6 +121,11 @@ def test_bounds_evaluate_the_integrand_once_on_the_grid():
             if np.size(x) == 10_000:
                 Counting.grid_calls += 1
             return super().gradient(x)
+
+        def derivatives(self, x):
+            if np.size(x) == 10_000:
+                Counting.grid_calls += 1
+            return super().derivatives(x)
 
     bounds(Counting(), SIGMA1, 0.2, 0.7, 0.1)
     assert Counting.grid_calls == 1

@@ -1,12 +1,14 @@
 import csv
 import math
+import sys
+import threading
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from wellescape.cli import CSV_COLUMNS, _write_rows, csv_row
-from wellescape.errors import ConfigurationError, SimulationError
+from wellescape.errors import ConfigurationError, SimulationError, WellEscapeError
 from wellescape.estimators import (
     EscapeEvent,
     EstimatorSummary,
@@ -25,7 +27,8 @@ from wellescape.potentials import (
     flatten_on_region,
     invert_on_region,
 )
-from wellescape.sde import RngPolicy
+from wellescape.girsanov import WeightAccumulator
+from wellescape.sde import BLOCK_SAMPLES, RngPolicy, evolve_block, steps_for
 
 SIGMA1 = NoiseScale(sigma=1.0)
 WELL = Interval(-math.pi, math.pi)
@@ -165,6 +168,123 @@ def test_worker_count_does_not_change_results():
     assert one == three
 
 
+def _whole_block(target, sampler, event, h, taus, rows):
+    """One block's summaries, stepped whole on one thread."""
+    n_steps = rows.shape[1]
+    acc = None
+    if sampler is not None:
+        acc = WeightAccumulator(target, sampler, SIGMA1, h, n_steps, taus)
+    terminal = evolve_block(sampler or target, SIGMA1, 0.1, n_steps, h, rows,
+                            acc.observe if acc else None)
+    ind = event.indicator(terminal)
+    hits = int(np.count_nonzero(ind))
+    if acc is None:
+        return [EstimatorSummary.from_values(ind, "plain", hits)]
+    w_ind = np.exp(np.where(ind > 0, acc.finalize(0.1, terminal), -np.inf))
+    return [EstimatorSummary.from_values(w, "importance", hits) for w in w_ind]
+
+
+def _serial_reference(target, sampler, event, h, taus, n, policy):
+    """The run as whole blocks of ``block_normals``, merged in block order."""
+    n_steps = steps_for(event.horizon, h)
+    merged = None
+    for b in range(policy.n_blocks(n)):
+        rows = policy.block_normals(b, n_steps)[:n - b * BLOCK_SAMPLES]
+        part = _whole_block(target, sampler, event, h, taus, rows)
+        merged = part if merged is None else [x.merge(y) for x, y in zip(merged, part)]
+    return merged
+
+
+@pytest.mark.parametrize("n", [1, 2047, 2048, 2049, 4096, 4097, 3 * 4096 + 17])
+@pytest.mark.parametrize("sampling", ["plain", "invert"])
+def test_half_block_lanes_equal_whole_serial_blocks(sampling, n):
+    V = CosineWellPotential()
+    sampler = invert_on_region(V, WELL) if sampling == "invert" else None
+    event = EscapeEvent(Interval(-0.3, 0.5), horizon=0.1)   # hits are common
+    taus = (1e-2, 5e-2)
+    want = _serial_reference(V, sampler, event, 1e-2, taus, n, RngPolicy(31))
+    for workers in (1, 2, 3):
+        if sampler is None:
+            got = [run_plain(V, SIGMA1, 0.1, event, 1e-2, n, RngPolicy(31), workers)]
+        else:
+            got = list(run_importance_meshes(V, sampler, SIGMA1, 0.1, event, 1e-2,
+                                             taus, n, RngPolicy(31), workers).values())
+        assert got == want, workers
+
+
+def test_lanes_match_the_serial_run_under_a_short_switch_interval():
+    # three lanes on fewer cores, switching threads every microsecond: a
+    # half stepped before its noise is drawn, or drawn over while it is
+    # stepped, moves a summary; a lost wakeup leaves the run hanging
+    V = CosineWellPotential()
+    sampler = invert_on_region(V, WELL)
+    event = EscapeEvent(Interval(-0.3, 0.5), horizon=0.1)
+    n, taus = 5 * 4096 + 17, (1e-2,)
+    want = _serial_reference(V, sampler, event, 1e-2, taus, n, RngPolicy(47))
+    got = []
+    run = threading.Thread(daemon=True, target=lambda: got.append(
+        run_importance(V, sampler, SIGMA1, 0.1, event, 1e-2, 1e-2, n,
+                       RngPolicy(47), workers=3)))
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        run.start()
+        run.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not run.is_alive()
+    assert got == want
+
+
+class _Cliff(PotentialField):
+    """Flat below x = 2, an infinite slope above: a row fails at the first
+    step its random walk passes 2, at a step that differs from row to row."""
+
+    label = "cliff"
+
+    def value(self, x):
+        return np.zeros(np.shape(x))
+
+    def gradient(self, x):
+        return np.where(np.asarray(x) > 2.0, np.inf, 0.0)
+
+    laplacian = value
+
+
+@pytest.mark.parametrize("sampling", ["plain", "importance"])
+def test_a_block_fails_with_the_error_of_its_whole_serial_run(sampling):
+    # a seed where a row >= 2048 fails at an earlier step than every row
+    # below it: stepped half by half, the first half alone would report a
+    # later step (plain) or another point (importance)
+    V = _Cliff()
+    sampler = ZeroPotential() if sampling == "importance" else None
+    event = EscapeEvent(WELL, horizon=0.5)
+    taus = (1e-2,)
+
+    def message(rows):
+        try:
+            _whole_block(V, sampler, event, 1e-2, taus, rows)
+        except WellEscapeError as exc:
+            return type(exc), str(exc)
+        return None
+
+    for seed in range(200):
+        block = RngPolicy(seed).block_normals(0, 50)
+        whole, first_half = message(block), message(block[:2048])
+        if first_half is not None and first_half != whole:
+            break
+    else:
+        pytest.fail("no seed in 0..199 fails first in the upper half")
+    for workers in (1, 2):
+        with pytest.raises(whole[0]) as info:
+            if sampler is None:
+                run_plain(V, SIGMA1, 0.1, event, 1e-2, 4096 + 5, RngPolicy(seed), workers)
+            else:
+                run_importance(V, sampler, SIGMA1, 0.1, event, 1e-2, 1e-2, 4096 + 5,
+                               RngPolicy(seed), workers)
+        assert str(info.value) == whole[1]
+
+
 @pytest.mark.parametrize("patch", [flatten_on_region, invert_on_region])
 def test_sampler_on_the_target_matches_sampler_on_an_equal_copy(patch):
     # patched on V itself, the weight reads V~'s field off V's one
@@ -181,6 +301,7 @@ def test_sampler_on_the_target_matches_sampler_on_an_equal_copy(patch):
 class CountingWell(CosineWellPotential):
     def __init__(self):
         self.calls = Counter()
+        self.points = 0
 
     def gradient(self, x):
         self.calls["gradient"] += 1
@@ -190,6 +311,11 @@ class CountingWell(CosineWellPotential):
         self.calls["laplacian"] += 1
         return super().laplacian(x)
 
+    def derivatives(self, x):
+        self.calls["derivatives"] += 1
+        self.points += np.size(x)
+        return super().derivatives(x)
+
 
 def test_importance_step_evaluates_the_target_field_once():
     V = CountingWell()
@@ -197,8 +323,10 @@ def test_importance_step_evaluates_the_target_field_once():
     V.calls.clear()  # construction probes the boundary
     event = EscapeEvent(WELL, horizon=0.5)
     run_importance(V, inv, SIGMA1, 0.0, event, 1e-2, 1e-2, 5000, RngPolicy(4))
-    # two blocks of 50 steps, one gradient and one Laplacian each
-    assert V.calls == Counter(gradient=2 * 50, laplacian=2 * 50)
+    # 5000 samples step as three half-block slices (2048, 2048, 904) of
+    # 50 steps: one derivatives call per slice-step, over every point
+    assert V.calls == Counter(derivatives=3 * 50)
+    assert V.points == 5000 * 50
 
 
 @pytest.mark.parametrize("run", ["plain", "importance"])

@@ -249,3 +249,16 @@ def test_fields_return_numpy_values_of_the_input_shape(name):
                            (D_PI.indicator(x), np.bool_)):
             assert isinstance(out, (np.ndarray, np.generic))
             assert out.shape == shape and out.dtype == dtype
+
+
+@pytest.mark.parametrize("name", _FIELDS)
+def test_derivatives_are_the_gradient_and_laplacian_bit_for_bit(name):
+    V = _FIELDS[name]
+    x = np.random.default_rng(11).uniform(-7, 7, 4099)
+    x[:5] = (np.pi, -np.pi, 0.0, -0.0, 3 * np.pi)
+    for point in (x, x[:4088].reshape(8, 511), 0.5, -0.0):
+        g, lap = V.derivatives(point)
+        for got, want in ((g, V.gradient(point)), (lap, V.laplacian(point))):
+            assert got.shape == np.shape(want) and got.dtype == want.dtype
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            assert np.array_equal(got, want)

@@ -72,6 +72,18 @@ def test_streams_are_deterministic_and_distinct():
     assert not np.array_equal(RngPolicy(124).block_normals(0, 64)[5], a[5])
 
 
+@pytest.mark.parametrize("cuts", [(2048,), (1, 2048, 4095), (7, 4000)])
+def test_row_slices_of_one_block_generator_are_the_block(cuts):
+    # the half-block pipeline draws a block's rows in slices, in order
+    policy = RngPolicy(123)
+    whole = policy.block_normals(3, 37)
+    gen = policy.block_generator(3)
+    sliced = np.empty_like(whole)
+    for lo, hi in zip((0, *cuts), (*cuts, BLOCK_SAMPLES)):
+        gen.standard_normal(out=sliced[lo:hi])
+    assert np.array_equal(sliced, whole)
+
+
 def test_steps_for_rejects_off_grid_horizon():
     assert steps_for(1.0, 1e-3) == 1000
     assert steps_for(0.5, 0.01) == 50
