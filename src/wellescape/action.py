@@ -125,13 +125,18 @@ def minimize_action_pinned(potential, x_start, x_end, horizon, n_segments=200,
                            grad_tol=1e-6):
     """Minimize the action over paths pinned at both endpoints.
 
-    Starts from the straight line between the endpoints.
+    Starts from the straight line between the endpoints.  Raises
+    :class:`SolverError` when the segment length horizon / n_segments
+    underflows to 0.
     """
+    dt = horizon / n_segments
+    if dt == 0.0:
+        raise SolverError(f"the segment length T / segments = {horizon:g} / "
+                          f"{n_segments} underflows to 0")
     with allocating(SolverError, f"a path of {n_segments + 1} knots", n_segments + 1):
         r = np.linspace(0.0, 1.0, n_segments + 1)
     knots = (1 - r) * float(x_start) + r * float(x_end)
-    knots, f, ok, iters, gnorm = _descend(potential, knots, horizon / n_segments,
-                                          grad_tol)
+    knots, f, ok, iters, gnorm = _descend(potential, knots, dt, grad_tol)
     return ActionResult(value=f, knots=knots, converged=ok, iterations=iters,
                         grad_norm=gnorm)
 

@@ -96,7 +96,16 @@ def corridor_violation_bound(noise, t, delta):
 
 def _slope_and_sup(func, lo, hi):
     """Largest |slope| and largest |func| on a 10,000-point grid over
-    [lo, hi], from one evaluation of ``func``."""
+    [lo, hi], from one evaluation of ``func``.
+
+    Raises :class:`SolverError` when the grid spacing's square is 0 or
+    not finite, where the slopes would lose their divisor.
+    """
+    dx = (hi - lo) / (_GRID_POINTS - 1)
+    if not 0.0 < dx * dx < math.inf:
+        raise SolverError(
+            f"the slope grid over ({lo:g}, {hi:g}) has spacing dx={dx:g}, "
+            "whose square leaves the float range")
     grid = np.linspace(lo, hi, _GRID_POINTS)
     vals = func(grid)
     return float(np.max(np.abs(np.gradient(vals, grid)))), float(np.max(np.abs(vals)))
@@ -131,7 +140,7 @@ def bounds(potential, noise, x, y, t, delta=None):
     integral = float(_simpson(chord, r))
     v_diff = float(potential.value(x)) - float(potential.value(y))
     bracket = v_diff + 0.5 * t * integral
-    kernel = gaussian_kernel(noise, t, float(y) - float(x))
+    kernel = float(gaussian_kernel(noise, t, float(y) - float(x)))
 
     pad = 3.0 * sigma * math.sqrt(t)
     slope, sup_abs_g = _slope_and_sup(g, min(x, y) - pad, max(x, y) + pad)

@@ -11,10 +11,10 @@ Langevin dynamics of a potential V.  Two estimators are provided:
   inverted on D) makes escapes common and the weight small on them.
 
 Runs stream over fixed noise blocks (see :class:`wellescape.sde.RngPolicy`)
-and reduce mergeable moment summaries in block order, so results are
-bit-for-bit independent of the worker count.  Each worker is a lane: one
-noise buffer, reused for its blocks, and a filler thread that draws the
-next half-block into it while the lane steps the current one.
+and reduce mergeable moment summaries in block order.  One thread steps
+every block in one reused noise buffer while a filler thread draws the
+next half-block into it; the ``workers`` argument is accepted and
+changes neither threads, memory nor results.
 Efficiency diagnostics follow the usual second-moment analysis: the
 relative error of the importance estimator after N samples is
 sqrt((Lambda - P(A)^2) / N) / P(A) with Lambda = E~[w^2 1_A] >= P(A)^2.
@@ -153,21 +153,20 @@ def _finite(summaries):
 
 
 def _run(potential, sampling_potential, noise, x0, event, h, taus, n_samples,
-         policy, workers):
+         policy):
     """Shared engine: simulate n_samples under the sampling law, summarize.
 
     Returns one summary per requested Riemann mesh (a single-entry list
     with tau None for plain runs).  All meshes share one simulation pass,
     and therefore one noise stream.
 
-    Lane k of ``workers`` steps the blocks b = k (mod workers), lane 0
-    on the calling thread, in one noise buffer.  A block's halves, rows
-    [0, 2048) and [2048, 4096) cut at the last sample, are drawn in
-    order from its one generator, so they hold the rows of
-    ``block_normals``; the lane's filler thread draws the next half into
-    the other rows while the lane steps this one.  A block's halves are
-    joined before it is summarized, and the summaries merge in block
-    order.  The lowest failing block runs again whole on
+    The calling thread steps every block in order, in one noise buffer.
+    A block's halves, rows [0, 2048) and [2048, 4096) cut at the last
+    sample, are drawn in order from its one generator, so they hold the
+    rows of ``block_normals``; a filler thread draws the next half into
+    the other rows while this one is stepped.  A block's halves are
+    joined before it is summarized, and each block's summaries merge in
+    block order as it finishes.  A failing block runs again whole on
     ``block_normals``, so the error raised is the one a serial
     whole-block run meets first.
     """
@@ -177,9 +176,7 @@ def _run(potential, sampling_potential, noise, x0, event, h, taus, n_samples,
     weighted = sampling_potential is not None
     sampler = sampling_potential if weighted else potential
     kind = "importance" if weighted else "plain"
-    n_blocks = policy.n_blocks(n_samples)
-    lanes = max(1, min(int(workers), n_blocks))
-    buffers = [empty_block(n_steps) for _ in range(lanes)]
+    buffer = empty_block(n_steps)
 
     def take(b):
         return min(BLOCK_SAMPLES, n_samples - b * BLOCK_SAMPLES)
@@ -213,63 +210,50 @@ def _run(potential, sampling_potential, noise, x0, event, h, taus, n_samples,
             return _finite([EstimatorSummary.from_values(row, kind, hits)
                             for row in w_ind])
 
-    results = [None] * n_blocks
-    failures = {}
+    halves = [(b, lo, min(lo + _HALF, take(b)))
+              for b in range(policy.n_blocks(n_samples))
+              for lo in range(0, take(b), _HALF)]
+    gen, parts = None, []
+    merged = [EstimatorSummary(0, 0.0, 0.0, 0, kind) for _ in taus]
 
-    def lane(k):
-        blocks = range(k, n_blocks, lanes)
-        halves = [(b, lo, min(lo + _HALF, take(b)))
-                  for b in blocks for lo in range(0, take(b), _HALF)]
-        buffer, gen, parts = buffers[k], None, []
+    def fill(b, lo, hi):
+        nonlocal gen
+        if lo == 0:
+            gen = policy.block_generator(b)
+        gen.standard_normal(out=buffer[lo:hi])
 
-        def fill(b, lo, hi):
-            nonlocal gen
-            if lo == 0:
-                gen = policy.block_generator(b)
-            gen.standard_normal(out=buffer[lo:hi])
-
-        try:
-            # consecutive halves use the other rows: the next half is drawn
-            # while this one is stepped, into rows stepped before it
-            with ThreadPoolExecutor(max_workers=1) as filler:
-                drawn = filler.submit(fill, *halves[0])
-                for i, (b, lo, hi) in enumerate(halves):
-                    drawn.result()
-                    if i + 1 < len(halves):
-                        drawn = filler.submit(fill, *halves[i + 1])
-                    parts.append(step(buffer[lo:hi]))
-                    if hi == take(b):
-                        results[b], parts = summarize(parts), []
-        except Exception as exc:
-            failures[next(b for b in blocks if results[b] is None)] = exc
-
-    with ThreadPoolExecutor(max_workers=lanes) as pool:
-        others = [pool.submit(lane, k) for k in range(1, lanes)]
-        lane(0)
-        for f in others:
-            f.result()
-    buffers.clear()
-    if failures:
-        b = min(failures)
-        summarize([step(policy.block_normals(b, n_steps)[:take(b)])])
-        raise failures[b]
-    merged = results[0]
-    for r in results[1:]:
-        merged = [a.merge(c) for a, c in zip(merged, r)]
-    return _finite(merged)
+    try:
+        # consecutive halves use the other rows: the next half is drawn
+        # while this one is stepped, into rows stepped before it
+        with ThreadPoolExecutor(max_workers=1) as filler:
+            drawn = filler.submit(fill, *halves[0])
+            for i, (b, lo, hi) in enumerate(halves):
+                drawn.result()
+                if i + 1 < len(halves):
+                    drawn = filler.submit(fill, *halves[i + 1])
+                parts.append(step(buffer[lo:hi]))
+                if hi == take(b):
+                    merged = [a.merge(c) for a, c in zip(merged, summarize(parts))]
+                    parts = []
+    except Exception as exc:
+        failure = exc
+    else:
+        return _finite(merged)
+    summarize([step(policy.block_normals(b, n_steps)[:take(b)])])
+    raise failure
 
 
 def run_plain(potential, noise, x0, event, h, n_samples, policy, workers=1):
     """Vanilla Monte Carlo estimate of P(A) under the target dynamics."""
     return _run(potential, None, noise, x0, event, h, [None], n_samples,
-                policy, workers)[0]
+                policy)[0]
 
 
 def run_importance(potential, sampling_potential, noise, x0, event, h, tau,
                    n_samples, policy, workers=1):
     """Reweighted estimate of P(A), sampling under ``sampling_potential``."""
     return _run(potential, sampling_potential, noise, x0, event, h, [tau],
-                n_samples, policy, workers)[0]
+                n_samples, policy)[0]
 
 
 def run_importance_meshes(potential, sampling_potential, noise, x0, event, h,
@@ -280,7 +264,7 @@ def run_importance_meshes(potential, sampling_potential, noise, x0, event, h,
     returned summaries isolate the effect of the weight discretization.
     """
     summaries = _run(potential, sampling_potential, noise, x0, event, h,
-                     list(taus), n_samples, policy, workers)
+                     list(taus), n_samples, policy)
     return dict(zip(taus, summaries))
 
 

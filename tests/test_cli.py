@@ -183,10 +183,24 @@ def test_unallocatable_oracle_grid_is_a_runtime_error(tmp_path, capsys,
      "integrand of 'linear(a=1e+300)' against 'linear(a=1e+300)' is non-finite"),
     (["--mode", "density", "--epsilon", "0.25", "--y", "1", "--t", "5e-324"],
      "the kernel variance sigma^2 t = 0.25 * 4.94066e-324 underflows to 0"),
+    # an infinite bound times a zero kernel, not inf * 0 in numpy
+    (["--mode", "density", "--potential", "linear", "--slope", "1e8",
+      "--x0", "1e150", "--epsilon", "1e-300", "--y", "0.5"],
+     "density bounds at t=1, delta=1 leave the float range"),
+    # grids whose spacing squared leaves the float range: the density's
+    # slope grid overflows or underflows, the action's segment is 0
+    (["--mode", "density", "--potential", "cosine", "--y", "-1e300"],
+     "slope grid over (-1e+300, 3) has spacing dx=1.0001e+296"),
+    (["--mode", "density", "--potential", "quadratic", "--stiffness", "1e8",
+      "--y", "1e-300", "--t", "5e-324"], "has spacing dx=1.33379e-165"),
+    (["--mode", "action", "--T", "5e-324", "--segments", "2"],
+     "the segment length T / segments = 4.94066e-324 / 2 underflows to 0"),
 ], ids=["noise-too-big", "noise-dimension", "noise-h-tiny", "fp-n_cells-huge",
         "action-segments-huge", "fp-x0-huge", "fp-region-huge", "density-t-huge",
         "density-delta-huge", "fp-mass-underflow", "fp-dt-huge",
-        "action-T-tiny", "importance-integrand-overflow", "density-t-underflow"])
+        "action-T-tiny", "importance-integrand-overflow", "density-t-underflow",
+        "density-bound-times-zero-kernel", "density-slope-grid-overflow",
+        "density-slope-grid-underflow", "action-segment-underflow"])
 def test_runtime_failures_end_in_one_line(tmp_path, capsys, overrides, message):
     path = _write_cfg(tmp_path, BASE)
     assert main(["run", path, *overrides]) == 2

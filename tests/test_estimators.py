@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from wellescape import estimators
 from wellescape.cli import CSV_COLUMNS, _write_rows, csv_row
 from wellescape.errors import ConfigurationError, SimulationError, WellEscapeError
 from wellescape.estimators import (
@@ -28,7 +29,7 @@ from wellescape.potentials import (
     invert_on_region,
 )
 from wellescape.girsanov import WeightAccumulator
-from wellescape.sde import BLOCK_SAMPLES, RngPolicy, evolve_block, steps_for
+from wellescape.sde import BLOCK_SAMPLES, RngPolicy, empty_block, evolve_block, steps_for
 
 SIGMA1 = NoiseScale(sigma=1.0)
 WELL = Interval(-math.pi, math.pi)
@@ -234,6 +235,28 @@ def test_lanes_match_the_serial_run_under_a_short_switch_interval():
         sys.setswitchinterval(old)
     assert not run.is_alive()
     assert got == want
+
+
+def test_one_thread_steps_every_block_in_one_buffer(monkeypatch):
+    # workers=3 over three blocks: the calling thread steps them all, and
+    # the run allocates one noise buffer, not one per worker
+    threads, buffers = set(), []
+
+    def stepping(*args):
+        threads.add(threading.get_ident())
+        return evolve_block(*args)
+
+    def allocating(n_steps):
+        buffers.append(n_steps)
+        return empty_block(n_steps)
+
+    monkeypatch.setattr(estimators, "evolve_block", stepping)
+    monkeypatch.setattr(estimators, "empty_block", allocating)
+    event = EscapeEvent(Interval(-0.3, 0.5), horizon=0.1)
+    run_plain(CosineWellPotential(), SIGMA1, 0.1, event, 1e-2, 3 * BLOCK_SAMPLES,
+              RngPolicy(5), workers=3)
+    assert threads == {threading.get_ident()}
+    assert buffers == [10]
 
 
 class _Cliff(PotentialField):
