@@ -102,7 +102,7 @@ def _run_plain(cfg):
     V = cfg.build_potential()
     event = EscapeEvent(cfg.build_region(), cfg.T)
     s = run_plain(V, cfg.noise(), cfg.x0, event, cfg.h, cfg.N,
-                  RngPolicy(cfg.seed), cfg.workers)
+                  RngPolicy(cfg.seed))
     _say(_moments(s), "plain")
     return CSV_COLUMNS, [csv_row(s, potential_label=V.label, tau=None, h=cfg.h,
                                  seed=cfg.seed)]
@@ -115,9 +115,9 @@ def _run_importance(cfg):
     noise = cfg.noise()
     event = EscapeEvent(region, cfg.T)
     imp = run_importance(V, ref, noise, cfg.x0, event, cfg.h, cfg.tau,
-                         cfg.N, RngPolicy(cfg.seed), cfg.workers)
+                         cfg.N, RngPolicy(cfg.seed))
     plain = run_plain(V, noise, cfg.x0, event, cfg.h, cfg.N,
-                      RngPolicy(cfg.seed + 1), cfg.workers)
+                      RngPolicy(cfg.seed + 1))
     bound = theorem3_bound(V, ref, region, noise, cfg.T, cfg.x0)
     row = csv_row(imp, potential_label=ref.label, tau=cfg.tau, h=cfg.h,
                   seed=cfg.seed, baseline=plain, bound=bound)
@@ -137,16 +137,14 @@ def _run_table5(cfg):
     event = EscapeEvent(region, cfg.T)
     taus = tuple(m * cfg.h for m in TABLE5_MESHES)
     plain = run_plain(V, noise, cfg.x0, event, cfg.h, cfg.N,
-                      RngPolicy(cfg.seed), cfg.workers)
+                      RngPolicy(cfg.seed))
     rows = [csv_row(plain, potential_label=V.label, tau=None, h=cfg.h,
                     seed=cfg.seed)]
     _say(_moments(plain), "plain")
     for seed, name in enumerate(("flatten", "invert"), start=cfg.seed + 1):
         ref = SAMPLER_BUILDERS[name](V, region)
-        summaries = run_importance_meshes(
-            V, ref, noise, cfg.x0, event, cfg.h, taus, cfg.N,
-            RngPolicy(seed), cfg.workers,
-        )
+        summaries = run_importance_meshes(V, ref, noise, cfg.x0, event, cfg.h,
+                                          taus, cfg.N, RngPolicy(seed))
         bound = theorem3_bound(V, ref, region, noise, cfg.T, cfg.x0)
         for tau in taus:
             s = summaries[tau]
@@ -191,8 +189,7 @@ def _run_sweep(cfg):
     ref = cfg.build_sampling_potential(V)
     ns = cfg.sweep_n or (cfg.N,) * len(cfg.epsilons)
     rows = small_noise_sweep(V, ref, cfg.build_region(), cfg.x0, cfg.T,
-                             cfg.h, cfg.tau, cfg.epsilons, ns, cfg.seed,
-                             cfg.workers)
+                             cfg.h, cfg.tau, cfg.epsilons, ns, cfg.seed)
     header = ("epsilon", "n", "hits", "probability", "lambda",
               "eps_log_lambda")
     for row in rows:

@@ -126,6 +126,7 @@ class ExperimentConfig:
     tau: float = _key(1e-2, parse_scalar, "positive", ("importance", "sweep"))
     N: int = _key(100_000, _parse_int, 1, SAMPLED_MODES)
     seed: int = _key(0, _parse_int, 0, SAMPLED_MODES)
+    # checked and echoed so existing configs parse; nothing reads it
     workers: int = _key(1, _parse_int, 1, SAMPLED_MODES)
     out: str = _key(None, str)
     # density mode

@@ -13,8 +13,8 @@ Langevin dynamics of a potential V.  Two estimators are provided:
 Runs stream over fixed noise blocks (see :class:`wellescape.sde.RngPolicy`)
 and reduce mergeable moment summaries in block order.  One thread steps
 every block in one reused noise buffer while a filler thread draws the
-next half-block into it; the ``workers`` argument is accepted and
-changes neither threads, memory nor results.
+next half-block into it, so a run allocates one noise block, whether or
+not it fails.
 Efficiency diagnostics follow the usual second-moment analysis: the
 relative error of the importance estimator after N samples is
 sqrt((Lambda - P(A)^2) / N) / P(A) with Lambda = E~[w^2 1_A] >= P(A)^2.
@@ -143,12 +143,22 @@ class EstimatorSummary:
         return self.variance / baseline.variance
 
 
-def _finite(summaries):
+def _finite(summaries, reported=False):
     """``summaries``, if each n * sum(w^2 1_A) is finite: by Cauchy-Schwarz
-    that bounds (sum w 1_A)^2, m2 and every merge term."""
+    that bounds (sum w 1_A)^2, m2 and every merge term.  A ``reported``
+    summary's positive mean must also square to a normal float, or the
+    squares behind Lambda and m2 are lost.  A block's mean may be that
+    small while the run's is not, so blocks are not held to it."""
     if not all(math.isfinite(s.n * s.sum_w2_ind) for s in summaries):
         raise SimulationError("importance weights overflow: n * sum(w^2 1_A) is "
                               "not finite; the sampler is too far from the target")
+    tiny = np.finfo(float).tiny
+    for s in summaries if reported else ():
+        if 0 < s.mean and s.mean * s.mean < tiny:
+            raise SimulationError(
+                f"importance weights underflow: the mean of w 1_A, {s.mean:.6g}, "
+                f"squares to below {tiny:.6g}; the sampler is too far from "
+                "the target")
     return summaries
 
 
@@ -166,9 +176,9 @@ def _run(potential, sampling_potential, noise, x0, event, h, taus, n_samples,
     rows of ``block_normals``; a filler thread draws the next half into
     the other rows while this one is stepped.  A block's halves are
     joined before it is summarized, and each block's summaries merge in
-    block order as it finishes.  A failing block runs again whole on
-    ``block_normals``, so the error raised is the one a serial
-    whole-block run meets first.
+    block order as it finishes.  A failing block is drawn again whole
+    into the same buffer and stepped at once, so the error raised is the
+    one a serial whole-block run meets first.
     """
     if n_samples < 1:
         raise ConfigurationError(f"n_samples must be at least 1, got {n_samples}")
@@ -225,7 +235,7 @@ def _run(potential, sampling_potential, noise, x0, event, h, taus, n_samples,
     try:
         # consecutive halves use the other rows: the next half is drawn
         # while this one is stepped, into rows stepped before it
-        with ThreadPoolExecutor(max_workers=1) as filler:
+        with ThreadPoolExecutor(1) as filler:
             drawn = filler.submit(fill, *halves[0])
             for i, (b, lo, hi) in enumerate(halves):
                 drawn.result()
@@ -238,26 +248,28 @@ def _run(potential, sampling_potential, noise, x0, event, h, taus, n_samples,
     except Exception as exc:
         failure = exc
     else:
-        return _finite(merged)
-    summarize([step(policy.block_normals(b, n_steps)[:take(b)])])
+        return _finite(merged, reported=True)
+    # the filler has exited: redraw the block over whatever it drew next
+    fill(b, 0, take(b))
+    summarize([step(buffer[:take(b)])])
     raise failure
 
 
-def run_plain(potential, noise, x0, event, h, n_samples, policy, workers=1):
+def run_plain(potential, noise, x0, event, h, n_samples, policy):
     """Vanilla Monte Carlo estimate of P(A) under the target dynamics."""
     return _run(potential, None, noise, x0, event, h, [None], n_samples,
                 policy)[0]
 
 
 def run_importance(potential, sampling_potential, noise, x0, event, h, tau,
-                   n_samples, policy, workers=1):
+                   n_samples, policy):
     """Reweighted estimate of P(A), sampling under ``sampling_potential``."""
     return _run(potential, sampling_potential, noise, x0, event, h, [tau],
                 n_samples, policy)[0]
 
 
 def run_importance_meshes(potential, sampling_potential, noise, x0, event, h,
-                          taus, n_samples, policy, workers=1):
+                          taus, n_samples, policy):
     """Importance run evaluated at several Riemann meshes in one pass.
 
     All meshes see the same trajectories, so differences between the
@@ -311,7 +323,7 @@ class SweepRow(NamedTuple):
 
 
 def small_noise_sweep(potential, sampling_potential, region, x0, horizon, h,
-                      tau, epsilons, n_samples, seed, workers=1):
+                      tau, epsilons, n_samples, seed):
     """Importance runs across noise levels, reporting eps * log(Lambda).
 
     For sampling schemes that keep the exit mechanism deterministic and
@@ -325,14 +337,11 @@ def small_noise_sweep(potential, sampling_potential, region, x0, horizon, h,
         raise ConfigurationError(
             f"n_samples needs one entry per epsilon ({len(epsilons)}), "
             f"got {len(n_samples)}")
-    rows = []
+    rows, event = [], EscapeEvent(region, horizon)
     for i, (eps, n) in enumerate(zip(epsilons, n_samples)):
-        noise = NoiseScale(epsilon=eps)
-        event = EscapeEvent(region, horizon)
-        summary = run_importance(
-            potential, sampling_potential, noise, x0, event, h, tau, n,
-            RngPolicy(seed + i), workers,
-        )
+        summary = run_importance(potential, sampling_potential,
+                                 NoiseScale(epsilon=eps), x0, event, h, tau, n,
+                                 RngPolicy(seed + i))
         if summary.hits < 100:
             warnings.warn(
                 f"only {summary.hits} hits at eps={eps}; increase n_samples "

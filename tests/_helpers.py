@@ -2,6 +2,10 @@
 
 import numpy as np
 
+from wellescape.estimators import EstimatorSummary
+from wellescape.girsanov import WeightAccumulator
+from wellescape.sde import BLOCK_SAMPLES, evolve_block, steps_for
+
 
 def region_supremum(func, region):
     """Grid estimate of sup over D of a pointwise function.
@@ -14,3 +18,31 @@ def region_supremum(func, region):
     if not inside.any():
         raise ValueError("no grid point falls inside the region")
     return float(np.max(np.asarray(func(pts))[inside]))
+
+
+def whole_block(target, sampler, noise, x0, event, h, taus, rows):
+    """One block's summaries, stepped whole on one thread; ``sampler`` None
+    for a plain run."""
+    n_steps = rows.shape[1]
+    acc = None
+    if sampler is not None:
+        acc = WeightAccumulator(target, sampler, noise, h, n_steps, taus)
+    terminal = evolve_block(sampler or target, noise, x0, n_steps, h, rows,
+                            acc.observe if acc else None)
+    ind = event.indicator(terminal)
+    hits = int(np.count_nonzero(ind))
+    if acc is None:
+        return [EstimatorSummary.from_values(ind, "plain", hits)]
+    w_ind = np.exp(np.where(ind > 0, acc.finalize(x0, terminal), -np.inf))
+    return [EstimatorSummary.from_values(w, "importance", hits) for w in w_ind]
+
+
+def serial_reference(target, sampler, noise, x0, event, h, taus, n, policy):
+    """The run as whole blocks of ``block_normals``, merged in block order."""
+    n_steps = steps_for(event.horizon, h)
+    merged = None
+    for b in range(policy.n_blocks(n)):
+        rows = policy.block_normals(b, n_steps)[:n - b * BLOCK_SAMPLES]
+        part = whole_block(target, sampler, noise, x0, event, h, taus, rows)
+        merged = part if merged is None else [x.merge(y) for x, y in zip(merged, part)]
+    return merged

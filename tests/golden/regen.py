@@ -1,6 +1,6 @@
 """Golden CLI matrix: the CLI's output on a fixed set of small invocations.
 
-``CASES`` names about forty ``wellescape`` invocations at h = 1e-2 and
+``CASES`` names about fifty ``wellescape`` invocations at h = 1e-2 and
 N <= 8192: every mode, each ``validate`` sampler, one case of each exit-2
 family and one config error per rule.  ``run_case`` runs one in-process
 through ``cli.main`` and records its exit code, stdout, stderr, warnings
@@ -51,6 +51,7 @@ def _run(*overrides):
 
 _INVERT = ("--mode", "importance", "--sampling", "invert")
 _SWEEP = ("--mode", "sweep", "--sampling", "invert")
+_DIVERGES = ("--potential", "quadratic", "--stiffness", "1e6", "--region", "(-1,1)")
 
 CASES = {
     # sampled modes
@@ -91,7 +92,8 @@ CASES = {
     "validate-same": ("validate", "{dir}/base.cfg", "--sampling", "same"),
     "validate-flatten": ("validate", "{dir}/base.cfg", "--sampling", "flatten"),
     "validate-invert": ("validate", "{dir}/base.cfg", "--sampling", "invert"),
-    # exit 2: allocation, float range, lost answers, construction
+    # exit 2: allocation, float range, lost answers, construction, the
+    # sampling loop
     "noise-block-unallocatable": _run("--h", "1e-12", "--N", "10",
                                       "--epsilon", "0.5"),
     "fp-grid-unallocatable": _run("--mode", "fp", "--n_cells", "1e20"),
@@ -103,6 +105,11 @@ CASES = {
                           "--segments", "4"),
     "flatten-linear": _run("--mode", "importance", "--sampling", "flatten",
                            "--potential", "linear", "--region", "(-1,1)"),
+    "plain-diverges": _run(*_DIVERGES),
+    "importance-integrand-nonfinite": _run(*_DIVERGES, "--mode", "importance",
+                                           "--sampling", "same"),
+    "importance-weights-underflow": _run(*_INVERT, "--epsilon", "0.001",
+                                         "--x0", "2.5", "--T", "3", "--N", "4096"),
     # exit 1: one config error per rule
     "missing-config": ("run", "{dir}/missing.cfg"),
     "bad-line": ("run", "{dir}/bad.cfg"),

@@ -195,12 +195,20 @@ def test_unallocatable_oracle_grid_is_a_runtime_error(tmp_path, capsys,
       "--y", "1e-300", "--t", "5e-324"], "has spacing dx=1.33379e-165"),
     (["--mode", "action", "--T", "5e-324", "--segments", "2"],
      "the segment length T / segments = 4.94066e-324 / 2 underflows to 0"),
+    # weights of order exp(-dV / eps) whose mean squares to below the
+    # smallest normal float: Lambda would divide by 0
+    (["--mode", "importance", "--sampling", "invert", "--epsilon", "0.001",
+      "--x0", "2.5", "--T", "3", "--N", "4096"],
+     "importance weights underflow: the mean of w 1_A, 9.64936e-176, squares"),
+    (["--mode", "sweep", "--sampling", "invert", "--epsilons", "0.001",
+      "--x0", "2.5", "--T", "3", "--N", "4096"], "importance weights underflow"),
 ], ids=["noise-too-big", "noise-dimension", "noise-h-tiny", "fp-n_cells-huge",
         "action-segments-huge", "fp-x0-huge", "fp-region-huge", "density-t-huge",
         "density-delta-huge", "fp-mass-underflow", "fp-dt-huge",
         "action-T-tiny", "importance-integrand-overflow", "density-t-underflow",
         "density-bound-times-zero-kernel", "density-slope-grid-overflow",
-        "density-slope-grid-underflow", "action-segment-underflow"])
+        "density-slope-grid-underflow", "action-segment-underflow",
+        "importance-weights-underflow", "sweep-weights-underflow"])
 def test_runtime_failures_end_in_one_line(tmp_path, capsys, overrides, message):
     path = _write_cfg(tmp_path, BASE)
     assert main(["run", path, *overrides]) == 2
@@ -558,18 +566,20 @@ def test_sampling_modes_run_without_scipy(tmp_path):
 
 
 # The benchmark times every estimator pass and FP solve by patching these
-# module bindings and reading the named parameters off each call, so a
+# module bindings and reading the named parameters off each call, and the
+# summary attributes off each pass's result (with tracing off too), so a
 # mode that stops calling through them goes unmeasured.
 _SEAM = {
-    ("cli", "run_plain"): {"n_samples", "h", "noise", "event", "workers"},
-    ("cli", "run_importance"): {"n_samples", "h", "noise", "event", "workers",
+    ("cli", "run_plain"): {"n_samples", "h", "noise", "event"},
+    ("cli", "run_importance"): {"n_samples", "h", "noise", "event",
                                 "sampling_potential", "tau"},
     ("cli", "run_importance_meshes"): {"n_samples", "h", "noise", "event",
-                                       "workers", "sampling_potential"},
+                                       "sampling_potential"},
     ("estimators", "run_importance"): {"n_samples", "h", "noise", "event",
-                                       "workers", "sampling_potential", "tau"},
+                                       "sampling_potential", "tau"},
     ("cli", "escape_probability"): {"noise", "horizon", "n_cells", "dt"},
 }
+_SUMMARY_SEAM = ("n", "hits", "mean", "variance", "sum_w_ind", "sum_w2_ind")
 
 
 @pytest.mark.parametrize("mode, extra, reached", [
@@ -595,7 +605,12 @@ def test_modes_call_through_the_benchmark_seam(tmp_path, capsys, monkeypatch,
         def counted(*args, _fn=fn, _key=(module, name), **kwargs):
             bound = inspect.signature(_fn).bind(*args, **kwargs).arguments
             calls[_key].append(set(bound))
-            return _fn(*args, **kwargs)
+            result = _fn(*args, **kwargs)
+            if _key[1] != "escape_probability":     # an AttributeError fails
+                for s in result.values() if isinstance(result, dict) else [result]:
+                    for attr in _SUMMARY_SEAM:
+                        getattr(s, attr)
+            return result
 
         monkeypatch.setattr(owner, name, counted)
     path = _write_cfg(tmp_path, BASE)

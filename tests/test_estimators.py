@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from _helpers import serial_reference, whole_block
 from wellescape import estimators
 from wellescape.cli import CSV_COLUMNS, _write_rows, csv_row
 from wellescape.errors import ConfigurationError, SimulationError, WellEscapeError
@@ -28,8 +29,7 @@ from wellescape.potentials import (
     flatten_on_region,
     invert_on_region,
 )
-from wellescape.girsanov import WeightAccumulator
-from wellescape.sde import BLOCK_SAMPLES, RngPolicy, empty_block, evolve_block, steps_for
+from wellescape.sde import BLOCK_SAMPLES, RngPolicy, empty_block, evolve_block
 
 SIGMA1 = NoiseScale(sigma=1.0)
 WELL = Interval(-math.pi, math.pi)
@@ -159,41 +159,18 @@ def test_meshes_share_one_set_of_trajectories():
     assert multi[taus[0]].hits == multi[taus[1]].hits
 
 
-def test_worker_count_does_not_change_results():
-    V = CosineWellPotential()
-    flat = flatten_on_region(V, WELL)
-    event = EscapeEvent(Interval(-2.0, 2.0), horizon=0.1)
-    args = (V, flat, SIGMA1, 0.0, event, 1e-2, 1e-2, 12_345)
-    one = run_importance(*args, RngPolicy(88), workers=1)
-    three = run_importance(*args, RngPolicy(88), workers=3)
-    assert one == three
+def _serial(target, sampler, event, taus, n, policy):
+    return serial_reference(target, sampler, SIGMA1, 0.1, event, 1e-2, taus, n,
+                            policy)
 
 
-def _whole_block(target, sampler, event, h, taus, rows):
-    """One block's summaries, stepped whole on one thread."""
-    n_steps = rows.shape[1]
-    acc = None
-    if sampler is not None:
-        acc = WeightAccumulator(target, sampler, SIGMA1, h, n_steps, taus)
-    terminal = evolve_block(sampler or target, SIGMA1, 0.1, n_steps, h, rows,
-                            acc.observe if acc else None)
-    ind = event.indicator(terminal)
-    hits = int(np.count_nonzero(ind))
-    if acc is None:
-        return [EstimatorSummary.from_values(ind, "plain", hits)]
-    w_ind = np.exp(np.where(ind > 0, acc.finalize(0.1, terminal), -np.inf))
-    return [EstimatorSummary.from_values(w, "importance", hits) for w in w_ind]
-
-
-def _serial_reference(target, sampler, event, h, taus, n, policy):
-    """The run as whole blocks of ``block_normals``, merged in block order."""
-    n_steps = steps_for(event.horizon, h)
-    merged = None
-    for b in range(policy.n_blocks(n)):
-        rows = policy.block_normals(b, n_steps)[:n - b * BLOCK_SAMPLES]
-        part = _whole_block(target, sampler, event, h, taus, rows)
-        merged = part if merged is None else [x.merge(y) for x, y in zip(merged, part)]
-    return merged
+def _error(target, sampler, event, rows):
+    """The error type and text of one block stepped whole, or None."""
+    try:
+        whole_block(target, sampler, SIGMA1, 0.1, event, 1e-2, (1e-2,), rows)
+    except WellEscapeError as exc:
+        return type(exc), str(exc)
+    return None
 
 
 @pytest.mark.parametrize("n", [1, 2047, 2048, 2049, 4096, 4097, 3 * 4096 + 17])
@@ -203,29 +180,28 @@ def test_half_block_lanes_equal_whole_serial_blocks(sampling, n):
     sampler = invert_on_region(V, WELL) if sampling == "invert" else None
     event = EscapeEvent(Interval(-0.3, 0.5), horizon=0.1)   # hits are common
     taus = (1e-2, 5e-2)
-    want = _serial_reference(V, sampler, event, 1e-2, taus, n, RngPolicy(31))
-    for workers in (1, 2, 3):
-        if sampler is None:
-            got = [run_plain(V, SIGMA1, 0.1, event, 1e-2, n, RngPolicy(31), workers)]
-        else:
-            got = list(run_importance_meshes(V, sampler, SIGMA1, 0.1, event, 1e-2,
-                                             taus, n, RngPolicy(31), workers).values())
-        assert got == want, workers
+    want = _serial(V, sampler, event, taus, n, RngPolicy(31))
+    if sampler is None:
+        got = [run_plain(V, SIGMA1, 0.1, event, 1e-2, n, RngPolicy(31))]
+    else:
+        got = list(run_importance_meshes(V, sampler, SIGMA1, 0.1, event, 1e-2,
+                                         taus, n, RngPolicy(31)).values())
+    assert got == want
 
 
 def test_lanes_match_the_serial_run_under_a_short_switch_interval():
-    # three lanes on fewer cores, switching threads every microsecond: a
-    # half stepped before its noise is drawn, or drawn over while it is
-    # stepped, moves a summary; a lost wakeup leaves the run hanging
+    # the stepping and filler threads, switching every microsecond: a half
+    # stepped before its noise is drawn, or drawn over while it is stepped,
+    # moves a summary; a lost wakeup leaves the run hanging
     V = CosineWellPotential()
     sampler = invert_on_region(V, WELL)
     event = EscapeEvent(Interval(-0.3, 0.5), horizon=0.1)
     n, taus = 5 * 4096 + 17, (1e-2,)
-    want = _serial_reference(V, sampler, event, 1e-2, taus, n, RngPolicy(47))
+    want = _serial(V, sampler, event, taus, n, RngPolicy(47))
     got = []
     run = threading.Thread(daemon=True, target=lambda: got.append(
         run_importance(V, sampler, SIGMA1, 0.1, event, 1e-2, 1e-2, n,
-                       RngPolicy(47), workers=3)))
+                       RngPolicy(47))))
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -238,8 +214,9 @@ def test_lanes_match_the_serial_run_under_a_short_switch_interval():
 
 
 def test_one_thread_steps_every_block_in_one_buffer(monkeypatch):
-    # workers=3 over three blocks: the calling thread steps them all, and
-    # the run allocates one noise buffer, not one per worker
+    # three blocks: the calling thread steps them all in one noise buffer;
+    # a failing block is redrawn into that buffer, not into a second block
+    # from block_normals, and still raises the error of its whole block
     threads, buffers = set(), []
 
     def stepping(*args):
@@ -254,9 +231,23 @@ def test_one_thread_steps_every_block_in_one_buffer(monkeypatch):
     monkeypatch.setattr(estimators, "empty_block", allocating)
     event = EscapeEvent(Interval(-0.3, 0.5), horizon=0.1)
     run_plain(CosineWellPotential(), SIGMA1, 0.1, event, 1e-2, 3 * BLOCK_SAMPLES,
-              RngPolicy(5), workers=3)
+              RngPolicy(5))
     assert threads == {threading.get_ident()}
     assert buffers == [10]
+
+    cliff, event = _Cliff(), EscapeEvent(WELL, horizon=0.5)
+    want = _error(cliff, None, event, RngPolicy(0).block_normals(0, 50))
+    assert want is not None
+
+    def refused(*args):
+        raise AssertionError("a second noise block was drawn")
+
+    monkeypatch.setattr(RngPolicy, "block_normals", refused)
+    buffers.clear()
+    with pytest.raises(want[0]) as info:
+        run_plain(cliff, SIGMA1, 0.1, event, 1e-2, BLOCK_SAMPLES + 5, RngPolicy(0))
+    assert str(info.value) == want[1]
+    assert buffers == [50]
 
 
 class _Cliff(PotentialField):
@@ -282,30 +273,21 @@ def test_a_block_fails_with_the_error_of_its_whole_serial_run(sampling):
     V = _Cliff()
     sampler = ZeroPotential() if sampling == "importance" else None
     event = EscapeEvent(WELL, horizon=0.5)
-    taus = (1e-2,)
-
-    def message(rows):
-        try:
-            _whole_block(V, sampler, event, 1e-2, taus, rows)
-        except WellEscapeError as exc:
-            return type(exc), str(exc)
-        return None
-
     for seed in range(200):
         block = RngPolicy(seed).block_normals(0, 50)
-        whole, first_half = message(block), message(block[:2048])
+        whole = _error(V, sampler, event, block)
+        first_half = _error(V, sampler, event, block[:2048])
         if first_half is not None and first_half != whole:
             break
     else:
         pytest.fail("no seed in 0..199 fails first in the upper half")
-    for workers in (1, 2):
-        with pytest.raises(whole[0]) as info:
-            if sampler is None:
-                run_plain(V, SIGMA1, 0.1, event, 1e-2, 4096 + 5, RngPolicy(seed), workers)
-            else:
-                run_importance(V, sampler, SIGMA1, 0.1, event, 1e-2, 1e-2, 4096 + 5,
-                               RngPolicy(seed), workers)
-        assert str(info.value) == whole[1]
+    with pytest.raises(whole[0]) as info:
+        if sampler is None:
+            run_plain(V, SIGMA1, 0.1, event, 1e-2, 4096 + 5, RngPolicy(seed))
+        else:
+            run_importance(V, sampler, SIGMA1, 0.1, event, 1e-2, 1e-2, 4096 + 5,
+                           RngPolicy(seed))
+    assert str(info.value) == whole[1]
 
 
 @pytest.mark.parametrize("patch", [flatten_on_region, invert_on_region])

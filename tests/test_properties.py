@@ -1,6 +1,6 @@
 """Property tests for the single Euler loop, the single Riemann sum, the
 noise-scale conventions, the config echo, summary merges, the weight's
-mean and worker invariance.
+mean and the half-block run.
 
 A recorded path is :func:`evolve_block` run on a one-row block, so its
 states must equal, bit for bit, the rows the block loop passes through;
@@ -11,7 +11,8 @@ three, and a resolved config re-parses from its dump to an equal config.
 Merging the summaries of any split of a sample, in any order, gives the
 summary of the whole sample.  The stochastic-integral weight is exactly
 the likelihood ratio of the Euler chains, so its sampled mean is 1 up to
-Monte Carlo error.  A run's summary does not depend on its worker count.
+Monte Carlo error.  A run's summary equals that of its whole blocks
+stepped one after another and merged in block order.
 """
 
 import math
@@ -20,6 +21,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _helpers import serial_reference
 from wellescape.config import MODES, POTENTIALS, SAMPLINGS, ExperimentConfig
 from wellescape.estimators import EscapeEvent, EstimatorSummary, run_importance
 from wellescape.girsanov import WeightAccumulator, log_weight_stochastic_integral_form
@@ -202,14 +204,11 @@ def test_stochastic_integral_weight_has_mean_one(name, seed, n_steps):
 
 @settings(max_examples=15, deadline=None)
 @given(name=st.sampled_from(sorted(PAIRS)), seed=st.integers(0, 2**32 - 1),
-       n=st.integers(1, 3 * BLOCK_SAMPLES).filter(lambda n: n % BLOCK_SAMPLES),
-       workers=st.integers(2, 4))
-def test_run_importance_is_worker_invariant(name, seed, n, workers):
+       n=st.integers(1, 3 * BLOCK_SAMPLES).filter(lambda n: n % BLOCK_SAMPLES))
+def test_run_importance_equals_whole_serial_blocks(name, seed, n):
     target, sampler = PAIRS[name]
     event = EscapeEvent(Interval(-0.3, 0.5), 10 * H)    # hits are common
-
-    def run(w):
-        return run_importance(target, sampler, NOISE, 0.1, event, H, 5 * H, n,
-                              RngPolicy(seed), w)
-
-    assert run(workers) == run(1)
+    got = run_importance(target, sampler, NOISE, 0.1, event, H, 5 * H, n,
+                         RngPolicy(seed))
+    assert [got] == serial_reference(target, sampler, NOISE, 0.1, event, H,
+                                     (5 * H,), n, RngPolicy(seed))
