@@ -98,22 +98,23 @@ def _moments(s):
             ("variance", s.variance), ("hits", s.hits), ("n", s.n)]
 
 
+def _sampled(cfg):
+    """The target potential, region, noise and escape event of a config."""
+    V, region = cfg.build_potential(), cfg.build_region()
+    return V, region, cfg.noise(), EscapeEvent(region, cfg.T)
+
+
 def _run_plain(cfg):
-    V = cfg.build_potential()
-    event = EscapeEvent(cfg.build_region(), cfg.T)
-    s = run_plain(V, cfg.noise(), cfg.x0, event, cfg.h, cfg.N,
-                  RngPolicy(cfg.seed))
+    V, _, noise, event = _sampled(cfg)
+    s = run_plain(V, noise, cfg.x0, event, cfg.h, cfg.N, RngPolicy(cfg.seed))
     _say(_moments(s), "plain")
     return CSV_COLUMNS, [csv_row(s, potential_label=V.label, tau=None, h=cfg.h,
                                  seed=cfg.seed)]
 
 
 def _run_importance(cfg):
-    V = cfg.build_potential()
+    V, region, noise, event = _sampled(cfg)
     ref = cfg.build_sampling_potential(V)
-    region = cfg.build_region()
-    noise = cfg.noise()
-    event = EscapeEvent(region, cfg.T)
     imp = run_importance(V, ref, noise, cfg.x0, event, cfg.h, cfg.tau,
                          cfg.N, RngPolicy(cfg.seed))
     plain = run_plain(V, noise, cfg.x0, event, cfg.h, cfg.N,
@@ -131,10 +132,7 @@ def _run_importance(cfg):
 def _run_table5(cfg):
     """The seven-row escape table: one plain run, two reweighted potentials
     evaluated at the three Riemann meshes of ``TABLE5_MESHES`` each."""
-    V = cfg.build_potential()
-    region = cfg.build_region()
-    noise = cfg.noise()
-    event = EscapeEvent(region, cfg.T)
+    V, region, noise, event = _sampled(cfg)
     taus = tuple(m * cfg.h for m in TABLE5_MESHES)
     plain = run_plain(V, noise, cfg.x0, event, cfg.h, cfg.N,
                       RngPolicy(cfg.seed))
@@ -240,10 +238,8 @@ def _cmd_validate(cfg):
     if cfg.sampling == "none":
         print("sampling=none: no reference potential to validate")
         return 0
-    V = cfg.build_potential()
+    V, region, noise, _ = _sampled(cfg)
     ref = cfg.build_sampling_potential(V)
-    region = cfg.build_region()
-    noise = cfg.noise()
     a, b = region.a, region.b
     inside = interior_grid(region)
     ring = np.concatenate([np.linspace(a - 2.0, a - 1e-9, 1001),

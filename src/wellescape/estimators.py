@@ -286,7 +286,8 @@ def interior_grid(region):
 
 
 def theorem3_m(potential, sampling_potential, region):
-    """Theorem 3's M = 1/2 sup_D (Laplace V - Laplace V~) on :func:`interior_grid`."""
+    """Theorem 3's M = 1/2 sup_D (Laplace V - Laplace V~) on :func:`interior_grid`;
+    for a patch V~ = s V on D, M = (1 - s)/2 sup_D Laplace V."""
     x = interior_grid(region)
     return 0.5 * float(np.max(potential.laplacian(x)
                               - sampling_potential.laplacian(x)))

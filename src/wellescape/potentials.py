@@ -14,10 +14,10 @@ Langevin diffusion ``dX = -V'(X) dt + sigma dW`` (``sigma^2 = 2 / beta``):
 
     (L_V + L_0) V = sigma^2 V'' - V'^2,
 
-where ``L_0`` is the generator of the driftless diffusion.  It is the
-integrand of the pathwise reweighting identity in
-:mod:`wellescape.girsanov` and of the short-time density approximation in
-:mod:`wellescape.density`.
+where ``L_0`` is the generator of the driftless diffusion.  Its difference
+g_V - g_V~ for target and sampler is the weight integrand of
+:mod:`wellescape.girsanov`; V's weight integrand against the free diffusion
+(V~ = 0) is the chord integrand of :mod:`wellescape.density`.
 """
 
 from __future__ import annotations
@@ -112,11 +112,7 @@ class ZeroPotential(PotentialField):
     def value(self, x):
         return np.zeros(np.shape(x))
 
-    def gradient(self, x):
-        return self.value(x)
-
-    def laplacian(self, x):
-        return self.value(x)
+    gradient = laplacian = value
 
 
 class LinearPotential(PotentialField):
@@ -177,8 +173,7 @@ class CosineWellPotential(PotentialField):
         return 2.0 * t / (1.0 + t * t)
 
     def laplacian(self, x):
-        t2 = np.square(np.tan(0.5 * np.asarray(x, dtype=float)))
-        return (1.0 - t2) / (1.0 + t2)
+        return self.derivatives(x)[1]
 
     def derivatives(self, x):
         t = np.tan(0.5 * np.asarray(x, dtype=float))
@@ -206,14 +201,12 @@ class Interval:
 
 
 def _boundary_match_residual(potential, region):
-    """Max of |V| and |V'| over the two endpoints of the interval."""
-    worst = 0.0
-    worst_point = None
-    for p in (region.a, region.b):
-        r = float(max(abs(potential.value(p)), abs(potential.gradient(p))))
-        if r >= worst:
-            worst, worst_point = r, p
-    return worst, worst_point
+    """Max of |V| and |V'| over the endpoints of D, a non-finite one as inf,
+    and the endpoint where it is taken (b on a tie)."""
+    def residual(p):
+        r = np.abs([potential.value(p), potential.gradient(p)])
+        return float(r.max()) if np.isfinite(r).all() else np.inf
+    return max((residual(p), p) for p in (region.a, region.b))
 
 
 class PatchedPotential(PotentialField):
@@ -239,27 +232,32 @@ class PatchedPotential(PotentialField):
         self.sign = float(sign)
         self.label = f"{name}({base.label})"
 
-    def patch(self, x, *fields):
-        """This field's values from the base's ``fields`` at x, e.g. its
-        (gradient, Laplacian), with one indicator.  A nonzero sign scales by
-        where(inside, sign, 1): bit for bit where(inside, sign * f, f)."""
-        inside = self.region.indicator(x)
+    def _patch(self, inside, f):
+        """where(inside, sign * f, f), with exact zeros on D at sign 0."""
         if self.sign:
-            scale = np.where(inside, self.sign, 1.0)
-            return tuple(scale * f for f in fields)
-        return tuple(np.where(inside, 0.0, f) for f in fields)
+            return np.where(inside, self.sign * f, f)
+        return np.where(inside, 0.0, f)
 
     def value(self, x):
-        return self.patch(x, self.base.value(x))[0]
+        return self._patch(self.region.indicator(x), self.base.value(x))
 
     def gradient(self, x):
-        return self.patch(x, self.base.gradient(x))[0]
+        return self._patch(self.region.indicator(x), self.base.gradient(x))
 
     def laplacian(self, x):
-        return self.patch(x, self.base.laplacian(x))[0]
+        return self._patch(self.region.indicator(x), self.base.laplacian(x))
 
-    def derivatives(self, x):
-        return self.patch(x, *self.base.derivatives(x))
+    def integrand_and_gradient(self, noise, x):
+        """(g_W - g_W~, W~') at x from one evaluation of the base W, with
+        g_W = sigma^2 W'' - W'^2: g_W - g_W~ = 1_D [(1 - s) sigma^2 W''
+        - (1 - s^2) W'^2], whose W'^2 term stays at s = -1 so that an
+        overflowing W'^2 gives nan there, as in the general form."""
+        g, lap = self.base.derivatives(x)
+        inside = self.region.indicator(x)
+        s = self.sign
+        out = np.where(inside, (1.0 - s) * noise.sigma ** 2 * lap
+                       - (1.0 - s * s) * (g * g), 0.0)
+        return out, self._patch(inside, g)
 
 
 def flatten_on_region(potential, region):
@@ -283,32 +281,35 @@ def _check_finite(out, x, what):
 def generator_apply_to_self(potential, noise, x):
     """Evaluate (L_V + L_0) V = sigma^2 V'' - V'^2 at x.
 
-    This is the running integrand of the generator-form reweighting
-    identity and of the short-time density approximation.  Raises
+    This is V's weight integrand against the free diffusion (V~ = 0): the
+    running integrand of the reweighting identity and the chord integrand
+    of the short-time density approximation.  Raises
     :class:`EvaluationError` if the result is non-finite.
     """
+    return generator_difference(potential, ZeroPotential(), noise, x)[0]
+
+
+def _general_difference(potential, sampling_potential, noise, x):
     g, lap = potential.derivatives(x)
-    out = noise.sigma ** 2 * lap - g * g
-    _check_finite(out, x, f"(L+L0) applied to {potential.label!r}")
-    return out
+    gt, lapt = sampling_potential.derivatives(x)
+    s2 = noise.sigma ** 2
+    return (s2 * lap - g * g) - (s2 * lapt - gt * gt), gt
 
 
 def generator_difference(potential, sampling_potential, noise, x):
     """(L_V + L_0) V - (L_V~ + L_0) V~ at x, and V~' at x.
 
-    One evaluation of V' and V'' serves both terms when V~ is a
-    :class:`PatchedPotential` of this very V.  Raises
-    :class:`EvaluationError` if the difference is non-finite.
+    A :class:`PatchedPotential` V~ of a base W gives g_W - g_V~ in closed
+    form; when W is not this very V, g_V - g_W is added, exactly 0 for an
+    equal copy.  Raises :class:`EvaluationError` if it is non-finite.
     """
-    g, lap = potential.derivatives(x)
-    patched = isinstance(sampling_potential, PatchedPotential)
-    if patched and sampling_potential.base is potential:
-        gt, lapt = sampling_potential.patch(x, g, lap)
+    if isinstance(sampling_potential, PatchedPotential):
+        out, gt = sampling_potential.integrand_and_gradient(noise, x)
+        if sampling_potential.base is not potential:
+            out = out + _general_difference(
+                potential, sampling_potential.base, noise, x)[0]
     else:
-        gt, lapt = sampling_potential.derivatives(x)
-    s2 = noise.sigma ** 2
-    out = (s2 * lap - g * g) - (s2 * lapt - gt * gt)
+        out, gt = _general_difference(potential, sampling_potential, noise, x)
     _check_finite(out, x, f"integrand of {potential.label!r} "
                   f"against {sampling_potential.label!r}")
     return out, gt
-

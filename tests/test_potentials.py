@@ -11,11 +11,14 @@ from wellescape.potentials import (
     Interval,
     LinearPotential,
     NoiseScale,
+    PatchedPotential,
+    PotentialField,
     QuadraticPotential,
     ZeroPotential,
     _boundary_match_residual,
     flatten_on_region,
     generator_apply_to_self,
+    generator_difference,
     invert_on_region,
 )
 
@@ -262,3 +265,83 @@ def test_derivatives_are_the_gradient_and_laplacian_bit_for_bit(name):
             assert got.shape == np.shape(want) and got.dtype == want.dtype
             assert np.array_equal(np.signbit(got), np.signbit(want))
             assert np.array_equal(got, want)
+
+
+_SAMPLERS = {
+    "flatten": lambda V: flatten_on_region(V, D_PI),
+    "invert": lambda V: invert_on_region(V, D_PI),
+    "half": lambda V: PatchedPotential(V, D_PI, 0.5, "half"),
+}
+
+
+@pytest.mark.parametrize("sigma", [1.0, 0.5])
+@pytest.mark.parametrize("name", _SAMPLERS)
+def test_patched_integrand_is_the_general_form_in_closed_form(name, sigma):
+    # g_V - g_V~ with g = sigma^2 V'' - V'^2, each term from the fields'
+    # own gradient and laplacian, at +-pi, their neighbouring doubles,
+    # points outside D and |x| up to 1e3
+    V = CosineWellPotential()
+    Vt = _SAMPLERS[name](V)
+    rng = np.random.default_rng(22)
+    pi = np.pi
+    x = np.concatenate([
+        [pi, -pi, np.nextafter(pi, 0), np.nextafter(pi, 4),
+         np.nextafter(-pi, 0), np.nextafter(-pi, -4), 0.0, -0.0, 1e3, -1e3],
+        rng.uniform(-4, 4, 4000), rng.uniform(-1e3, 1e3, 4000)])
+    s2 = sigma ** 2
+    general = ((s2 * V.laplacian(x) - V.gradient(x) ** 2)
+               - (s2 * Vt.laplacian(x) - Vt.gradient(x) ** 2))
+    out, grad = generator_difference(V, Vt, NoiseScale(sigma=sigma), x)
+    assert np.max(np.abs(out - general)) <= 1e-14
+    want = Vt.gradient(x)
+    assert np.array_equal(grad, want)
+    assert np.array_equal(np.signbit(grad), np.signbit(want))
+
+
+class _Steep(PotentialField):
+    """The cosine well, flat at +-pi, with |V'| = 1e200 on (0.5, 1)."""
+
+    label = "steep"
+    well = CosineWellPotential()
+
+    def value(self, x):
+        return self.well.value(x)
+
+    def gradient(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.where((x > 0.5) & (x < 1.0), -1e200, self.well.gradient(x))
+
+    def laplacian(self, x):
+        return self.well.laplacian(x)
+
+
+@pytest.mark.parametrize("patch", [flatten_on_region, invert_on_region])
+def test_an_overflowing_gradient_on_d_fails_at_its_point(patch):
+    # V'^2 = inf there: flatten gives -inf, invert 0 * inf = nan
+    V = _Steep()
+    x = np.array([0.0, -2.0, 4.0, 0.75, 0.9])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(EvaluationError) as exc:
+            generator_difference(V, patch(V, D_PI), NoiseScale(sigma=1.0), x)
+    assert exc.value.point == 0.75
+    assert "non-finite at x=0.75" in str(exc.value)
+
+
+class _NanOutside(CosineWellPotential):
+    """The cosine well, but nan for |x| >= pi."""
+
+    def value(self, x):
+        return np.where(np.abs(x) >= np.pi, np.nan, super().value(x))
+
+    def gradient(self, x):
+        return np.where(np.abs(x) >= np.pi, np.nan, super().gradient(x))
+
+
+@pytest.mark.parametrize("patch", [flatten_on_region, invert_on_region])
+def test_a_base_that_is_nan_on_the_boundary_is_refused(patch):
+    # a nan residual compares false with every bound, so it counts as inf
+    V = _NanOutside()
+    assert _boundary_match_residual(V, D_PI) == (np.inf, np.pi)
+    with pytest.raises(ConstructionError,
+                       match=r"residual inf at x=3\.141592653589793"):
+        patch(V, D_PI)
