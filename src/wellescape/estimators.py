@@ -176,9 +176,11 @@ def _run(potential, sampling_potential, noise, x0, event, h, taus, n_samples,
     rows of ``block_normals``; a filler thread draws the next half into
     the other rows while this one is stepped.  A block's halves are
     joined before it is summarized, and each block's summaries merge in
-    block order as it finishes.  A failing block is drawn again whole
-    into the same buffer and stepped at once, so the error raised is the
-    one a serial whole-block run meets first.
+    block order as it finishes.  A half is stepped without per-step
+    finiteness checks and tested once at its end; a half that fails the
+    test is stepped again in its own rows with the checks.  A failing
+    block is drawn again whole into the same buffer and stepped at once,
+    so the error raised is the one a serial whole-block run meets first.
     """
     if n_samples < 1:
         raise ConfigurationError(f"n_samples must be at least 1, got {n_samples}")
@@ -191,20 +193,26 @@ def _run(potential, sampling_potential, noise, x0, event, h, taus, n_samples,
     def take(b):
         return min(BLOCK_SAMPLES, n_samples - b * BLOCK_SAMPLES)
 
-    def step(noise_block):
+    def step(noise_block, checked=False):
         """Terminal states and log-weights (None for plain) of its rows."""
         acc = None
         if weighted:
             acc = WeightAccumulator(
-                potential, sampling_potential, noise, h, n_steps, taus
+                potential, sampling_potential, noise, h, n_steps, taus, checked
             )
-        # inf and nan are refused, not warned about: evolve_block, the
-        # integrand's _check_finite and _finite raise on them
+        # inf and nan are refused, not warned about.  A non-finite state or
+        # running sum stays so through every later step, so an unchecked
+        # half is tested once at its end, on every row (an infinite
+        # log-weight off the event would vanish under exp); one that fails
+        # is stepped again checked, where evolve_block and the integrand's
+        # _check_finite name the step and point.  _finite refuses weights
+        # that overflow on the event
         with np.errstate(over="ignore", invalid="ignore"):
-            terminal = evolve_block(
-                sampler, noise, x0, n_steps, h, noise_block,
-                acc.observe if acc else None,
-            )
+            terminal = evolve_block(sampler, noise, x0, n_steps, h, noise_block,
+                                    acc.observe if acc else None, checked)
+            if not (checked or np.isfinite(terminal).all()
+                    and (acc is None or acc.finite())):
+                return step(noise_block, checked=True)
             return terminal, acc.finalize(x0, terminal) if acc else None
 
     def summarize(parts):

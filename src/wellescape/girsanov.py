@@ -73,13 +73,21 @@ class WeightAccumulator:
     the requested Riemann meshes fall on that step, so a single pass over
     the trajectory produces the weight at several tau values (sharing the
     same noise, which isolates the mesh effect when comparing them).
+
+    ``checked`` is passed on to
+    :func:`~wellescape.potentials.generator_difference`: with it (the
+    default) a non-finite integrand raises at the step that meets it;
+    without it, it is summed, and a non-finite integrand leaves its row's
+    running sum non-finite, which :meth:`finite` reports.
     """
 
-    def __init__(self, potential, sampling_potential, noise, h, n_steps, taus):
+    def __init__(self, potential, sampling_potential, noise, h, n_steps, taus,
+                 checked=True):
         self.potential = potential
         self.sampling_potential = sampling_potential
         self.noise = noise
         self.h = h
+        self.checked = checked
         self.strides = [mesh_stride(t, h, n_steps) for t in taus]
         self._due = [tuple(j for j, m in enumerate(self.strides) if i % m == 0)
                      for i in range(n_steps)]
@@ -91,12 +99,16 @@ class WeightAccumulator:
         if not due:
             return None
         g, grad_sampling = generator_difference(
-            self.potential, self.sampling_potential, self.noise, X)
+            self.potential, self.sampling_potential, self.noise, X, self.checked)
         if self._sums is None:
             self._sums = np.zeros((len(self.strides), len(X)))
         for j in due:
             self._sums[j] += g
         return -grad_sampling
+
+    def finite(self):
+        """Whether every running sum, at every mesh and row, is finite."""
+        return bool(np.isfinite(self._sums).all())
 
     def finalize(self, x0, terminal):
         """Log-weights, shape (n_taus, block); call after the last step."""

@@ -296,12 +296,14 @@ def _general_difference(potential, sampling_potential, noise, x):
     return (s2 * lap - g * g) - (s2 * lapt - gt * gt), gt
 
 
-def generator_difference(potential, sampling_potential, noise, x):
+def generator_difference(potential, sampling_potential, noise, x, checked=True):
     """(L_V + L_0) V - (L_V~ + L_0) V~ at x, and V~' at x.
 
     A :class:`PatchedPotential` V~ of a base W gives g_W - g_V~ in closed
     form; when W is not this very V, g_V - g_W is added, exactly 0 for an
-    equal copy.  Raises :class:`EvaluationError` if it is non-finite.
+    equal copy.  With ``checked`` (the default) it raises
+    :class:`EvaluationError` naming the first point where the difference
+    is non-finite; without it the caller must check what it sums.
     """
     if isinstance(sampling_potential, PatchedPotential):
         out, gt = sampling_potential.integrand_and_gradient(noise, x)
@@ -310,6 +312,7 @@ def generator_difference(potential, sampling_potential, noise, x):
                 potential, sampling_potential.base, noise, x)[0]
     else:
         out, gt = _general_difference(potential, sampling_potential, noise, x)
-    _check_finite(out, x, f"integrand of {potential.label!r} "
-                  f"against {sampling_potential.label!r}")
+    if checked:
+        _check_finite(out, x, f"integrand of {potential.label!r} "
+                      f"against {sampling_potential.label!r}")
     return out, gt

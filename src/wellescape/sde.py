@@ -32,15 +32,32 @@ from .errors import ConfigurationError, SimulationError, allocating
 BLOCK_SAMPLES = 4096
 
 
+def available_memory():
+    """MemAvailable from /proc/meminfo in bytes, the memory the kernel can
+    give without swapping (reclaimable page cache counts as free);
+    ``math.inf`` when it cannot be read."""
+    try:
+        with open("/proc/meminfo") as f:
+            return next(int(line.split()[1]) * 1024 for line in f
+                        if line.startswith("MemAvailable:"))
+    except (OSError, ValueError, StopIteration):
+        return math.inf
+
+
 def empty_block(n_steps):
     """An unfilled noise block, shape (BLOCK_SAMPLES, n_steps).
 
-    Raises :class:`SimulationError` when it cannot be allocated.
+    Raises :class:`SimulationError` when numpy cannot allocate it, or when
+    its bytes exceed :func:`available_memory`: numpy may reserve a block
+    the machine cannot back, which the filler thread would then fault in.
     """
     shape = (BLOCK_SAMPLES, n_steps)
     with allocating(SimulationError, f"a noise block of shape {shape}",
                     math.prod(shape)):
-        return np.empty(shape)
+        block = np.empty(shape)
+        if block.nbytes > available_memory():
+            raise MemoryError
+        return block
 
 
 class RngPolicy:
@@ -88,7 +105,8 @@ def steps_for(horizon, h):
     return whole_multiple(horizon, h, "horizon", "step")
 
 
-def evolve_block(potential, noise, x0, n_steps, h, noise_block, observer=None):
+def evolve_block(potential, noise, x0, n_steps, h, noise_block, observer=None,
+                 checked=True):
     """Advance a whole block of samples under ``potential`` and return
     their terminal states.
 
@@ -100,6 +118,12 @@ def evolve_block(potential, noise, x0, n_steps, h, noise_block, observer=None):
     ``-potential.gradient(X)``, which is then not evaluated again.
     ``X`` is updated in place, so an observer must copy anything of it
     that it keeps; ``noise_block`` is only read.
+
+    With ``checked`` (the default), a step that leaves any state
+    non-finite raises :class:`SimulationError` naming that step.  Without
+    it no step is checked: a non-finite state stays non-finite through
+    every later step, so the caller checks the terminal states once and
+    steps the same rows again with ``checked`` to name the step.
     """
     X = np.full(noise_block.shape[0], float(x0))
     amp = noise.sigma * math.sqrt(h)
@@ -109,7 +133,7 @@ def evolve_block(potential, noise, x0, n_steps, h, noise_block, observer=None):
             f = -potential.gradient(X)
         X += f * h
         X += amp * noise_block[:, i]
-        if not np.isfinite(X).all():
+        if checked and not np.isfinite(X).all():
             raise SimulationError(
                 f"a sample became non-finite at step {i} (t={(i + 1) * h:g})", step=i
             )

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wellescape import sde
 from wellescape.cli import _fmt, main
 from wellescape.config import MODES, ExperimentConfig, parse_scalar
 from wellescape.errors import ConfigurationError
@@ -215,6 +216,17 @@ def test_runtime_failures_end_in_one_line(tmp_path, capsys, overrides, message):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert message in err
+
+
+def test_noise_block_over_free_memory_is_refused(tmp_path, capsys, monkeypatch):
+    # a block numpy can reserve but the machine cannot back (32.8 MB at
+    # h = 1e-3 against 16 MiB free) is refused before the run
+    monkeypatch.setattr(sde, "available_memory", lambda: 16 * 2**20)
+    path = _write_cfg(tmp_path, BASE)
+    assert main(["run", path, "--h", "1e-3"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: cannot allocate a noise block of shape (4096, 1000) "
+                   "(0.03052 GiB)\n")
 
 
 @pytest.mark.parametrize("overrides", [

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import math
 import sys
 import threading
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from _helpers import serial_reference, whole_block
-from wellescape import estimators
+from wellescape import estimators, potentials
 from wellescape.cli import CSV_COLUMNS, _write_rows, csv_row
 from wellescape.errors import ConfigurationError, SimulationError, WellEscapeError
 from wellescape.estimators import (
@@ -23,6 +24,7 @@ from wellescape.estimators import (
 from wellescape.potentials import (
     CosineWellPotential,
     Interval,
+    LinearPotential,
     NoiseScale,
     PotentialField,
     ZeroPotential,
@@ -288,6 +290,76 @@ def test_a_block_fails_with_the_error_of_its_whole_serial_run(sampling):
             run_importance(V, sampler, SIGMA1, 0.1, event, 1e-2, 1e-2, 4096 + 5,
                            RngPolicy(seed))
     assert str(info.value) == whole[1]
+
+
+def test_a_run_that_succeeds_checks_finiteness_once_per_half(monkeypatch):
+    # no per-step check: every half is stepped unchecked, and the
+    # integrand's point-naming check is never reached
+    checked, calls = [], Counter()
+    signature = inspect.signature(evolve_block)
+
+    def stepping(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        checked.append(bound.arguments["checked"])
+        return evolve_block(*args, **kwargs)
+
+    def counting(*args):
+        calls["_check_finite"] += 1
+        return check_finite(*args)
+
+    check_finite = potentials._check_finite
+    monkeypatch.setattr(estimators, "evolve_block", stepping)
+    monkeypatch.setattr(potentials, "_check_finite", counting)
+    V = CosineWellPotential()
+    event = EscapeEvent(WELL, horizon=0.5)
+    run_importance(V, invert_on_region(V, WELL), SIGMA1, 0.0, event, 1e-2,
+                   1e-2, 5000, RngPolicy(4))
+    run_plain(V, SIGMA1, 0.0, event, 1e-2, 5000, RngPolicy(4))
+    assert checked == [False] * 6
+    assert calls == Counter()
+
+
+def test_integrands_finite_but_their_sum_overflowing_is_a_run():
+    # each step adds -a^2 = -1e308, finite, and the sums overflow to -inf:
+    # a log-weight of -inf on rows off the event is a weight of 0, not an
+    # error, with or without per-step checks
+    event = EscapeEvent(Interval(-1.0, 1.0), horizon=0.05)
+    s = run_importance(LinearPotential(1e154), ZeroPotential(), SIGMA1, 0.0,
+                       event, 1e-2, 1e-2, 100, RngPolicy(0))
+    assert s == EstimatorSummary(n=100, mean=0.0, m2=0.0, hits=0,
+                                 kind="importance")
+
+
+class _Spike(PotentialField):
+    """V = V' = 0 and V'' = inf above x = 1.5: the integrand against a
+    free sampler is infinite there, while every state stays finite."""
+
+    label = "spike"
+
+    def value(self, x):
+        return np.zeros(np.shape(x))
+
+    gradient = value
+
+    def laplacian(self, x):
+        return np.where(np.asarray(x) > 1.5, np.inf, 0.0)
+
+
+def test_an_infinite_sum_off_the_event_is_the_error_of_its_whole_block():
+    # every row ends inside D, so an infinite log-weight has weight 0; the
+    # end-of-half check reads the running sums of all rows, not the weights
+    # on the event, and the block raises the error its serial run meets
+    V, event = _Spike(), EscapeEvent(Interval(-10.0, 10.0), horizon=0.5)
+    block = RngPolicy(2).block_normals(0, 50)
+    terminal = evolve_block(ZeroPotential(), SIGMA1, 0.1, 50, 1e-2, block)
+    assert not event.indicator(terminal).any()
+    want = _error(V, ZeroPotential(), event, block)
+    assert want is not None and "integrand of 'spike'" in want[1]
+    with pytest.raises(want[0]) as info:
+        run_importance(V, ZeroPotential(), SIGMA1, 0.1, event, 1e-2, 1e-2,
+                       BLOCK_SAMPLES, RngPolicy(2))
+    assert str(info.value) == want[1]
 
 
 @pytest.mark.parametrize("patch", [flatten_on_region, invert_on_region])

@@ -1,6 +1,10 @@
+import io
+import math
+
 import numpy as np
 import pytest
 
+from wellescape import sde
 from wellescape.errors import ConfigurationError, SimulationError
 from wellescape.potentials import (
     LinearPotential,
@@ -12,6 +16,7 @@ from wellescape.potentials import (
 from wellescape.sde import (
     BLOCK_SAMPLES,
     RngPolicy,
+    empty_block,
     evolve_block,
     steps_for,
 )
@@ -90,6 +95,29 @@ def test_steps_for_rejects_off_grid_horizon():
     with pytest.raises(ConfigurationError,
                        match="horizon=1 must be a whole multiple of step=0.3"):
         steps_for(1.0, 0.3)
+
+
+@pytest.mark.parametrize("files, free", [
+    ({}, math.inf),
+    ({"/proc/meminfo": "MemTotal: 4000 kB\n"}, math.inf),
+    ({"/proc/meminfo": "MemTotal: 4000 kB\nMemAvailable: 1000 kB\n"}, 1024000),
+], ids=["unreadable", "no-line", "meminfo"])
+def test_available_memory_reads_meminfo(monkeypatch, files, free):
+    def fake_open(path, *args, **kwargs):
+        if path not in files:
+            raise FileNotFoundError(path)
+        return io.StringIO(files[path])
+
+    monkeypatch.setattr("builtins.open", fake_open)
+    assert sde.available_memory() == free
+
+
+def test_noise_block_larger_than_free_memory_is_refused(monkeypatch):
+    monkeypatch.setattr(sde, "available_memory", lambda: 8 * BLOCK_SAMPLES * 10)
+    assert empty_block(10).shape == (BLOCK_SAMPLES, 10)
+    with pytest.raises(SimulationError, match=r"cannot allocate a noise block "
+                       r"of shape \(4096, 11\) \(0.0003357 GiB\)"):
+        empty_block(11)
 
 
 def test_blowup_raises_with_step_index():
