@@ -76,12 +76,16 @@ def csv_row(summary, *, potential_label, tau, h, seed, baseline=None,
 
 
 def _write_rows(path, header, rows):
-    """Write a header and rows of values as CSV with stable formatting."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+    """Write a header and rows of values as CSV with stable formatting; a
+    path that cannot be written is a runtime error."""
+    try:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([_fmt(v) for v in row])
+    except (OSError, ValueError) as exc:
+        raise WellEscapeError(f"cannot write out {path!r}: {exc}") from exc
 
 
 # ------------------------------------------------------------------ modes
@@ -226,6 +230,7 @@ def _report(label, measured, ok, note=""):
     return ok
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf and nan report FAIL
 def _cmd_validate(cfg):
     """Check the change-of-measure hypotheses for the configured pair.
 

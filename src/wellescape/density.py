@@ -138,7 +138,8 @@ def bounds(potential, noise, x, y, t, delta=None):
     r = np.linspace(0.0, 1.0, _CHORD_NODES)
     chord = g((1 - r) * float(x) + r * float(y))
     integral = float(_simpson(chord, r))
-    v_diff = float(potential.value(x)) - float(potential.value(y))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        v_diff = float(potential.value(x)) - float(potential.value(y))
     bracket = v_diff + 0.5 * t * integral
     kernel = float(gaussian_kernel(noise, t, float(y) - float(x)))
 

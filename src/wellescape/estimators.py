@@ -201,19 +201,19 @@ def _run(potential, sampling_potential, noise, x0, event, h, taus, n_samples,
                 potential, sampling_potential, noise, h, n_steps, taus, checked
             )
         # inf and nan are refused, not warned about.  A non-finite state or
-        # running sum stays so through every later step, so an unchecked
-        # half is tested once at its end, on every row (an infinite
-        # log-weight off the event would vanish under exp); one that fails
-        # is stepped again checked, where evolve_block and the integrand's
-        # _check_finite name the step and point.  _finite refuses weights
-        # that overflow on the event
+        # integrand stays so to the end and makes its log-weight non-finite,
+        # so an unchecked half is tested once, on every row (an infinite
+        # log-weight off the event would vanish under exp); one that fails is
+        # stepped again checked, to name the step and point.  _finite refuses
+        # weights that overflow on the event
         with np.errstate(over="ignore", invalid="ignore"):
             terminal = evolve_block(sampler, noise, x0, n_steps, h, noise_block,
                                     acc.observe if acc else None, checked)
-            if not (checked or np.isfinite(terminal).all()
-                    and (acc is None or acc.finite())):
-                return step(noise_block, checked=True)
-            return terminal, acc.finalize(x0, terminal) if acc else None
+            logw = acc.finalize(x0, terminal) if acc else None
+        if checked or np.isfinite(terminal).all() and (
+                logw is None or np.isfinite(logw).all()):
+            return terminal, logw
+        return step(noise_block, checked=True)
 
     def summarize(parts):
         terminal = np.concatenate([t for t, _ in parts])

@@ -61,9 +61,9 @@ def gaussian_bump(center, std):
     """Normalized Gaussian initial density of standard deviation ``std``."""
 
     def p0(x):
-        return np.exp(-((x - center) ** 2) / (2 * std**2)) / (
-            std * math.sqrt(2 * math.pi)
-        )
+        with np.errstate(over="ignore"):  # evolve refuses a lost mass
+            return np.exp(-((x - center) ** 2) / (2 * std**2)) / (
+                std * math.sqrt(2 * math.pi))
 
     return p0
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError
-from .potentials import generator_difference
+from .potentials import _check_integrand, generator_difference
 from .sde import whole_multiple
 
 
@@ -74,11 +74,10 @@ class WeightAccumulator:
     the trajectory produces the weight at several tau values (sharing the
     same noise, which isolates the mesh effect when comparing them).
 
-    ``checked`` is passed on to
-    :func:`~wellescape.potentials.generator_difference`: with it (the
-    default) a non-finite integrand raises at the step that meets it;
-    without it, it is summed, and a non-finite integrand leaves its row's
-    running sum non-finite, which :meth:`finite` reports.
+    With ``checked`` (the default) :meth:`observe` raises
+    :class:`~wellescape.errors.EvaluationError` at a non-finite integrand,
+    naming its point; without it the integrand is summed as computed, and
+    a non-finite one makes its row's log-weight non-finite.
     """
 
     def __init__(self, potential, sampling_potential, noise, h, n_steps, taus,
@@ -94,21 +93,19 @@ class WeightAccumulator:
         self._sums = None
 
     def observe(self, i, X):
-        """Add the integrand at step i if due; return -grad V~(X) then, else None."""
+        """Add the integrand at step i if due; return grad V~(X) then, else None."""
         due = self._due[i]
         if not due:
             return None
         g, grad_sampling = generator_difference(
-            self.potential, self.sampling_potential, self.noise, X, self.checked)
+            self.potential, self.sampling_potential, self.noise, X)
+        if self.checked:
+            _check_integrand(g, X, self.potential, self.sampling_potential)
         if self._sums is None:
             self._sums = np.zeros((len(self.strides), len(X)))
         for j in due:
             self._sums[j] += g
-        return -grad_sampling
-
-    def finite(self):
-        """Whether every running sum, at every mesh and row, is finite."""
-        return bool(np.isfinite(self._sums).all())
+        return grad_sampling
 
     def finalize(self, x0, terminal):
         """Log-weights, shape (n_taus, block); call after the last step."""

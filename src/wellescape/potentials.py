@@ -204,7 +204,8 @@ def _boundary_match_residual(potential, region):
     """Max of |V| and |V'| over the endpoints of D, a non-finite one as inf,
     and the endpoint where it is taken (b on a tie)."""
     def residual(p):
-        r = np.abs([potential.value(p), potential.gradient(p)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = np.abs([potential.value(p), potential.gradient(p)])
         return float(r.max()) if np.isfinite(r).all() else np.inf
     return max((residual(p), p) for p in (region.a, region.b))
 
@@ -216,7 +217,7 @@ class PatchedPotential(PotentialField):
     which makes escapes far more frequent.  ``sign = -1`` inverts it into
     a hill whose drift pushes samples toward the boundary of D.  Both
     require V = 0 and V' = 0 at the endpoints of D so the patched field
-    stays C^1 (checked at construction).
+    stays C^1 (tested at construction).
     """
 
     def __init__(self, base, region, sign, name):
@@ -270,12 +271,15 @@ def invert_on_region(potential, region):
     return PatchedPotential(potential, region, -1, "invert")
 
 
-def _check_finite(out, x, what):
+def _check_integrand(out, x, potential, sampling_potential):
+    """Refuse a non-finite integrand ``out`` at x, naming its first point."""
     if np.isfinite(out).all():
         return
     bad = int(np.flatnonzero(~np.isfinite(np.ravel(out)))[0])
     point = float(np.ravel(x)[bad])
-    raise EvaluationError(f"{what} is non-finite at x={point!r}", point=point)
+    raise EvaluationError(
+        f"integrand of {potential.label!r} against {sampling_potential.label!r} "
+        f"is non-finite at x={point!r}", point=point)
 
 
 def generator_apply_to_self(potential, noise, x):
@@ -286,7 +290,11 @@ def generator_apply_to_self(potential, noise, x):
     of the short-time density approximation.  Raises
     :class:`EvaluationError` if the result is non-finite.
     """
-    return generator_difference(potential, ZeroPotential(), noise, x)[0]
+    zero = ZeroPotential()
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = generator_difference(potential, zero, noise, x)[0]
+    _check_integrand(out, x, potential, zero)
+    return out
 
 
 def _general_difference(potential, sampling_potential, noise, x):
@@ -296,23 +304,18 @@ def _general_difference(potential, sampling_potential, noise, x):
     return (s2 * lap - g * g) - (s2 * lapt - gt * gt), gt
 
 
-def generator_difference(potential, sampling_potential, noise, x, checked=True):
+def generator_difference(potential, sampling_potential, noise, x):
     """(L_V + L_0) V - (L_V~ + L_0) V~ at x, and V~' at x.
 
     A :class:`PatchedPotential` V~ of a base W gives g_W - g_V~ in closed
     form; when W is not this very V, g_V - g_W is added, exactly 0 for an
-    equal copy.  With ``checked`` (the default) it raises
-    :class:`EvaluationError` naming the first point where the difference
-    is non-finite; without it the caller must check what it sums.
+    equal copy.  Values are returned as computed, inf and nan included:
+    a caller that needs them finite refuses them itself.
     """
     if isinstance(sampling_potential, PatchedPotential):
         out, gt = sampling_potential.integrand_and_gradient(noise, x)
         if sampling_potential.base is not potential:
             out = out + _general_difference(
                 potential, sampling_potential.base, noise, x)[0]
-    else:
-        out, gt = _general_difference(potential, sampling_potential, noise, x)
-    if checked:
-        _check_finite(out, x, f"integrand of {potential.label!r} "
-                      f"against {sampling_potential.label!r}")
-    return out, gt
+        return out, gt
+    return _general_difference(potential, sampling_potential, noise, x)

@@ -114,8 +114,8 @@ def evolve_block(potential, noise, x0, n_steps, h, noise_block, observer=None,
     ``observer(i, X)``, when given, is called with the current states at
     the start of step i (so it sees X at times i * h for i = 0 .. n_steps
     - 1); this is how streaming weight accumulators tap the trajectory
-    without storing it.  An observer may return the step's drift
-    ``-potential.gradient(X)``, which is then not evaluated again.
+    without storing it.  An observer returns ``potential.gradient(X)``,
+    which is then not evaluated again, or None.
     ``X`` is updated in place, so an observer must copy anything of it
     that it keeps; ``noise_block`` is only read.
 
@@ -128,10 +128,10 @@ def evolve_block(potential, noise, x0, n_steps, h, noise_block, observer=None,
     X = np.full(noise_block.shape[0], float(x0))
     amp = noise.sigma * math.sqrt(h)
     for i in range(n_steps):
-        f = observer(i, X) if observer is not None else None
-        if f is None:
-            f = -potential.gradient(X)
-        X += f * h
+        g = observer(i, X) if observer is not None else None
+        if g is None:
+            g = potential.gradient(X)
+        X -= g * h
         X += amp * noise_block[:, i]
         if checked and not np.isfinite(X).all():
             raise SimulationError(

@@ -203,13 +203,40 @@ def test_unallocatable_oracle_grid_is_a_runtime_error(tmp_path, capsys,
      "importance weights underflow: the mean of w 1_A, 9.64936e-176, squares"),
     (["--mode", "sweep", "--sampling", "invert", "--epsilons", "0.001",
       "--x0", "2.5", "--T", "3", "--N", "4096"], "importance weights underflow"),
+    # the density's chord integrand overflows: refused without a warning
+    (["--mode", "density", "--potential", "quadratic", "--y", "-1e300"],
+     "integrand of 'quadratic(k=1.0)' against 'zero' is non-finite at "
+     "x=-1.0000000000000001e+298"),
+    (["--mode", "density", "--potential", "linear", "--slope", "1e300",
+      "--y", "0.5"],
+     "integrand of 'linear(a=1e+300)' against 'zero' is non-finite at x=0.0"),
+    # values the library refuses after they overflow, without a warning:
+    # V at a huge endpoint of D, V(x) - V(y), a huge grid's initial density
+    (["--mode", "importance", "--sampling", "flatten", "--potential",
+      "quadratic", "--region", "(-1,1e300)"],
+     "flatten_on_region: potential 'quadratic(k=1.0)' does not vanish to "
+     "first order on the boundary of interval(-1,1e+300) (residual inf at "
+     "x=1e+300"),
+    (["--mode", "density", "--potential", "quadratic", "--stiffness", "1e-10",
+      "--x0", "1e160", "--y", "0.5"],
+     "the slope grid over (-2.5, 1e+160) has spacing dx=1.0001e+156"),
+    (["--mode", "fp", "--T", "1e307", "--dt", "1e307", "--n_cells", "512"],
+     "density mass is 0 at t=1e+307, not 1; "),
+    # out paths that cannot be written: the OS refuses one, open another
+    (["--out", "no-such-dir/out.csv"],
+     "cannot write out 'no-such-dir/out.csv': [Errno 2] No such file"),
+    (["--out", "a\x00b.csv"],
+     "cannot write out 'a\\x00b.csv': embedded null byte"),
 ], ids=["noise-too-big", "noise-dimension", "noise-h-tiny", "fp-n_cells-huge",
         "action-segments-huge", "fp-x0-huge", "fp-region-huge", "density-t-huge",
         "density-delta-huge", "fp-mass-underflow", "fp-dt-huge",
         "action-T-tiny", "importance-integrand-overflow", "density-t-underflow",
         "density-bound-times-zero-kernel", "density-slope-grid-overflow",
         "density-slope-grid-underflow", "action-segment-underflow",
-        "importance-weights-underflow", "sweep-weights-underflow"])
+        "importance-weights-underflow", "sweep-weights-underflow",
+        "density-chord-overflow", "density-chord-slope-overflow",
+        "patch-endpoint-overflow", "density-value-overflow",
+        "fp-initial-density-underflow", "out-unwritable", "out-null-byte"])
 def test_runtime_failures_end_in_one_line(tmp_path, capsys, overrides, message):
     path = _write_cfg(tmp_path, BASE)
     assert main(["run", path, *overrides]) == 2
@@ -466,6 +493,27 @@ def test_validate_reports_are_honest(tmp_path, capsys):
 
     none = lines("none")
     assert "no reference potential" in none
+
+
+@pytest.mark.parametrize("overrides, rows", [
+    # the ring outside D overflows V
+    (["--region", "(-1,1e300)"],
+     ["(iii) agreement outside D: max|Vref - V|=nan -> FAIL"]),
+    # so do the gradient grid on D and the ring
+    (["--stiffness", "1e300", "--x0", "10", "--region", "(-1e300,1e300)"],
+     ["(ii) gradient domination on D: sup(|grad Vref| - |grad V|)=nan -> FAIL",
+      "(iii) agreement outside D: max|Vref - V|=nan -> FAIL"]),
+], ids=["ring", "gradient-grid"])
+def test_validate_reports_a_non_finite_check_as_fail(tmp_path, capsys,
+                                                     overrides, rows):
+    # exit 0 and no RuntimeWarning (the test settings make one an error)
+    path = _write_cfg(tmp_path, BASE)
+    assert main(["validate", path, "--sampling", "same", "--potential",
+                 "quadratic", *overrides]) == 0
+    out = capsys.readouterr().out.splitlines()
+    flat = ("flat boundary V=0, grad V=0 on dD: max boundary |V|,|grad V|=inf"
+            " -> FAIL")
+    assert set(rows + [flat]) <= set(out)
 
 
 @pytest.mark.parametrize("sampling, cell", [

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from _helpers import serial_reference, whole_block
-from wellescape import estimators, potentials
+from wellescape import estimators, girsanov
 from wellescape.cli import CSV_COLUMNS, _write_rows, csv_row
 from wellescape.errors import ConfigurationError, SimulationError, WellEscapeError
 from wellescape.estimators import (
@@ -27,6 +27,7 @@ from wellescape.potentials import (
     LinearPotential,
     NoiseScale,
     PotentialField,
+    QuadraticPotential,
     ZeroPotential,
     flatten_on_region,
     invert_on_region,
@@ -294,7 +295,7 @@ def test_a_block_fails_with_the_error_of_its_whole_serial_run(sampling):
 
 def test_a_run_that_succeeds_checks_finiteness_once_per_half(monkeypatch):
     # no per-step check: every half is stepped unchecked, and the
-    # integrand's point-naming check is never reached
+    # accumulator's point-naming refusal is never reached
     checked, calls = [], Counter()
     signature = inspect.signature(evolve_block)
 
@@ -305,12 +306,12 @@ def test_a_run_that_succeeds_checks_finiteness_once_per_half(monkeypatch):
         return evolve_block(*args, **kwargs)
 
     def counting(*args):
-        calls["_check_finite"] += 1
-        return check_finite(*args)
+        calls["_check_integrand"] += 1
+        return check_integrand(*args)
 
-    check_finite = potentials._check_finite
+    check_integrand = girsanov._check_integrand
     monkeypatch.setattr(estimators, "evolve_block", stepping)
-    monkeypatch.setattr(potentials, "_check_finite", counting)
+    monkeypatch.setattr(girsanov, "_check_integrand", counting)
     V = CosineWellPotential()
     event = EscapeEvent(WELL, horizon=0.5)
     run_importance(V, invert_on_region(V, WELL), SIGMA1, 0.0, event, 1e-2,
@@ -329,6 +330,24 @@ def test_integrands_finite_but_their_sum_overflowing_is_a_run():
                        event, 1e-2, 1e-2, 100, RngPolicy(0))
     assert s == EstimatorSummary(n=100, mean=0.0, m2=0.0, hits=0,
                                  kind="importance")
+
+
+@pytest.mark.parametrize("region, want", [
+    (Interval(-1e200, 1e200),
+     EstimatorSummary(n=100, mean=0.0, m2=0.0, hits=0, kind="importance")),
+    (Interval(-1.0, 1.0), "importance weights overflow"),
+], ids=["off-the-event", "on-the-event"])
+def test_a_log_weight_non_finite_only_through_its_boundary_term(region, want):
+    # V(x) = 1e-10 x^2 / 2 overflows at x0 = 1e160 and at every state, so
+    # V(x0) - V(X_T) is nan while each integrand 1e-10 - 1e300 and each sum
+    # is finite: weight 0 off the event, an overflow on it
+    args = (QuadraticPotential(1e-10), ZeroPotential(), SIGMA1, 1e160,
+            EscapeEvent(region, horizon=0.05), 1e-2, 1e-2, 100, RngPolicy(0))
+    if isinstance(want, str):
+        with pytest.raises(SimulationError, match=want):
+            run_importance(*args)
+    else:
+        assert run_importance(*args) == want
 
 
 class _Spike(PotentialField):

@@ -5,6 +5,7 @@ import pytest
 
 from _helpers import region_supremum
 from wellescape.errors import ConstructionError, EvaluationError
+from wellescape.girsanov import WeightAccumulator
 from wellescape.potentials import (
     _BOUNDARY_MATCH_TOL,
     CosineWellPotential,
@@ -317,12 +318,15 @@ class _Steep(PotentialField):
 
 @pytest.mark.parametrize("patch", [flatten_on_region, invert_on_region])
 def test_an_overflowing_gradient_on_d_fails_at_its_point(patch):
-    # V'^2 = inf there: flatten gives -inf, invert 0 * inf = nan
+    # V'^2 = inf there: flatten gives -inf, invert 0 * inf = nan; a
+    # checked accumulator refuses the integrand at its first such point
     V = _Steep()
     x = np.array([0.0, -2.0, 4.0, 0.75, 0.9])
+    acc = WeightAccumulator(V, patch(V, D_PI), NoiseScale(sigma=1.0), 1e-2, 1,
+                            [1e-2])
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(EvaluationError) as exc:
-            generator_difference(V, patch(V, D_PI), NoiseScale(sigma=1.0), x)
+            acc.observe(0, x)
     assert exc.value.point == 0.75
     assert "non-finite at x=0.75" in str(exc.value)
 
