@@ -291,7 +291,7 @@ def _cmd_validate(cfg):
         k3 = f(y + 0.5 * dt * k2)
         k4 = f(y + dt * k3)
         y += dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6
-        if not region.indicator(y):
+        if not (np.isfinite(y) and region.indicator(y)):
             exit_time = (i + 1) * dt
             break
     if exit_time is None:
@@ -300,6 +300,10 @@ def _cmd_validate(cfg):
             note = "x0 is an equilibrium of the noise-free flow"
         _report("noise-free flow exits D by T",
                 f"y(T)={_fmt(y)} still in D", False, note=note)
+    elif not np.isfinite(y):
+        _report("noise-free flow exits D by T",
+                f"y={_fmt(y)} at t={_fmt(exit_time)}", False,
+                note="the flow left the float range")
     else:
         _report("noise-free flow exits D by T",
                 f"exit at t={_fmt(exit_time)}", True)

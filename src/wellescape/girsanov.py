@@ -97,14 +97,17 @@ class WeightAccumulator:
         due = self._due[i]
         if not due:
             return None
-        g, grad_sampling = generator_difference(
+        g, inside, grad_sampling = generator_difference(
             self.potential, self.sampling_potential, self.noise, X)
         if self.checked:
-            _check_integrand(g, X, self.potential, self.sampling_potential)
+            _check_integrand(np.where(inside, g, 0.0), X, self.potential,
+                             self.sampling_potential)
         if self._sums is None:
             self._sums = np.zeros((len(self.strides), len(X)))
+        # a row off the mask would add 0.0, which leaves a sum that starts
+        # at +0.0 unchanged: it never becomes -0.0
         for j in due:
-            self._sums[j] += g
+            np.add(self._sums[j], g, out=self._sums[j], where=inside)
         return grad_sampling
 
     def finalize(self, x0, terminal):

@@ -170,16 +170,26 @@ class CosineWellPotential(PotentialField):
 
     def gradient(self, x):
         t = np.tan(0.5 * np.asarray(x, dtype=float))
-        return 2.0 * t / (1.0 + t * t)
+        g = 2.0 * t
+        t *= t
+        t += 1.0
+        g /= t
+        return g
 
     def laplacian(self, x):
         return self.derivatives(x)[1]
 
     def derivatives(self, x):
+        # the operations of 2t / (1 + t^2) and (1 - t^2) / (1 + t^2), in
+        # place on the temporaries of this call
         t = np.tan(0.5 * np.asarray(x, dtype=float))
-        t2 = t * t
-        d = 1.0 + t2
-        return 2.0 * t / d, (1.0 - t2) / d
+        g = 2.0 * t
+        t *= t
+        lap = 1.0 - t
+        t += 1.0
+        g /= t
+        lap /= t
+        return g, lap
 
 
 class Interval:
@@ -234,10 +244,14 @@ class PatchedPotential(PotentialField):
         self.label = f"{name}({base.label})"
 
     def _patch(self, inside, f):
-        """where(inside, sign * f, f), with exact zeros on D at sign 0."""
+        """where(inside, sign * f, f), with exact zeros on D at sign 0, in an
+        array of its own: ``f`` may be an array the base keeps."""
+        out = np.array(f, dtype=float)
         if self.sign:
-            return np.where(inside, self.sign * f, f)
-        return np.where(inside, 0.0, f)
+            np.multiply(out, self.sign, out=out, where=inside)
+        else:
+            np.copyto(out, 0.0, where=inside)
+        return out
 
     def value(self, x):
         return self._patch(self.region.indicator(x), self.base.value(x))
@@ -249,16 +263,20 @@ class PatchedPotential(PotentialField):
         return self._patch(self.region.indicator(x), self.base.laplacian(x))
 
     def integrand_and_gradient(self, noise, x):
-        """(g_W - g_W~, W~') at x from one evaluation of the base W, with
-        g_W = sigma^2 W'' - W'^2: g_W - g_W~ = 1_D [(1 - s) sigma^2 W''
-        - (1 - s^2) W'^2], whose W'^2 term stays at s = -1 so that an
-        overflowing W'^2 gives nan there, as in the general form."""
+        """(C, 1_D, W~') at x from one evaluation of the base W, which it
+        does not write into: with g_W = sigma^2 W'' - W'^2, g_W - g_W~ is
+        C = (1 - s) sigma^2 W'' - (1 - s^2) W'^2 on D and 0 off it.  C is
+        not masked; its W'^2 term stays at s = -1 so that an overflowing
+        W'^2 gives nan there, as in the general form."""
         g, lap = self.base.derivatives(x)
         inside = self.region.indicator(x)
         s = self.sign
-        out = np.where(inside, (1.0 - s) * noise.sigma ** 2 * lap
-                       - (1.0 - s * s) * (g * g), 0.0)
-        return out, self._patch(inside, g)
+        out = (1.0 - s) * noise.sigma ** 2 * lap
+        square = g * g
+        if 1.0 - s * s != 1.0:
+            square *= 1.0 - s * s
+        out -= square
+        return out, inside, self._patch(inside, g)
 
 
 def flatten_on_region(potential, region):
@@ -301,21 +319,24 @@ def _general_difference(potential, sampling_potential, noise, x):
     g, lap = potential.derivatives(x)
     gt, lapt = sampling_potential.derivatives(x)
     s2 = noise.sigma ** 2
-    return (s2 * lap - g * g) - (s2 * lapt - gt * gt), gt
+    return (s2 * lap - g * g) - (s2 * lapt - gt * gt), True, gt
 
 
 def generator_difference(potential, sampling_potential, noise, x):
-    """(L_V + L_0) V - (L_V~ + L_0) V~ at x, and V~' at x.
+    """(integrand, inside, V~') at x: (L_V + L_0) V - (L_V~ + L_0) V~ is
+    the integrand where ``inside`` is true and 0 elsewhere.
 
     A :class:`PatchedPotential` V~ of a base W gives g_W - g_V~ in closed
-    form; when W is not this very V, g_V - g_W is added, exactly 0 for an
-    equal copy.  Values are returned as computed, inf and nan included:
-    a caller that needs them finite refuses them itself.
+    form with ``inside`` = 1_D; when W is not this very V, the masked form
+    plus g_V - g_W, exactly 0 for an equal copy, comes with ``inside``
+    True, as for any other sampler.  Values are returned as computed, inf
+    and nan included: a caller that needs them finite refuses them itself.
     """
     if isinstance(sampling_potential, PatchedPotential):
-        out, gt = sampling_potential.integrand_and_gradient(noise, x)
+        out, inside, gt = sampling_potential.integrand_and_gradient(noise, x)
         if sampling_potential.base is not potential:
-            out = out + _general_difference(
+            out = np.where(inside, out, 0.0) + _general_difference(
                 potential, sampling_potential.base, noise, x)[0]
-        return out, gt
+            inside = True
+        return out, inside, gt
     return _general_difference(potential, sampling_potential, noise, x)

@@ -117,7 +117,8 @@ def evolve_block(potential, noise, x0, n_steps, h, noise_block, observer=None,
     without storing it.  An observer returns ``potential.gradient(X)``,
     which is then not evaluated again, or None.
     ``X`` is updated in place, so an observer must copy anything of it
-    that it keeps; ``noise_block`` is only read.
+    that it keeps; ``noise_block`` and the gradient are only read, and a
+    step allocates no array of its own.
 
     With ``checked`` (the default), a step that leaves any state
     non-finite raises :class:`SimulationError` naming that step.  Without
@@ -126,13 +127,14 @@ def evolve_block(potential, noise, x0, n_steps, h, noise_block, observer=None,
     steps the same rows again with ``checked`` to name the step.
     """
     X = np.full(noise_block.shape[0], float(x0))
+    tmp = np.empty_like(X)
     amp = noise.sigma * math.sqrt(h)
     for i in range(n_steps):
         g = observer(i, X) if observer is not None else None
         if g is None:
             g = potential.gradient(X)
-        X -= g * h
-        X += amp * noise_block[:, i]
+        X -= np.multiply(g, h, out=tmp)
+        X += np.multiply(amp, noise_block[:, i], out=tmp)
         if checked and not np.isfinite(X).all():
             raise SimulationError(
                 f"a sample became non-finite at step {i} (t={(i + 1) * h:g})", step=i

@@ -503,7 +503,11 @@ def test_validate_reports_are_honest(tmp_path, capsys):
     (["--stiffness", "1e300", "--x0", "10", "--region", "(-1e300,1e300)"],
      ["(ii) gradient domination on D: sup(|grad Vref| - |grad V|)=nan -> FAIL",
       "(iii) agreement outside D: max|Vref - V|=nan -> FAIL"]),
-], ids=["ring", "gradient-grid"])
+    # the flow's first RK4 step leaves the float range: nan is no exit
+    (["--stiffness", "1e300", "--x0", "10", "--region", "(-1e300,1e300)"],
+     ["noise-free flow exits D by T: y=nan at t=0.00025 -> FAIL  "
+      "(the flow left the float range)"]),
+], ids=["ring", "gradient-grid", "flow-state"])
 def test_validate_reports_a_non_finite_check_as_fail(tmp_path, capsys,
                                                      overrides, rows):
     # exit 0 and no RuntimeWarning (the test settings make one an error)

@@ -11,6 +11,11 @@ is redrawn as a whole number of them, so no float value is left out.
 Each invocation must return 0, 1 or 2 and raise nothing, emit no
 RuntimeWarning, and print exactly one ``config error:`` line on exit 1 and
 one ``error:`` line on exit 2.
+
+A second draw, ``weighted_invocations``, holds the weight path to the same
+assertions and caps: ``run`` of importance, sweep or table5 with a
+sampler, each key mostly inside its rule, so that most of its examples
+run the Euler-Girsanov loop.
 """
 
 import contextlib
@@ -144,3 +149,74 @@ def test_every_input_runs_or_fails_in_one_line(argv):
         assert len(lines) == 1 and lines[0].startswith("config error: "), lines
     if code == 2:
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+# the weight path: a sampled mode with a sampler, each key it reads drawn
+# inside its rule nine times in ten and at a special float of either sign
+# otherwise, so that most draws run the Euler-Girsanov loop
+_SIGNED = st.sampled_from(_SPECIAL + tuple(-v for v in _SPECIAL))
+# regions at whose ends the cosine well is flat, so it can be patched
+_FLAT_REGIONS = ((-math.pi, math.pi), (-math.pi, 3 * math.pi))
+
+
+def _mostly(inside):
+    # hypothesis leans to 0, the simplest integer: the special value is 9
+    return st.integers(0, 9).flatmap(lambda k: _SIGNED if k == 9 else inside)
+
+
+@st.composite
+def weighted_invocations(draw):
+    """``run`` of importance, sweep or table5 with a sampler, its keys
+    mostly valid: a patched sampler mostly on a well it can patch, T/h
+    up to the cap (exactly it for table5) and tau a whole number of steps
+    that divides T."""
+    mode = draw(st.sampled_from(("importance", "sweep", "table5")), label="mode")
+    sampling = draw(st.sampled_from(("flatten", "invert", "same")),
+                    label="sampling")
+    potentials = ("cosine", "zero", "quadratic", "linear")
+    regions = _FLAT_REGIONS + ((-1.0, 2.0),)
+    if sampling != "same":
+        potentials, regions = ("cosine", "cosine", "zero", "linear"), _FLAT_REGIONS
+    potential = draw(st.sampled_from(potentials), label="potential")
+    region = draw(st.sampled_from(regions), label="region")
+    region = draw(st.tuples(_mostly(st.just(region[0])),
+                            _mostly(st.just(region[1]))), label="ends")
+    h = draw(_mostly(st.sampled_from((1e-2, 2e-2, 5e-3))), label="h")
+    cap = _STEP_CAPS["h"]
+    steps = cap if mode == "table5" else draw(st.integers(1, cap), label="steps")
+    stride = draw(st.sampled_from([m for m in range(1, steps + 1)
+                                   if steps % m == 0]), label="stride")
+    noise = draw(st.sampled_from(("sigma", "epsilon", "beta")), label="noise")
+    tokens = {
+        "mode": mode,
+        "sampling": sampling,
+        "potential": potential,
+        "h": h,
+        "T": draw(_mostly(st.just(h * steps)), label="T"),
+        "tau": draw(_mostly(st.just(h * stride)), label="tau"),
+        noise: draw(_mostly(st.floats(0.5, 2.0)), label=noise),
+        "x0": draw(_mostly(st.floats(-4.0, 4.0)), label="x0"),
+        "region": f"({region[0]!r},{region[1]!r})",
+        "N": draw(st.integers(1, _COUNT_CAPS["N"]), label="N"),
+        "seed": draw(st.integers(0, 2**32), label="seed"),
+    }
+    if potential == "quadratic":
+        tokens["stiffness"] = draw(_mostly(st.floats(0.1, 10.0)), label="stiffness")
+    if potential == "linear":
+        tokens["slope"] = draw(_mostly(st.floats(-3.0, 3.0)), label="slope")
+    if mode == "sweep":
+        eps = draw(st.lists(_mostly(st.floats(0.5, 2.0)), min_size=1,
+                            max_size=3), label="epsilons")
+        tokens["epsilons"] = ",".join(map(repr, eps))
+    argv = ["run"]
+    for name, value in tokens.items():
+        argv += [f"--{name}", value if isinstance(value, str) else repr(value)]
+    return argv
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=weighted_invocations())
+def test_every_weighted_run_runs_or_fails_in_one_line(argv):
+    # the gate's four assertions, on the gate's own (undecorated) body
+    test_every_input_runs_or_fails_in_one_line.hypothesis.inner_test(argv)

@@ -14,6 +14,7 @@ from wellescape.potentials import (
     NoiseScale,
     QuadraticPotential,
     ZeroPotential,
+    flatten_on_region,
     generator_difference,
     invert_on_region,
 )
@@ -141,7 +142,8 @@ def test_mesh_validation():
 def _riemann_weight(V, Vt, x0, states, m, h):
     """The generator-form weight as one left-endpoint sum over the recorded
     states at stride m (sigma = 1)."""
-    g, _ = generator_difference(V, Vt, SIGMA1, states[:, :-1:m])
+    g, inside, _ = generator_difference(V, Vt, SIGMA1, states[:, :-1:m])
+    g = np.where(inside, g, 0.0)
     X_T = states[:, -1]
     boundary = V.value(x0) - V.value(X_T) - Vt.value(x0) + Vt.value(X_T)
     return boundary + 0.5 * (m * h) * g.sum(axis=1)
@@ -222,3 +224,92 @@ def test_weights_average_to_one_under_sampling_law():
     w = np.concatenate(weights)[:n]
     sem = w.std() / np.sqrt(n)
     assert abs(w.mean() - 1.0) < 4 * sem + 0.03  # statistical + O(h) bias margin
+
+
+class _Keeping(CosineWellPotential):
+    """The cosine well, keeping every array it returns beside a copy."""
+
+    def __init__(self):
+        self.kept = []
+
+    def _keep(self, *arrays):
+        self.kept += [(a, a.copy()) for a in arrays]
+        return arrays
+
+    def gradient(self, x):
+        return self._keep(super().gradient(x))[0]
+
+    def derivatives(self, x):
+        return self._keep(*super().derivatives(x))
+
+
+class _Identity(QuadraticPotential):
+    """x^2 / 2, whose gradient is its argument itself and whose Laplacian
+    is one cached array."""
+
+    def __init__(self):
+        super().__init__(1.0)
+        self.ones = None
+
+    def gradient(self, x):
+        return x
+
+    def laplacian(self, x):
+        if self.ones is None:
+            self.ones = np.ones(np.shape(x))
+        return self.ones
+
+
+@pytest.mark.parametrize("sampler", ["invert", "flatten", "invert-copy",
+                                     "identity"])
+def test_fields_that_keep_their_arrays_step_as_copying_fields_do(sampler):
+    # the engine never writes into an array a field returned: a field that
+    # keeps them gives the copying field's states and log-weights bit for
+    # bit, and finds them unchanged afterwards
+    h, n_steps = 1e-2, 50
+    noise_block = RngPolicy(17).block_normals(0, n_steps)[:64]
+    D = Interval(-np.pi, np.pi)
+    patch = flatten_on_region if sampler == "flatten" else invert_on_region
+    if sampler == "identity":
+        V, identity = CosineWellPotential(), _Identity()
+        pairs = [(V, QuadraticPotential(1.0)), (V, identity)]
+    else:
+        base = _Keeping()
+        target = _Keeping() if sampler == "invert-copy" else base
+        plain = CosineWellPotential()
+        copy = CosineWellPotential() if sampler == "invert-copy" else plain
+        pairs = [(plain, patch(copy, D)), (target, patch(base, D))]
+    runs = []
+    for V, Vt in pairs:
+        acc = WeightAccumulator(V, Vt, SIGMA1, h, n_steps, [h, 5 * h],
+                                checked=False)
+        X = evolve_block(Vt, SIGMA1, 0.3, n_steps, h, noise_block, acc.observe,
+                         checked=False)
+        runs.append((X, acc.finalize(0.3, X)))
+    (X0, w0), (X1, w1) = runs
+    assert np.array_equal(X0, X1) and np.array_equal(w0, w1)
+    if sampler == "identity":
+        assert np.array_equal(identity.ones, np.ones(64))
+        return
+    kept = base.kept + (target.kept if target is not base else [])
+    assert len(kept) >= 2 * n_steps
+    assert all(np.array_equal(a, b) for a, b in kept)
+
+
+@pytest.mark.parametrize("patch", [flatten_on_region, invert_on_region])
+def test_an_unchecked_patched_step_calls_no_where(patch, monkeypatch):
+    V = CosineWellPotential()
+    Vt = patch(V, Interval(-np.pi, np.pi))
+    noise_block = RngPolicy(5).block_normals(0, 100)[:256]
+    acc = WeightAccumulator(V, Vt, SIGMA1, 1e-2, 100, [1e-2], checked=False)
+    calls = []
+    where = np.where
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return where(*args, **kwargs)
+
+    monkeypatch.setattr(np, "where", counting)
+    evolve_block(Vt, SIGMA1, 0.0, 100, 1e-2, noise_block, acc.observe,
+                 checked=False)
+    assert len(calls) == 0

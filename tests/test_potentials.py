@@ -292,7 +292,8 @@ def test_patched_integrand_is_the_general_form_in_closed_form(name, sigma):
     s2 = sigma ** 2
     general = ((s2 * V.laplacian(x) - V.gradient(x) ** 2)
                - (s2 * Vt.laplacian(x) - Vt.gradient(x) ** 2))
-    out, grad = generator_difference(V, Vt, NoiseScale(sigma=sigma), x)
+    out, inside, grad = generator_difference(V, Vt, NoiseScale(sigma=sigma), x)
+    out = np.where(inside, out, 0.0)
     assert np.max(np.abs(out - general)) <= 1e-14
     want = Vt.gradient(x)
     assert np.array_equal(grad, want)
@@ -349,3 +350,86 @@ def test_a_base_that_is_nan_on_the_boundary_is_refused(patch):
     with pytest.raises(ConstructionError,
                        match=r"residual inf at x=3\.141592653589793"):
         patch(V, D_PI)
+
+
+def test_cosine_derivatives_in_place_are_the_quotient_forms_bit_for_bit():
+    # 2t / (1 + t^2) and (1 - t^2) / (1 + t^2) with t = tan(x/2), written
+    # out; scalars come back as numpy scalars, as they did
+    V = CosineWellPotential()
+    pi = np.pi
+    x = np.concatenate([
+        [pi, -pi, np.nextafter(pi, 0), np.nextafter(-pi, 0), 0.0, -0.0,
+         np.nan, np.inf, -np.inf],
+        np.random.default_rng(3).uniform(-1e3, 1e3, 2000)])
+    with np.errstate(invalid="ignore"):
+        t = np.tan(0.5 * x)
+        want = (2.0 * t / (1.0 + t * t), (1.0 - t * t) / (1.0 + t * t))
+        got = (V.gradient(x),) + V.derivatives(x)
+        scalar = V.gradient(0.7), *V.derivatives(-0.0)
+    for a, b in zip(got, (want[0], *want)):
+        assert np.array_equal(a, b, equal_nan=True)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+    assert all(type(v) is np.float64 for v in scalar)
+    t = np.tan(0.35)
+    assert scalar[0] == 2.0 * t / (1.0 + t * t)
+    assert np.signbit(scalar[1]) and scalar[2] == 1.0
+
+
+class _Spiky(CosineWellPotential):
+    """The cosine well with W' = 1e200, so W'^2 = inf, on (0.5, 1) and
+    (4, 5), and W'' = nan on (-1, -0.5) and (-5, -4): non-finite
+    integrands on D and off it."""
+
+    def gradient(self, x):
+        return self.derivatives(x)[0]
+
+    def derivatives(self, x):
+        g, lap = super().derivatives(x)
+        x = np.asarray(x, dtype=float)
+        g = np.where((np.abs(x - 0.75) < 0.25) | (np.abs(x - 4.5) < 0.5),
+                     1e200, g)
+        lap = np.where((np.abs(x + 0.75) < 0.25) | (np.abs(x + 4.5) < 0.5),
+                       np.nan, lap)
+        return g, lap
+
+
+def _bits_equal(a, b):
+    return (np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@pytest.mark.parametrize("sigma", [1.0, 0.5])
+@pytest.mark.parametrize("sign", [0.0, -1.0, 0.5])
+def test_unchecked_observe_adds_the_masked_closed_form(sign, sigma):
+    # the sums gain where(D, C, 0) and the step gets where(D, sW', W'),
+    # each formed here as before the masked in-place step, sign bit and
+    # all, at non-finite W', W'' and x on D and off it
+    V = _Spiky()
+    Vt = PatchedPotential(V, D_PI, sign, "patched")
+    noise = NoiseScale(sigma=sigma)
+    pi = np.pi
+    x = np.concatenate([
+        [pi, -pi, np.nextafter(pi, 0), np.nextafter(pi, 4),
+         np.nextafter(-pi, 0), np.nextafter(-pi, -4), 0.0, -0.0,
+         np.nan, np.inf, -np.inf, 0.75, 4.5, -0.75, -4.5],
+        np.random.default_rng(8).uniform(-6, 6, 400)])
+
+    def closed_form(x):
+        g, lap = V.derivatives(x)
+        inside = D_PI.indicator(x)
+        C = np.where(inside, (1.0 - sign) * sigma ** 2 * lap
+                     - (1.0 - sign * sign) * (g * g), 0.0)
+        grad = np.where(inside, sign * g, g) if sign else np.where(inside, 0.0, g)
+        return C, grad
+
+    acc = WeightAccumulator(V, Vt, noise, 1e-2, 2, [1e-2], checked=False)
+    first = np.random.default_rng(9).permutation(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        acc.observe(0, first)
+        before = acc._sums.copy()
+        grad = acc.observe(1, x)
+        (C0, _), (C, want) = closed_form(first), closed_form(x)
+        assert _bits_equal(before[0], np.zeros(len(x)) + C0)
+        assert _bits_equal(acc._sums[0], before[0] + C)
+        assert _bits_equal(grad, want)
+        assert _bits_equal(grad, Vt.gradient(x))
