@@ -193,27 +193,30 @@ def _run(potential, sampling_potential, noise, x0, event, h, taus, n_samples,
     def take(b):
         return min(BLOCK_SAMPLES, n_samples - b * BLOCK_SAMPLES)
 
-    def step(noise_block, checked=False):
+    # one accumulator for the run: its step arrays follow the rows stepped.
+    # step is no closure over itself, so the run's arrays go when it ends
+    acc = WeightAccumulator(potential, sampling_potential, noise, h, n_steps,
+                            taus) if weighted else None
+
+    def step(noise_block):
         """Terminal states and log-weights (None for plain) of its rows."""
-        acc = None
-        if weighted:
-            acc = WeightAccumulator(
-                potential, sampling_potential, noise, h, n_steps, taus, checked
-            )
         # inf and nan are refused, not warned about.  A non-finite state or
         # integrand stays so to the end and makes its log-weight non-finite,
         # so an unchecked half is tested once, on every row (an infinite
         # log-weight off the event would vanish under exp); one that fails is
         # stepped again checked, to name the step and point.  _finite refuses
         # weights that overflow on the event
-        with np.errstate(over="ignore", invalid="ignore"):
-            terminal = evolve_block(sampler, noise, x0, n_steps, h, noise_block,
-                                    acc.observe if acc else None, checked)
-            logw = acc.finalize(x0, terminal) if acc else None
-        if checked or np.isfinite(terminal).all() and (
-                logw is None or np.isfinite(logw).all()):
-            return terminal, logw
-        return step(noise_block, checked=True)
+        for checked in (False, True):
+            if acc:
+                acc.checked = checked
+            with np.errstate(over="ignore", invalid="ignore"):
+                terminal = evolve_block(
+                    sampler, noise, x0, n_steps, h, noise_block,
+                    acc.observe if acc else None, checked)
+                logw = acc.finalize(x0, terminal) if acc else None
+            if checked or np.isfinite(terminal).all() and (
+                    logw is None or np.isfinite(logw).all()):
+                return terminal, logw
 
     def summarize(parts):
         terminal = np.concatenate([t for t, _ in parts])

@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError
-from .potentials import _check_integrand, generator_difference
+from .potentials import _check_integrand, generator_difference, step_arrays
 from .sde import whole_multiple
 
 
@@ -74,6 +74,15 @@ class WeightAccumulator:
     the trajectory produces the weight at several tau values (sharing the
     same noise, which isolates the mesh effect when comparing them).
 
+    One accumulator serves a whole run, block after block: step 0 of a
+    block zeroes the sums and, when the block's rows differ from the
+    last one's, sizes its step arrays to them
+    (:func:`~wellescape.potentials.step_arrays`).  A patched sampler's
+    step forms its integrand and Ṽ' in those arrays, so it allocates
+    none of its own; the Ṽ' that :meth:`observe` returns is valid until
+    the next :meth:`observe`.  The integrand is added under the mask of
+    D only when some row is outside D.
+
     With ``checked`` (the default) :meth:`observe` raises
     :class:`~wellescape.errors.EvaluationError` at a non-finite integrand,
     naming its point; without it the integrand is summed as computed, and
@@ -91,21 +100,25 @@ class WeightAccumulator:
         self._due = [tuple(j for j, m in enumerate(self.strides) if i % m == 0)
                      for i in range(n_steps)]
         self._sums = None
+        self._arrays = None
 
     def observe(self, i, X):
         """Add the integrand at step i if due; return grad V~(X) then, else None."""
         due = self._due[i]
         if not due:
             return None
+        if i == 0:  # a new block
+            if self._sums is None or self._sums.shape[1:] != X.shape:
+                self._sums = np.empty((len(self.strides),) + X.shape)
+                self._arrays = step_arrays(X.shape)
+            self._sums.fill(0.0)
         g, inside, grad_sampling = generator_difference(
-            self.potential, self.sampling_potential, self.noise, X)
+            self.potential, self.sampling_potential, self.noise, X, self._arrays)
         if self.checked:
             _check_integrand(np.where(inside, g, 0.0), X, self.potential,
                              self.sampling_potential)
-        if self._sums is None:
-            self._sums = np.zeros((len(self.strides), len(X)))
         # a row off the mask would add 0.0, which leaves a sum that starts
-        # at +0.0 unchanged: it never becomes -0.0
+        # at +0.0 unchanged: it never becomes -0.0; where=True is a plain add
         for j in due:
             np.add(self._sums[j], g, out=self._sums[j], where=inside)
         return grad_sampling

@@ -7,6 +7,11 @@ subclass implements in closed form, and ``derivatives``, the pair
 them.  Fields act elementwise on arrays of any shape and return numpy
 values of that shape: an array for an array, a numpy scalar or 0-d
 array for a scalar, which ``float()`` turns into a python float.
+``derivatives(x, out=None)`` and :meth:`Interval.indicator` take an
+optional output: the library fields write into it and return it, and a
+field may ignore it and return arrays of its own.  So a patched
+Euler-Girsanov step (:meth:`PatchedPotential.integrand_and_gradient`
+into :func:`step_arrays`) allocates no array beyond the fields' scratch.
 
 One differential expression recurs throughout the package, built from
 the generator ``L_V = -V' d/dx + beta^{-1} d^2/dx^2`` of the overdamped
@@ -95,9 +100,11 @@ class PotentialField:
     def laplacian(self, x):
         raise NotImplementedError
 
-    def derivatives(self, x):
+    def derivatives(self, x, out=None):
         """``(gradient(x), laplacian(x))``; a field overrides it to share
-        work between the two, bit for bit."""
+        work between the two, bit for bit.  ``out``, a pair of arrays of
+        x's shape, may receive the two; the caller reads only the pair
+        returned, which need not be ``out``."""
         return self.gradient(x), self.laplacian(x)
 
     def __repr__(self):
@@ -160,7 +167,7 @@ class CosineWellPotential(PotentialField):
     below.  V' = sin x = 2t / (1 + t^2) and V'' = cos x = (1 - t^2) /
     (1 + t^2) with t = tan(x/2): numpy runs float64 ``tan`` in SIMD where
     it can, ``sin``/``cos`` in scalar libm, and the two agree within 2.3e-16.
-    ``derivatives`` takes both from one ``tan``.
+    ``derivatives`` takes both from one ``tan``, into ``out`` when given.
     """
 
     label = "cosine_well"
@@ -179,17 +186,21 @@ class CosineWellPotential(PotentialField):
     def laplacian(self, x):
         return self.derivatives(x)[1]
 
-    def derivatives(self, x):
-        # the operations of 2t / (1 + t^2) and (1 - t^2) / (1 + t^2), in
-        # place on the temporaries of this call
-        t = np.tan(0.5 * np.asarray(x, dtype=float))
-        g = 2.0 * t
+    def derivatives(self, x, out=None):
+        # the operations of 2t / (1 + t^2) and (1 - t^2) / (1 + t^2) into
+        # ``out`` or arrays of this call: t = tan(x/2), then t^2, in place
+        # in the Laplacian's array, and 1 + t^2 the one temporary
+        x = np.asarray(x, dtype=float)
+        g, lap = (np.empty(x.shape), np.empty(x.shape)) if out is None else out
+        t = np.multiply(0.5, x, out=lap)
+        np.tan(t, out=t)
+        np.multiply(2.0, t, out=g)
         t *= t
-        lap = 1.0 - t
-        t += 1.0
-        g /= t
-        lap /= t
-        return g, lap
+        d = t + 1.0
+        np.subtract(1.0, t, out=lap)
+        g /= d
+        lap /= d
+        return (g, lap) if x.ndim or out is not None else (g[()], lap[()])
 
 
 class Interval:
@@ -202,9 +213,12 @@ class Interval:
         self.a, self.b = a, b
         self.label = f"interval({a:g},{b:g})"
 
-    def indicator(self, x):
+    def indicator(self, x, out=None):
+        """The boolean mask of D at x, into ``out`` when given."""
         x = np.asarray(x, dtype=float)
-        return (x > self.a) & (x < self.b)
+        inside = np.greater(x, self.a, out=out)
+        inside &= x < self.b
+        return inside
 
     def __repr__(self):
         return f"{type(self).__name__}({self.label})"
@@ -243,10 +257,19 @@ class PatchedPotential(PotentialField):
         self.sign = float(sign)
         self.label = f"{name}({base.label})"
 
-    def _patch(self, inside, f):
-        """where(inside, sign * f, f), with exact zeros on D at sign 0, in an
-        array of its own: ``f`` may be an array the base keeps."""
-        out = np.array(f, dtype=float)
+    def _patch(self, inside, f, out=None):
+        """where(inside, sign * f, f), with exact zeros on D at sign 0, into
+        ``out`` or an array of its own: ``f`` may be an array the base
+        keeps.  ``inside`` True patches every point without a mask."""
+        if inside is True:
+            if self.sign:
+                return np.multiply(f, self.sign, out=out)
+            out.fill(0.0)
+            return out
+        if out is None:
+            out = np.array(f, dtype=float)
+        else:
+            np.copyto(out, f)
         if self.sign:
             np.multiply(out, self.sign, out=out, where=inside)
         else:
@@ -262,21 +285,36 @@ class PatchedPotential(PotentialField):
     def laplacian(self, x):
         return self._patch(self.region.indicator(x), self.base.laplacian(x))
 
-    def integrand_and_gradient(self, noise, x):
-        """(C, 1_D, W~') at x from one evaluation of the base W, which it
+    def integrand_and_gradient(self, noise, x, out=None):
+        """(C, inside, W~') at x from one evaluation of the base W, which it
         does not write into: with g_W = sigma^2 W'' - W'^2, g_W - g_W~ is
         C = (1 - s) sigma^2 W'' - (1 - s^2) W'^2 on D and 0 off it.  C is
         not masked; its W'^2 term stays at s = -1 so that an overflowing
-        W'^2 gives nan there, as in the general form."""
-        g, lap = self.base.derivatives(x)
-        inside = self.region.indicator(x)
+        W'^2 gives nan there, as in the general form.
+
+        C and W~' are written into ``out``, the :func:`step_arrays` of x's
+        shape (new ones by default), which also hold the mask of D and the
+        base's W' and W''.  When every point is in D, ``inside`` is True
+        and W~' = sW' is formed without a mask."""
+        C, gt, mask, *pair = step_arrays(np.shape(x)) if out is None else out
+        g, lap = self.base.derivatives(x, out=pair)
+        inside = self.region.indicator(x, out=mask)
         s = self.sign
-        out = (1.0 - s) * noise.sigma ** 2 * lap
-        square = g * g
+        np.multiply((1.0 - s) * noise.sigma ** 2, lap, out=C)
+        square = np.multiply(g, g, out=gt)  # W'^2 in W~'s array until sW'
         if 1.0 - s * s != 1.0:
             square *= 1.0 - s * s
-        out -= square
-        return out, inside, self._patch(inside, g)
+        C -= square
+        if np.count_nonzero(inside) == inside.size:
+            inside = True
+        return C, inside, self._patch(inside, g, gt)
+
+
+def step_arrays(shape):
+    """Arrays of one patched step at points of ``shape``: the integrand,
+    the sampler's gradient, the mask of D, and the base's V' and V''."""
+    return (np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool),
+            np.empty(shape), np.empty(shape))
 
 
 def flatten_on_region(potential, region):
@@ -322,18 +360,20 @@ def _general_difference(potential, sampling_potential, noise, x):
     return (s2 * lap - g * g) - (s2 * lapt - gt * gt), True, gt
 
 
-def generator_difference(potential, sampling_potential, noise, x):
+def generator_difference(potential, sampling_potential, noise, x, out=None):
     """(integrand, inside, V~') at x: (L_V + L_0) V - (L_V~ + L_0) V~ is
     the integrand where ``inside`` is true and 0 elsewhere.
 
     A :class:`PatchedPotential` V~ of a base W gives g_W - g_V~ in closed
-    form with ``inside`` = 1_D; when W is not this very V, the masked form
-    plus g_V - g_W, exactly 0 for an equal copy, comes with ``inside``
-    True, as for any other sampler.  Values are returned as computed, inf
+    form with ``inside`` = 1_D, or True when every point is in D, in
+    ``out``, its :func:`step_arrays` (new ones when None).  When W is not
+    this very V, the masked form plus g_V - g_W, exactly 0 for an equal
+    copy, comes with ``inside`` True, as for any other sampler; those
+    values are arrays of their own.  Values are returned as computed, inf
     and nan included: a caller that needs them finite refuses them itself.
     """
     if isinstance(sampling_potential, PatchedPotential):
-        out, inside, gt = sampling_potential.integrand_and_gradient(noise, x)
+        out, inside, gt = sampling_potential.integrand_and_gradient(noise, x, out)
         if sampling_potential.base is not potential:
             out = np.where(inside, out, 0.0) + _general_difference(
                 potential, sampling_potential.base, noise, x)[0]

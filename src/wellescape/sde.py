@@ -115,10 +115,14 @@ def evolve_block(potential, noise, x0, n_steps, h, noise_block, observer=None,
     the start of step i (so it sees X at times i * h for i = 0 .. n_steps
     - 1); this is how streaming weight accumulators tap the trajectory
     without storing it.  An observer returns ``potential.gradient(X)``,
-    which is then not evaluated again, or None.
+    which is then not evaluated again, or None; the step reads it before
+    the next call, so an observer may hand back one array of its own at
+    every step.
     ``X`` is updated in place, so an observer must copy anything of it
     that it keeps; ``noise_block`` and the gradient are only read, and a
-    step allocates no array of its own.
+    step allocates no array of its own: with a
+    :class:`~wellescape.girsanov.WeightAccumulator` on a patched sampler
+    neither does the observer, beyond the fields' own scratch.
 
     With ``checked`` (the default), a step that leaves any state
     non-finite raises :class:`SimulationError` naming that step.  Without

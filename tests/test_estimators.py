@@ -1,4 +1,5 @@
 import csv
+import gc
 import inspect
 import math
 import sys
@@ -11,7 +12,12 @@ import pytest
 from _helpers import serial_reference, whole_block
 from wellescape import estimators, girsanov
 from wellescape.cli import CSV_COLUMNS, _write_rows, csv_row
-from wellescape.errors import ConfigurationError, SimulationError, WellEscapeError
+from wellescape.errors import (
+    ConfigurationError,
+    EvaluationError,
+    SimulationError,
+    WellEscapeError,
+)
 from wellescape.estimators import (
     EscapeEvent,
     EstimatorSummary,
@@ -381,6 +387,50 @@ def test_an_infinite_sum_off_the_event_is_the_error_of_its_whole_block():
     assert str(info.value) == want[1]
 
 
+class _SteepWell(CosineWellPotential):
+    """The cosine well with W' = 1e200 on (0.5, 1): W'^2 overflows there
+    while W' stays finite."""
+
+    label = "steep"
+
+    def derivatives(self, x, out=None):
+        g, lap = super().derivatives(x, out)
+        g[(x > 0.5) & (x < 1.0)] = 1e200
+        return g, lap
+
+
+@pytest.mark.parametrize("patch", [flatten_on_region, invert_on_region])
+def test_a_non_finite_integrand_on_an_all_inside_step_is_refused(patch):
+    # every row starts at 0.75, in D, where the integrand is -inf (flatten)
+    # or 0 * inf = nan (invert): the unchecked half's log-weights are not
+    # finite, and the checked re-step names step 0's first point
+    V = _SteepWell()
+    Vt = patch(V, WELL)
+    with pytest.raises(EvaluationError) as info:
+        run_importance(V, Vt, SIGMA1, 0.75, EscapeEvent(WELL, horizon=0.1),
+                       1e-2, 1e-2, 100, RngPolicy(3))
+    assert str(info.value) == (f"integrand of 'steep' against {Vt.label!r} "
+                               "is non-finite at x=0.75")
+    assert info.value.point == 0.75
+
+
+def test_a_run_leaves_its_accumulator_to_no_cycle():
+    # the run's one accumulator and its step arrays go when the run ends,
+    # without waiting for the cycle collector
+    V = CosineWellPotential()
+    gc.collect()
+    gc.disable()
+    try:
+        run_importance(V, invert_on_region(V, WELL), SIGMA1, 0.0,
+                       EscapeEvent(WELL, horizon=0.1), 1e-2, 1e-2, 3000,
+                       RngPolicy(2))
+        alive = [o for o in gc.get_objects()
+                 if isinstance(o, girsanov.WeightAccumulator)]
+    finally:
+        gc.enable()
+    assert alive == []
+
+
 @pytest.mark.parametrize("patch", [flatten_on_region, invert_on_region])
 def test_sampler_on_the_target_matches_sampler_on_an_equal_copy(patch):
     # patched on V itself, the weight reads V~'s field off V's one
@@ -407,10 +457,10 @@ class CountingWell(CosineWellPotential):
         self.calls["laplacian"] += 1
         return super().laplacian(x)
 
-    def derivatives(self, x):
+    def derivatives(self, x, out=None):
         self.calls["derivatives"] += 1
         self.points += np.size(x)
-        return super().derivatives(x)
+        return super().derivatives(x, out)
 
 
 def test_importance_step_evaluates_the_target_field_once():

@@ -239,7 +239,7 @@ class _Keeping(CosineWellPotential):
     def gradient(self, x):
         return self._keep(super().gradient(x))[0]
 
-    def derivatives(self, x):
+    def derivatives(self, x, out=None):
         return self._keep(*super().derivatives(x))
 
 
@@ -313,3 +313,30 @@ def test_an_unchecked_patched_step_calls_no_where(patch, monkeypatch):
     evolve_block(Vt, SIGMA1, 0.0, 100, 1e-2, noise_block, acc.observe,
                  checked=False)
     assert len(calls) == 0
+
+
+def test_observe_hands_the_step_one_array_it_owns():
+    # the library cosine fills the (V', V'') it is given; across steps and
+    # halves of one size, an unchecked patched accumulator returns one
+    # V~' array of its own, valid until the next observe
+    V = CosineWellPotential()
+    Vt = invert_on_region(V, Interval(-np.pi, np.pi))
+    noise_block = RngPolicy(8).block_normals(0, 20)[:64]
+    x = noise_block[:, 0].copy()
+    out = (np.empty(64), np.empty(64))
+    got = V.derivatives(x, out=out)
+    assert got[0] is out[0] and got[1] is out[1]
+    assert all(np.array_equal(a, b) for a, b in zip(got, V.derivatives(x)))
+    acc = WeightAccumulator(V, Vt, SIGMA1, 1e-2, 20, [1e-2], checked=False)
+    grads = []
+
+    def observe(i, X):
+        grad = acc.observe(i, X)
+        assert np.array_equal(grad, Vt.gradient(X))
+        assert not np.shares_memory(grad, X)
+        grads.append(grad)
+        return grad
+
+    for half in (noise_block[:32], noise_block[32:]):
+        evolve_block(Vt, SIGMA1, 0.0, 20, 1e-2, half, observe, checked=False)
+    assert len(grads) == 40 and all(g is grads[0] for g in grads)

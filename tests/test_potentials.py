@@ -21,7 +21,9 @@ from wellescape.potentials import (
     generator_apply_to_self,
     generator_difference,
     invert_on_region,
+    step_arrays,
 )
+from wellescape.sde import evolve_block
 
 D_PI = Interval(-np.pi, np.pi)
 
@@ -317,19 +319,31 @@ class _Steep(PotentialField):
         return self.well.laplacian(x)
 
 
-@pytest.mark.parametrize("patch", [flatten_on_region, invert_on_region])
-def test_an_overflowing_gradient_on_d_fails_at_its_point(patch):
-    # V'^2 = inf there: flatten gives -inf, invert 0 * inf = nan; a
-    # checked accumulator refuses the integrand at its first such point
+@pytest.mark.parametrize("patch, points", [
+    (flatten_on_region, "mixed"), (invert_on_region, "mixed"),
+    (flatten_on_region, "inside"), (invert_on_region, "inside"),
+], ids=["flatten_on_region", "invert_on_region", "flatten_on_region-inside",
+        "invert_on_region-inside"])
+def test_an_overflowing_gradient_on_d_fails_at_its_point(patch, points):
+    # V'^2 = inf there while V' is finite: flatten gives -inf, invert
+    # 0 * inf = nan, also on a step with every point in D; a checked
+    # accumulator refuses the integrand at its first such point
     V = _Steep()
     x = np.array([0.0, -2.0, 4.0, 0.75, 0.9])
+    if points == "inside":
+        x = np.delete(x, 2)
     acc = WeightAccumulator(V, patch(V, D_PI), NoiseScale(sigma=1.0), 1e-2, 1,
                             [1e-2])
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(EvaluationError) as exc:
             acc.observe(0, x)
+        acc.checked = False
+        acc.observe(0, x)
     assert exc.value.point == 0.75
     assert "non-finite at x=0.75" in str(exc.value)
+    spike = acc._sums[0][(x > 0.5) & (x < 1.0)]
+    assert (np.isneginf(spike) if patch is flatten_on_region
+            else np.isnan(spike)).all()
 
 
 class _NanOutside(CosineWellPotential):
@@ -383,7 +397,7 @@ class _Spiky(CosineWellPotential):
     def gradient(self, x):
         return self.derivatives(x)[0]
 
-    def derivatives(self, x):
+    def derivatives(self, x, out=None):
         g, lap = super().derivatives(x)
         x = np.asarray(x, dtype=float)
         g = np.where((np.abs(x - 0.75) < 0.25) | (np.abs(x - 4.5) < 0.5),
@@ -398,12 +412,24 @@ def _bits_equal(a, b):
             and np.array_equal(np.signbit(a), np.signbit(b)))
 
 
-@pytest.mark.parametrize("sigma", [1.0, 0.5])
+def _where_reference(V, sign, sigma, x):
+    """(C, where(D, C, 0), where(D, sW', W')) of V patched by ``sign`` on
+    D_PI, formed with ``np.where`` as before the masked in-place step."""
+    g, lap = V.derivatives(x)
+    inside = D_PI.indicator(x)
+    C = (1.0 - sign) * sigma ** 2 * lap - (1.0 - sign * sign) * (g * g)
+    grad = np.where(inside, sign * g, g) if sign else np.where(inside, 0.0, g)
+    return C, np.where(inside, C, 0.0), grad
+
+
+@pytest.mark.parametrize("sigma, points", [
+    (1.0, "mixed"), (0.5, "mixed"), (1.0, "inside"), (0.5, "inside"),
+], ids=["1.0", "0.5", "1.0-inside", "0.5-inside"])
 @pytest.mark.parametrize("sign", [0.0, -1.0, 0.5])
-def test_unchecked_observe_adds_the_masked_closed_form(sign, sigma):
+def test_unchecked_observe_adds_the_masked_closed_form(sign, sigma, points):
     # the sums gain where(D, C, 0) and the step gets where(D, sW', W'),
-    # each formed here as before the masked in-place step, sign bit and
-    # all, at non-finite W', W'' and x on D and off it
+    # sign bit and all, at non-finite W', W'' and x on D and off it, and
+    # unmasked when every point is in D
     V = _Spiky()
     Vt = PatchedPotential(V, D_PI, sign, "patched")
     noise = NoiseScale(sigma=sigma)
@@ -413,23 +439,69 @@ def test_unchecked_observe_adds_the_masked_closed_form(sign, sigma):
          np.nextafter(-pi, 0), np.nextafter(-pi, -4), 0.0, -0.0,
          np.nan, np.inf, -np.inf, 0.75, 4.5, -0.75, -4.5],
         np.random.default_rng(8).uniform(-6, 6, 400)])
-
-    def closed_form(x):
-        g, lap = V.derivatives(x)
-        inside = D_PI.indicator(x)
-        C = np.where(inside, (1.0 - sign) * sigma ** 2 * lap
-                     - (1.0 - sign * sign) * (g * g), 0.0)
-        grad = np.where(inside, sign * g, g) if sign else np.where(inside, 0.0, g)
-        return C, grad
-
+    if points == "inside":
+        x = x[D_PI.indicator(x)]
     acc = WeightAccumulator(V, Vt, noise, 1e-2, 2, [1e-2], checked=False)
     first = np.random.default_rng(9).permutation(x)
     with np.errstate(over="ignore", invalid="ignore"):
         acc.observe(0, first)
         before = acc._sums.copy()
         grad = acc.observe(1, x)
-        (C0, _), (C, want) = closed_form(first), closed_form(x)
+        unmasked = generator_difference(V, Vt, noise, x, step_arrays(x.shape))
+        (*_, C0, _), (_, C, want) = (_where_reference(V, sign, sigma, first),
+                                     _where_reference(V, sign, sigma, x))
         assert _bits_equal(before[0], np.zeros(len(x)) + C0)
         assert _bits_equal(acc._sums[0], before[0] + C)
         assert _bits_equal(grad, want)
         assert _bits_equal(grad, Vt.gradient(x))
+    assert (unmasked[1] is True) == (points == "inside")
+
+
+@pytest.mark.parametrize("path", ["inside", "out-and-back"])
+@pytest.mark.parametrize("patch", [flatten_on_region, invert_on_region])
+def test_one_accumulator_steps_blocks_as_the_where_reference(patch, path):
+    # one accumulator steps a 2048-row half, a short last half and a
+    # 4096-row redraw on arrays sized for the rows before it; every step
+    # matches the np.where reference in its integrand, sums and drift,
+    # and every block in its terminal states, bit for bit (flatten's sV'
+    # is +0.0); "out-and-back" kicks row 0 out of D and back mid-run, so
+    # the unmasked branch gives way to the masked one and returns
+    V = CosineWellPotential()
+    Vt = patch(V, D_PI)
+    sign, sigma, h, n_steps = Vt.sign, 0.5, 1e-2, 30
+    noise = NoiseScale(sigma=sigma)
+    acc = WeightAccumulator(V, Vt, noise, h, n_steps, [h, 5 * h], checked=False)
+    for rows in (2048, 904, 4096):
+        xi = np.random.default_rng(rows).standard_normal((rows, n_steps))
+        if path == "out-and-back":
+            xi[0, 10], xi[0, 12] = 120.0, -120.0    # sigma sqrt(h) = 0.05
+        sums = np.zeros((2, rows))
+        log, ref = [], []
+
+        def stepped(i, X):
+            grad = acc.observe(i, X)
+            C, gt = acc._arrays[:2]
+            assert grad is gt
+            log.append((C.copy(), acc._sums.copy(), grad.copy()))
+            return grad
+
+        def reference(i, X):
+            C, masked, grad = _where_reference(V, sign, sigma, X)
+            for j in (0, 1) if i % 5 == 0 else (0,):
+                sums[j] += masked
+            ref.append((C, sums.copy(), grad, D_PI.indicator(X).all()))
+            return grad
+
+        X = evolve_block(Vt, noise, 0.3, n_steps, h, xi, stepped, checked=False)
+        X_ref = evolve_block(Vt, noise, 0.3, n_steps, h, xi, reference,
+                             checked=False)
+        assert _bits_equal(X, X_ref)
+        assert acc._arrays[0].shape == (rows,)
+        for got, want in zip(log, ref):
+            assert all(_bits_equal(a, b) for a, b in zip(got, want))
+        branch = [r[3] for r in ref]
+        if path == "inside":
+            assert all(branch)
+        else:
+            assert branch[:11] == [True] * 11 and not any(branch[11:13])
+            assert all(branch[13:])
