@@ -29,7 +29,6 @@ from .potentials import (
     invert_on_region,
 )
 from .sde import BLOCK_SAMPLES, RngPolicy
-from .girsanov import log_weight_stochastic_integral_form
 from .density import (
     DensityEstimate,
     bounds,

@@ -13,8 +13,10 @@ Langevin dynamics of a potential V.  Two estimators are provided:
 Runs stream over fixed noise blocks (see :class:`wellescape.sde.RngPolicy`)
 and reduce mergeable moment summaries in block order.  One thread steps
 every block in one reused noise buffer while a filler thread draws the
-next half-block into it, so a run allocates one noise block, whether or
-not it fails.
+next slice into it.  A slice is a whole block when two blocks fit in
+16 MiB (at most 256 steps), so the buffer holds two blocks; otherwise it
+is a half-block, and the buffer holds one.  Either way a run allocates
+that one buffer, whether or not it fails.
 Efficiency diagnostics follow the usual second-moment analysis: the
 relative error of the importance estimator after N samples is
 sqrt((Lambda - P(A)^2) / N) / P(A) with Lambda = E~[w^2 1_A] >= P(A)^2.
@@ -45,7 +47,17 @@ from .girsanov import WeightAccumulator
 from .potentials import NoiseScale
 from .sde import BLOCK_SAMPLES, RngPolicy, empty_block, evolve_block, steps_for
 
-_HALF = BLOCK_SAMPLES // 2
+#: the most bytes a run's noise buffer may take to hold two whole blocks
+#: (n_steps <= 256); a longer run keeps one block and steps it in halves
+_TWO_BLOCKS_MAX_BYTES = 16 * 2**20
+
+
+def _slice_rows(n_steps):
+    """Rows per step of a run of n_steps: a whole block when two of them
+    take at most :data:`_TWO_BLOCKS_MAX_BYTES`, else half a block."""
+    if 2 * BLOCK_SAMPLES * n_steps * 8 <= _TWO_BLOCKS_MAX_BYTES:
+        return BLOCK_SAMPLES
+    return BLOCK_SAMPLES // 2
 
 
 @dataclass(frozen=True)
@@ -170,14 +182,17 @@ def _run(potential, sampling_potential, noise, x0, event, h, taus, n_samples,
     with tau None for plain runs).  All meshes share one simulation pass,
     and therefore one noise stream.
 
-    The calling thread steps every block in order, in one noise buffer.
-    A block's halves, rows [0, 2048) and [2048, 4096) cut at the last
-    sample, are drawn in order from its one generator, so they hold the
-    rows of ``block_normals``; a filler thread draws the next half into
-    the other rows while this one is stepped.  A block's halves are
+    The calling thread steps every block in order, slice by slice, in one
+    noise buffer of two slices (:func:`_slice_rows`): slice k uses slot
+    k mod 2, and a filler thread draws slice k + 1 into the other slot
+    while slice k is stepped.  A slice is a whole block, or a half, rows
+    [0, 2048) or [2048, 4096) cut at the last sample; a block's slices
+    are drawn in order from its one generator, so they hold the rows of
+    ``block_normals``.  The slices are made one ahead of the stepper, so
+    the schedule does not grow with n_samples.  A block's slices are
     joined before it is summarized, and each block's summaries merge in
-    block order as it finishes.  A half is stepped without per-step
-    finiteness checks and tested once at its end; a half that fails the
+    block order as it finishes.  A slice is stepped without per-step
+    finiteness checks and tested once at its end; a slice that fails the
     test is stepped again in its own rows with the checks.  A failing
     block is drawn again whole into the same buffer and stepped at once,
     so the error raised is the one a serial whole-block run meets first.
@@ -188,7 +203,8 @@ def _run(potential, sampling_potential, noise, x0, event, h, taus, n_samples,
     weighted = sampling_potential is not None
     sampler = sampling_potential if weighted else potential
     kind = "importance" if weighted else "plain"
-    buffer = empty_block(n_steps)
+    rows = _slice_rows(n_steps)
+    buffer = empty_block(n_steps, 2 * rows // BLOCK_SAMPLES)
 
     def take(b):
         return min(BLOCK_SAMPLES, n_samples - b * BLOCK_SAMPLES)
@@ -202,7 +218,7 @@ def _run(potential, sampling_potential, noise, x0, event, h, taus, n_samples,
         """Terminal states and log-weights (None for plain) of its rows."""
         # inf and nan are refused, not warned about.  A non-finite state or
         # integrand stays so to the end and makes its log-weight non-finite,
-        # so an unchecked half is tested once, on every row (an infinite
+        # so an unchecked slice is tested once, on every row (an infinite
         # log-weight off the event would vanish under exp); one that fails is
         # stepped again checked, to name the step and point.  _finite refuses
         # weights that overflow on the event
@@ -231,28 +247,39 @@ def _run(potential, sampling_potential, noise, x0, event, h, taus, n_samples,
             return _finite([EstimatorSummary.from_values(row, kind, hits)
                             for row in w_ind])
 
-    halves = [(b, lo, min(lo + _HALF, take(b)))
-              for b in range(policy.n_blocks(n_samples))
-              for lo in range(0, take(b), _HALF)]
+    def slices():
+        """(its rows of the buffer, block, first row, end row) per slice."""
+        k = 0
+        for b in range(policy.n_blocks(n_samples)):
+            for lo in range(0, take(b), rows):
+                hi = min(lo + rows, take(b))
+                slot = (k % 2) * rows
+                yield buffer[slot:slot + hi - lo], b, lo, hi
+                k += 1
+
     gen, parts = None, []
     merged = [EstimatorSummary(0, 0.0, 0.0, 0, kind) for _ in taus]
 
-    def fill(b, lo, hi):
+    def fill(out, b, lo):
         nonlocal gen
         if lo == 0:
             gen = policy.block_generator(b)
-        gen.standard_normal(out=buffer[lo:hi])
+        gen.standard_normal(out=out)
 
     try:
-        # consecutive halves use the other rows: the next half is drawn
+        # consecutive slices use the other slot: the next slice is drawn
         # while this one is stepped, into rows stepped before it
+        schedule = slices()
         with ThreadPoolExecutor(1) as filler:
-            drawn = filler.submit(fill, *halves[0])
-            for i, (b, lo, hi) in enumerate(halves):
+            this = next(schedule)
+            drawn = filler.submit(fill, *this[:3])
+            while this:
+                out, b, lo, hi = this
                 drawn.result()
-                if i + 1 < len(halves):
-                    drawn = filler.submit(fill, *halves[i + 1])
-                parts.append(step(buffer[lo:hi]))
+                this = next(schedule, None)
+                if this:
+                    drawn = filler.submit(fill, *this[:3])
+                parts.append(step(out))
                 if hi == take(b):
                     merged = [a.merge(c) for a, c in zip(merged, summarize(parts))]
                     parts = []
@@ -261,7 +288,7 @@ def _run(potential, sampling_potential, noise, x0, event, h, taus, n_samples,
     else:
         return _finite(merged, reported=True)
     # the filler has exited: redraw the block over whatever it drew next
-    fill(b, 0, take(b))
+    fill(buffer[:take(b)], b, 0)
     summarize([step(buffer[:take(b)])])
     raise failure
 

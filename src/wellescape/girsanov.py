@@ -19,12 +19,11 @@ The generator form is a left-endpoint Riemann sum on a coarsened mesh tau
 (an integer multiple of the simulation step h), taken in one place:
 :class:`WeightAccumulator` adds the integrand ``g_V - g_V~``
 (:func:`wellescape.potentials.generator_difference`) block-wide, step by
-step, while :func:`wellescape.sde.evolve_block` runs.  The stochastic form,
-:func:`log_weight_stochastic_integral_form`, is taken on the simulation
-grid from recorded states and the driving increments.  For linear U the
-two discrete forms agree to machine precision when tau = h; in general
-they differ at the Riemann error level, so the stochastic form serves as
-an independent check of the generator form.
+step, while :func:`wellescape.sde.evolve_block` runs.  The stochastic
+form, taken on the simulation grid from recorded states and the driving
+increments, is the tests' independent check of it: for linear U the two
+discrete forms agree to machine precision when tau = h, and in general
+they differ at the Riemann error level.
 """
 
 from __future__ import annotations
@@ -45,24 +44,6 @@ def mesh_stride(tau, h, n_steps=None):
             f"stride {m} leaves a partial cell"
         )
     return m
-
-
-def log_weight_stochastic_integral_form(states, increments, h, potential,
-                                        sampling_potential, noise):
-    """Weights of P~-paths under P via the classical stochastic integral.
-
-    ``states`` has shape (..., n+1) and ``increments``, the unit-variance
-    draws xi_i that drove each step, shape (..., n); the result has one
-    log-weight per leading index.  With U = V~ - V the discrete stochastic
-    integral is sum U'(X_i) sqrt(h) xi_i.
-    """
-    states, xi = np.asarray(states, dtype=float), np.asarray(increments, dtype=float)
-    if xi.shape != states[..., 1:].shape:
-        raise ValueError(f"increments {xi.shape} do not fit states {states.shape}")
-    left = states[..., :-1]
-    gu = sampling_potential.gradient(left) - potential.gradient(left)
-    return (np.sqrt(h) / noise.sigma) * np.sum(gu * xi, axis=-1) \
-        - 0.5 / noise.sigma ** 2 * h * np.sum(gu * gu, axis=-1)
 
 
 class WeightAccumulator:

@@ -18,7 +18,9 @@ row ``k mod BLOCK_SAMPLES`` of block ``k // BLOCK_SAMPLES``, so its noise
 depends only on ``(master_seed, k)`` and never on batch sizes, worker
 counts, or scheduling.  A block's generator fills its rows in order, so
 consecutive row slices drawn from one :meth:`RngPolicy.block_generator`
-hold exactly the rows of :meth:`RngPolicy.block_normals`.
+hold exactly the rows of :meth:`RngPolicy.block_normals`, into whatever
+rows of a buffer they are drawn: :func:`empty_block` allocates one block's
+rows, or two blocks' for a run that draws one while it steps the other.
 """
 
 from __future__ import annotations
@@ -44,16 +46,19 @@ def available_memory():
         return math.inf
 
 
-def empty_block(n_steps):
-    """An unfilled noise block, shape (BLOCK_SAMPLES, n_steps).
+def empty_block(n_steps, blocks=1):
+    """Unfilled noise rows for ``blocks`` blocks, shape
+    (blocks * BLOCK_SAMPLES, n_steps).
 
-    Raises :class:`SimulationError` when numpy cannot allocate it, or when
-    its bytes exceed :func:`available_memory`: numpy may reserve a block
-    the machine cannot back, which the filler thread would then fault in.
+    Raises :class:`SimulationError` when numpy cannot allocate them, or
+    when their bytes exceed :func:`available_memory`: numpy may reserve
+    rows the machine cannot back, which the filler thread would then
+    fault in.
     """
-    shape = (BLOCK_SAMPLES, n_steps)
-    with allocating(SimulationError, f"a noise block of shape {shape}",
-                    math.prod(shape)):
+    shape = (blocks * BLOCK_SAMPLES, n_steps)
+    what = (f"a noise block of shape {shape}" if blocks == 1 else
+            f"{blocks} noise blocks of shape {(BLOCK_SAMPLES, n_steps)}")
+    with allocating(SimulationError, what, math.prod(shape)):
         block = np.empty(shape)
         if block.nbytes > available_memory():
             raise MemoryError

@@ -46,3 +46,22 @@ def serial_reference(target, sampler, noise, x0, event, h, taus, n, policy):
         part = whole_block(target, sampler, noise, x0, event, h, taus, rows)
         merged = part if merged is None else [x.merge(y) for x, y in zip(merged, part)]
     return merged
+
+
+def log_weight_stochastic_integral_form(states, increments, h, potential,
+                                        sampling_potential, noise):
+    """Weights of P~-paths under P via the classical stochastic integral,
+    the oracle of the generator-form weight (AC-6).
+
+    ``states`` has shape (..., n+1) and ``increments``, the unit-variance
+    draws xi_i that drove each step, shape (..., n); the result has one
+    log-weight per leading index.  With U = V~ - V the discrete stochastic
+    integral is sum U'(X_i) sqrt(h) xi_i.
+    """
+    states, xi = np.asarray(states, dtype=float), np.asarray(increments, dtype=float)
+    if xi.shape != states[..., 1:].shape:
+        raise ValueError(f"increments {xi.shape} do not fit states {states.shape}")
+    left = states[..., :-1]
+    gu = sampling_potential.gradient(left) - potential.gradient(left)
+    return (np.sqrt(h) / noise.sigma) * np.sum(gu * xi, axis=-1) \
+        - 0.5 / noise.sigma ** 2 * h * np.sum(gu * gu, axis=-1)

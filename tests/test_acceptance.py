@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from _helpers import region_supremum
+from _helpers import log_weight_stochastic_integral_form, region_supremum
 from wellescape import (
     CosineWellPotential,
     EscapeEvent,
@@ -45,7 +45,6 @@ from wellescape import (
     flatten_on_region,
     integrate_density,
     invert_on_region,
-    log_weight_stochastic_integral_form,
     minimize_exit_action,
     run_importance_meshes,
     run_plain,

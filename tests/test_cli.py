@@ -256,6 +256,18 @@ def test_noise_block_over_free_memory_is_refused(tmp_path, capsys, monkeypatch):
                    "(0.03052 GiB)\n")
 
 
+def test_two_noise_blocks_over_free_memory_are_refused(tmp_path, capsys,
+                                                       monkeypatch):
+    # at 100 steps a run keeps two blocks, 6.6 MB, which 4 MiB free cannot
+    # back, though one block would fit
+    monkeypatch.setattr(sde, "available_memory", lambda: 4 * 2**20)
+    path = _write_cfg(tmp_path, BASE)
+    assert main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: cannot allocate 2 noise blocks of shape (4096, 100) "
+                   "(0.006104 GiB)\n")
+
+
 @pytest.mark.parametrize("overrides", [
     ["--mode", "importance", "--sampling", "invert", "--sigma", "0"],
     ["--mode", "table5", "--sigma", "0"],

@@ -2,6 +2,7 @@ import csv
 import gc
 import inspect
 import math
+import resource
 import sys
 import threading
 from collections import Counter
@@ -182,24 +183,34 @@ def _error(target, sampler, event, rows):
     return None
 
 
+def _layouts(monkeypatch):
+    """Each slice layout in turn: whole blocks, the layout of every run of
+    at most 256 steps, then half-blocks, forced by a two-block cap of 0."""
+    for cap in (estimators._TWO_BLOCKS_MAX_BYTES, 0):
+        monkeypatch.setattr(estimators, "_TWO_BLOCKS_MAX_BYTES", cap)
+        yield
+
+
 @pytest.mark.parametrize("n", [1, 2047, 2048, 2049, 4096, 4097, 3 * 4096 + 17])
 @pytest.mark.parametrize("sampling", ["plain", "invert"])
-def test_half_block_lanes_equal_whole_serial_blocks(sampling, n):
+def test_half_block_lanes_equal_whole_serial_blocks(monkeypatch, sampling, n):
     V = CosineWellPotential()
     sampler = invert_on_region(V, WELL) if sampling == "invert" else None
     event = EscapeEvent(Interval(-0.3, 0.5), horizon=0.1)   # hits are common
     taus = (1e-2, 5e-2)
     want = _serial(V, sampler, event, taus, n, RngPolicy(31))
-    if sampler is None:
-        got = [run_plain(V, SIGMA1, 0.1, event, 1e-2, n, RngPolicy(31))]
-    else:
-        got = list(run_importance_meshes(V, sampler, SIGMA1, 0.1, event, 1e-2,
-                                         taus, n, RngPolicy(31)).values())
-    assert got == want
+    for _ in _layouts(monkeypatch):
+        if sampler is None:
+            got = [run_plain(V, SIGMA1, 0.1, event, 1e-2, n, RngPolicy(31))]
+        else:
+            got = list(run_importance_meshes(V, sampler, SIGMA1, 0.1, event,
+                                             1e-2, taus, n,
+                                             RngPolicy(31)).values())
+        assert got == want
 
 
-def test_lanes_match_the_serial_run_under_a_short_switch_interval():
-    # the stepping and filler threads, switching every microsecond: a half
+def test_lanes_match_the_serial_run_under_a_short_switch_interval(monkeypatch):
+    # the stepping and filler threads, switching every microsecond: a slice
     # stepped before its noise is drawn, or drawn over while it is stepped,
     # moves a summary; a lost wakeup leaves the run hanging
     V = CosineWellPotential()
@@ -207,34 +218,36 @@ def test_lanes_match_the_serial_run_under_a_short_switch_interval():
     event = EscapeEvent(Interval(-0.3, 0.5), horizon=0.1)
     n, taus = 5 * 4096 + 17, (1e-2,)
     want = _serial(V, sampler, event, taus, n, RngPolicy(47))
-    got = []
-    run = threading.Thread(daemon=True, target=lambda: got.append(
-        run_importance(V, sampler, SIGMA1, 0.1, event, 1e-2, 1e-2, n,
-                       RngPolicy(47))))
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        run.start()
-        run.join(timeout=120)
-    finally:
-        sys.setswitchinterval(old)
-    assert not run.is_alive()
-    assert got == want
+    for _ in _layouts(monkeypatch):
+        got = []
+        run = threading.Thread(daemon=True, target=lambda: got.append(
+            run_importance(V, sampler, SIGMA1, 0.1, event, 1e-2, 1e-2, n,
+                           RngPolicy(47))))
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run.start()
+            run.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not run.is_alive()
+        assert got == want
 
 
 def test_one_thread_steps_every_block_in_one_buffer(monkeypatch):
-    # three blocks: the calling thread steps them all in one noise buffer;
-    # a failing block is redrawn into that buffer, not into a second block
-    # from block_normals, and still raises the error of its whole block
+    # three blocks: the calling thread steps them all in one noise buffer
+    # of two blocks; a failing block is redrawn into that buffer, not into
+    # a further block from block_normals, and still raises the error of
+    # its whole block
     threads, buffers = set(), []
 
     def stepping(*args):
         threads.add(threading.get_ident())
         return evolve_block(*args)
 
-    def allocating(n_steps):
-        buffers.append(n_steps)
-        return empty_block(n_steps)
+    def allocating(n_steps, blocks):
+        buffers.append((n_steps, blocks))
+        return empty_block(n_steps, blocks)
 
     monkeypatch.setattr(estimators, "evolve_block", stepping)
     monkeypatch.setattr(estimators, "empty_block", allocating)
@@ -242,7 +255,7 @@ def test_one_thread_steps_every_block_in_one_buffer(monkeypatch):
     run_plain(CosineWellPotential(), SIGMA1, 0.1, event, 1e-2, 3 * BLOCK_SAMPLES,
               RngPolicy(5))
     assert threads == {threading.get_ident()}
-    assert buffers == [10]
+    assert buffers == [(10, 2)]
 
     cliff, event = _Cliff(), EscapeEvent(WELL, horizon=0.5)
     want = _error(cliff, None, event, RngPolicy(0).block_normals(0, 50))
@@ -256,7 +269,7 @@ def test_one_thread_steps_every_block_in_one_buffer(monkeypatch):
     with pytest.raises(want[0]) as info:
         run_plain(cliff, SIGMA1, 0.1, event, 1e-2, BLOCK_SAMPLES + 5, RngPolicy(0))
     assert str(info.value) == want[1]
-    assert buffers == [50]
+    assert buffers == [(50, 2)]
 
 
 class _Cliff(PotentialField):
@@ -274,11 +287,58 @@ class _Cliff(PotentialField):
     laplacian = value
 
 
+def test_runs_step_whole_blocks_up_to_256_steps(monkeypatch):
+    # two blocks of 256 steps take 16 MiB, two of 257 more: the buffer and
+    # the slices stepped change layout between them
+    buffers, rows = [], []
+
+    def allocating(n_steps, blocks):
+        buffers.append((n_steps, blocks))
+        return empty_block(n_steps, blocks)
+
+    def stepping(*args):
+        rows.append(len(args[5]))
+        return evolve_block(*args)
+
+    monkeypatch.setattr(estimators, "empty_block", allocating)
+    monkeypatch.setattr(estimators, "evolve_block", stepping)
+    for horizon in (2.56, 2.57):
+        run_plain(CosineWellPotential(), SIGMA1, 0.1, EscapeEvent(WELL, horizon),
+                  1e-2, 5000, RngPolicy(2))
+    assert buffers == [(256, 2), (257, 1)]
+    assert rows == [4096, 904, 2048, 2048, 904]
+
+
+def test_a_run_of_10_15_samples_fails_at_its_first_block():
+    # the slices are made one ahead of the stepper, not listed up front:
+    # block 0 fails at step 0 and ends the run.  The address-space cap
+    # turns a schedule that grows with n_samples into a MemoryError here
+    event = EscapeEvent(WELL, horizon=0.5)
+    with pytest.raises(SimulationError) as info:
+        whole_block(_Cliff(), None, SIGMA1, 2.5, event, 1e-2, (1e-2,),
+                    RngPolicy(0).block_normals(0, 50))
+    want = str(info.value)
+    assert want == "a sample became non-finite at step 0 (t=0.01)"
+    with open("/proc/self/status") as status:
+        used = next(int(line.split()[1]) * 1024 for line in status
+                    if line.startswith("VmSize:"))
+    limits = resource.getrlimit(resource.RLIMIT_AS)
+    resource.setrlimit(resource.RLIMIT_AS, (used + 2**30, limits[1]))
+    try:
+        with pytest.raises(SimulationError) as info:
+            run_plain(_Cliff(), SIGMA1, 2.5, event, 1e-2, 10**15, RngPolicy(0))
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, limits)
+    assert str(info.value) == want
+
+
 @pytest.mark.parametrize("sampling", ["plain", "importance"])
-def test_a_block_fails_with_the_error_of_its_whole_serial_run(sampling):
+def test_a_block_fails_with_the_error_of_its_whole_serial_run(monkeypatch,
+                                                              sampling):
     # a seed where a row >= 2048 fails at an earlier step than every row
     # below it: stepped half by half, the first half alone would report a
-    # later step (plain) or another point (importance)
+    # later step (plain) or another point (importance); stepped whole, the
+    # block is its own serial run
     V = _Cliff()
     sampler = ZeroPotential() if sampling == "importance" else None
     event = EscapeEvent(WELL, horizon=0.5)
@@ -290,18 +350,20 @@ def test_a_block_fails_with_the_error_of_its_whole_serial_run(sampling):
             break
     else:
         pytest.fail("no seed in 0..199 fails first in the upper half")
-    with pytest.raises(whole[0]) as info:
-        if sampler is None:
-            run_plain(V, SIGMA1, 0.1, event, 1e-2, 4096 + 5, RngPolicy(seed))
-        else:
-            run_importance(V, sampler, SIGMA1, 0.1, event, 1e-2, 1e-2, 4096 + 5,
-                           RngPolicy(seed))
-    assert str(info.value) == whole[1]
+    for _ in _layouts(monkeypatch):
+        with pytest.raises(whole[0]) as info:
+            if sampler is None:
+                run_plain(V, SIGMA1, 0.1, event, 1e-2, 4096 + 5, RngPolicy(seed))
+            else:
+                run_importance(V, sampler, SIGMA1, 0.1, event, 1e-2, 1e-2,
+                               4096 + 5, RngPolicy(seed))
+        assert str(info.value) == whole[1]
 
 
 def test_a_run_that_succeeds_checks_finiteness_once_per_half(monkeypatch):
-    # no per-step check: every half is stepped unchecked, and the
-    # accumulator's point-naming refusal is never reached
+    # no per-step check: every slice (here a whole block, 4096 then 904
+    # rows) is stepped unchecked once, and the accumulator's point-naming
+    # refusal is never reached
     checked, calls = [], Counter()
     signature = inspect.signature(evolve_block)
 
@@ -323,7 +385,7 @@ def test_a_run_that_succeeds_checks_finiteness_once_per_half(monkeypatch):
     run_importance(V, invert_on_region(V, WELL), SIGMA1, 0.0, event, 1e-2,
                    1e-2, 5000, RngPolicy(4))
     run_plain(V, SIGMA1, 0.0, event, 1e-2, 5000, RngPolicy(4))
-    assert checked == [False] * 6
+    assert checked == [False] * 4
     assert calls == Counter()
 
 
@@ -469,9 +531,9 @@ def test_importance_step_evaluates_the_target_field_once():
     V.calls.clear()  # construction probes the boundary
     event = EscapeEvent(WELL, horizon=0.5)
     run_importance(V, inv, SIGMA1, 0.0, event, 1e-2, 1e-2, 5000, RngPolicy(4))
-    # 5000 samples step as three half-block slices (2048, 2048, 904) of
-    # 50 steps: one derivatives call per slice-step, over every point
-    assert V.calls == Counter(derivatives=3 * 50)
+    # 5000 samples step as two whole-block slices (4096, 904) of 50 steps:
+    # one derivatives call per slice-step, over every point
+    assert V.calls == Counter(derivatives=2 * 50)
     assert V.points == 5000 * 50
 
 

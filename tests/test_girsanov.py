@@ -1,12 +1,9 @@
 import numpy as np
 import pytest
 
+from _helpers import log_weight_stochastic_integral_form
 from wellescape.errors import ConfigurationError
-from wellescape.girsanov import (
-    WeightAccumulator,
-    log_weight_stochastic_integral_form,
-    mesh_stride,
-)
+from wellescape.girsanov import WeightAccumulator, mesh_stride
 from wellescape.potentials import (
     CosineWellPotential,
     Interval,

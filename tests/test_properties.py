@@ -21,10 +21,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import serial_reference
+from _helpers import log_weight_stochastic_integral_form, serial_reference
 from wellescape.config import MODES, POTENTIALS, SAMPLINGS, ExperimentConfig
 from wellescape.estimators import EscapeEvent, EstimatorSummary, run_importance
-from wellescape.girsanov import WeightAccumulator, log_weight_stochastic_integral_form
+from wellescape.girsanov import WeightAccumulator
 from wellescape.potentials import (
     CosineWellPotential,
     Interval,

@@ -118,6 +118,11 @@ def test_noise_block_larger_than_free_memory_is_refused(monkeypatch):
     with pytest.raises(SimulationError, match=r"cannot allocate a noise block "
                        r"of shape \(4096, 11\) \(0.0003357 GiB\)"):
         empty_block(11)
+    # two blocks are preflighted at their bytes, and named as two
+    assert empty_block(5, 2).shape == (2 * BLOCK_SAMPLES, 5)
+    with pytest.raises(SimulationError, match=r"cannot allocate 2 noise blocks "
+                       r"of shape \(4096, 6\) \(0.0003662 GiB\)"):
+        empty_block(6, 2)
 
 
 def test_blowup_raises_with_step_index():
