@@ -285,7 +285,8 @@ def _cmd_validate(cfg):
     y = float(cfg.x0)
     exit_time = None
     f = lambda z: -float(ref.gradient(z))
-    for i in range(n_steps):
+    started = bool(region.indicator(y))
+    for i in range(n_steps if started else 0):
         k1 = f(y)
         k2 = f(y + 0.5 * dt * k1)
         k3 = f(y + 0.5 * dt * k2)
@@ -294,7 +295,10 @@ def _cmd_validate(cfg):
         if not (np.isfinite(y) and region.indicator(y)):
             exit_time = (i + 1) * dt
             break
-    if exit_time is None:
+    if not started:
+        _report("noise-free flow exits D by T", f"x0={_fmt(y)} is not in D",
+                False, note="the flow starts outside D")
+    elif exit_time is None:
         note = ""
         if abs(f(float(cfg.x0))) == 0.0:
             note = "x0 is an equilibrium of the noise-free flow"

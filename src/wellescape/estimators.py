@@ -187,15 +187,16 @@ def _run(potential, sampling_potential, noise, x0, event, h, taus, n_samples,
     k mod 2, and a filler thread draws slice k + 1 into the other slot
     while slice k is stepped.  A slice is a whole block, or a half, rows
     [0, 2048) or [2048, 4096) cut at the last sample; a block's slices
-    are drawn in order from its one generator, so they hold the rows of
-    ``block_normals``.  The slices are made one ahead of the stepper, so
-    the schedule does not grow with n_samples.  A block's slices are
-    joined before it is summarized, and each block's summaries merge in
-    block order as it finishes.  A slice is stepped without per-step
-    finiteness checks and tested once at its end; a slice that fails the
-    test is stepped again in its own rows with the checks.  A failing
-    block is drawn again whole into the same buffer and stepped at once,
-    so the error raised is the one a serial whole-block run meets first.
+    are drawn in order from its one generator, so they hold the block's
+    rows of the stream (:mod:`wellescape.sde`).  The slices are made one
+    ahead of the stepper, so the schedule does not grow with n_samples.
+    A block's slices are joined before it is summarized, and each block's
+    summaries merge in block order as it finishes.  A slice is stepped
+    without per-step finiteness checks and tested once at its end; a
+    slice that fails the test is stepped again in its own rows with the
+    checks.  A failing block is drawn again whole into the same buffer
+    and stepped at once, so the error raised is the one a serial
+    whole-block run meets first.
     """
     if n_samples < 1:
         raise ConfigurationError(f"n_samples must be at least 1, got {n_samples}")

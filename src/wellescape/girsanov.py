@@ -61,8 +61,7 @@ class WeightAccumulator:
     (:func:`~wellescape.potentials.step_arrays`).  A patched sampler's
     step forms its integrand and Ṽ' in those arrays, so it allocates
     none of its own; the Ṽ' that :meth:`observe` returns is valid until
-    the next :meth:`observe`.  The integrand is added under the mask of
-    D only when some row is outside D.
+    the next :meth:`observe`.
 
     With ``checked`` (the default) :meth:`observe` raises
     :class:`~wellescape.errors.EvaluationError` at a non-finite integrand,
@@ -93,15 +92,12 @@ class WeightAccumulator:
                 self._sums = np.empty((len(self.strides),) + X.shape)
                 self._arrays = step_arrays(X.shape)
             self._sums.fill(0.0)
-        g, inside, grad_sampling = generator_difference(
+        g, grad_sampling = generator_difference(
             self.potential, self.sampling_potential, self.noise, X, self._arrays)
         if self.checked:
-            _check_integrand(np.where(inside, g, 0.0), X, self.potential,
-                             self.sampling_potential)
-        # a row off the mask would add 0.0, which leaves a sum that starts
-        # at +0.0 unchanged: it never becomes -0.0; where=True is a plain add
+            _check_integrand(g, X, self.potential, self.sampling_potential)
         for j in due:
-            np.add(self._sums[j], g, out=self._sums[j], where=inside)
+            self._sums[j] += g
         return grad_sampling
 
     def finalize(self, x0, terminal):

@@ -286,16 +286,17 @@ class PatchedPotential(PotentialField):
         return self._patch(self.region.indicator(x), self.base.laplacian(x))
 
     def integrand_and_gradient(self, noise, x, out=None):
-        """(C, inside, W~') at x from one evaluation of the base W, which it
-        does not write into: with g_W = sigma^2 W'' - W'^2, g_W - g_W~ is
-        C = (1 - s) sigma^2 W'' - (1 - s^2) W'^2 on D and 0 off it.  C is
-        not masked; its W'^2 term stays at s = -1 so that an overflowing
-        W'^2 gives nan there, as in the general form.
+        """(C, W~') at x from one evaluation of the base W, which it does
+        not write into: with g_W = sigma^2 W'' - W'^2, C = g_W - g_W~ is
+        (1 - s) sigma^2 W'' - (1 - s^2) W'^2 on D and +0.0 off it.  Its W'^2
+        term stays at s = -1 so that an overflowing W'^2 gives nan there,
+        as in the general form.
 
         C and W~' are written into ``out``, the :func:`step_arrays` of x's
         shape (new ones by default), which also hold the mask of D and the
-        base's W' and W''.  When every point is in D, ``inside`` is True
-        and W~' = sW' is formed without a mask."""
+        base's W' and W''.  When every point is in D, W~' = sW' is formed
+        and C kept without a mask; otherwise C is zeroed under the mask's
+        complement, formed in the mask's own array."""
         C, gt, mask, *pair = step_arrays(np.shape(x)) if out is None else out
         g, lap = self.base.derivatives(x, out=pair)
         inside = self.region.indicator(x, out=mask)
@@ -306,8 +307,10 @@ class PatchedPotential(PotentialField):
             square *= 1.0 - s * s
         C -= square
         if np.count_nonzero(inside) == inside.size:
-            inside = True
-        return C, inside, self._patch(inside, g, gt)
+            return C, self._patch(True, g, gt)
+        gt = self._patch(inside, g, gt)
+        np.copyto(C, 0.0, where=np.logical_not(inside, out=mask))
+        return C, gt
 
 
 def step_arrays(shape):
@@ -357,26 +360,23 @@ def _general_difference(potential, sampling_potential, noise, x):
     g, lap = potential.derivatives(x)
     gt, lapt = sampling_potential.derivatives(x)
     s2 = noise.sigma ** 2
-    return (s2 * lap - g * g) - (s2 * lapt - gt * gt), True, gt
+    return (s2 * lap - g * g) - (s2 * lapt - gt * gt), gt
 
 
 def generator_difference(potential, sampling_potential, noise, x, out=None):
-    """(integrand, inside, V~') at x: (L_V + L_0) V - (L_V~ + L_0) V~ is
-    the integrand where ``inside`` is true and 0 elsewhere.
+    """(integrand, V~') at x, with integrand (L_V + L_0) V - (L_V~ + L_0) V~.
 
     A :class:`PatchedPotential` V~ of a base W gives g_W - g_V~ in closed
-    form with ``inside`` = 1_D, or True when every point is in D, in
-    ``out``, its :func:`step_arrays` (new ones when None).  When W is not
-    this very V, the masked form plus g_V - g_W, exactly 0 for an equal
-    copy, comes with ``inside`` True, as for any other sampler; those
-    values are arrays of their own.  Values are returned as computed, inf
-    and nan included: a caller that needs them finite refuses them itself.
+    form, +0.0 off D, in ``out``, its :func:`step_arrays` (new ones when
+    None).  When W is not this very V, that closed form plus g_V - g_W,
+    exactly 0 for an equal copy, is an array of its own.  Values are
+    returned as computed, inf and nan included: a caller that needs them
+    finite refuses them itself.
     """
     if isinstance(sampling_potential, PatchedPotential):
-        out, inside, gt = sampling_potential.integrand_and_gradient(noise, x, out)
+        out, gt = sampling_potential.integrand_and_gradient(noise, x, out)
         if sampling_potential.base is not potential:
-            out = np.where(inside, out, 0.0) + _general_difference(
+            out = out + _general_difference(
                 potential, sampling_potential.base, noise, x)[0]
-            inside = True
-        return out, inside, gt
+        return out, gt
     return _general_difference(potential, sampling_potential, noise, x)

@@ -16,11 +16,13 @@ in fixed blocks of :data:`BLOCK_SAMPLES` samples, block ``j`` seeded by
 ``SeedSequence(master_seed, spawn_key=(j,))``.  Sample ``k`` always reads
 row ``k mod BLOCK_SAMPLES`` of block ``k // BLOCK_SAMPLES``, so its noise
 depends only on ``(master_seed, k)`` and never on batch sizes, worker
-counts, or scheduling.  A block's generator fills its rows in order, so
-consecutive row slices drawn from one :meth:`RngPolicy.block_generator`
-hold exactly the rows of :meth:`RngPolicy.block_normals`, into whatever
-rows of a buffer they are drawn: :func:`empty_block` allocates one block's
-rows, or two blocks' for a run that draws one while it steps the other.
+counts, or scheduling.  Block ``j`` of a run of ``n_steps`` steps is
+``block_generator(j).standard_normal((BLOCK_SAMPLES, n_steps))``, and the
+generator fills its rows in order, so consecutive row slices drawn from
+one :meth:`RngPolicy.block_generator` hold exactly those rows, into
+whatever rows of a buffer they are drawn: :func:`empty_block` allocates
+one block's rows, or two blocks' for a run that draws one while it steps
+the other.
 """
 
 from __future__ import annotations
@@ -75,14 +77,6 @@ class RngPolicy:
         """The generator that draws block ``block_index``, row after row."""
         ss = np.random.SeedSequence(self.master_seed, spawn_key=(int(block_index),))
         return np.random.Generator(np.random.PCG64(ss))
-
-    def block_normals(self, block_index, n_steps):
-        """Standard normals for one block, shape (BLOCK_SAMPLES, n_steps).
-
-        Raises :class:`SimulationError` when the block cannot be allocated.
-        """
-        return self.block_generator(block_index).standard_normal(
-            out=empty_block(n_steps))
 
     def n_blocks(self, n_samples):
         return -(-int(n_samples) // BLOCK_SAMPLES)

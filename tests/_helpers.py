@@ -4,7 +4,7 @@ import numpy as np
 
 from wellescape.estimators import EstimatorSummary
 from wellescape.girsanov import WeightAccumulator
-from wellescape.sde import BLOCK_SAMPLES, evolve_block, steps_for
+from wellescape.sde import BLOCK_SAMPLES, empty_block, evolve_block, steps_for
 
 
 def region_supremum(func, region):
@@ -18,6 +18,13 @@ def region_supremum(func, region):
     if not inside.any():
         raise ValueError("no grid point falls inside the region")
     return float(np.max(np.asarray(func(pts))[inside]))
+
+
+def block_normals(policy, b, n_steps):
+    """Block b's standard normals, shape (BLOCK_SAMPLES, n_steps): the
+    stream's reference definition, drawn row after row from
+    ``policy.block_generator(b)``."""
+    return policy.block_generator(b).standard_normal(out=empty_block(n_steps))
 
 
 def whole_block(target, sampler, noise, x0, event, h, taus, rows):
@@ -38,11 +45,11 @@ def whole_block(target, sampler, noise, x0, event, h, taus, rows):
 
 
 def serial_reference(target, sampler, noise, x0, event, h, taus, n, policy):
-    """The run as whole blocks of ``block_normals``, merged in block order."""
+    """The run as whole blocks of :func:`block_normals`, merged in block order."""
     n_steps = steps_for(event.horizon, h)
     merged = None
     for b in range(policy.n_blocks(n)):
-        rows = policy.block_normals(b, n_steps)[:n - b * BLOCK_SAMPLES]
+        rows = block_normals(policy, b, n_steps)[:n - b * BLOCK_SAMPLES]
         part = whole_block(target, sampler, noise, x0, event, h, taus, rows)
         merged = part if merged is None else [x.merge(y) for x, y in zip(merged, part)]
     return merged

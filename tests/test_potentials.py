@@ -294,8 +294,7 @@ def test_patched_integrand_is_the_general_form_in_closed_form(name, sigma):
     s2 = sigma ** 2
     general = ((s2 * V.laplacian(x) - V.gradient(x) ** 2)
                - (s2 * Vt.laplacian(x) - Vt.gradient(x) ** 2))
-    out, inside, grad = generator_difference(V, Vt, NoiseScale(sigma=sigma), x)
-    out = np.where(inside, out, 0.0)
+    out, grad = generator_difference(V, Vt, NoiseScale(sigma=sigma), x)
     assert np.max(np.abs(out - general)) <= 1e-14
     want = Vt.gradient(x)
     assert np.array_equal(grad, want)
@@ -413,13 +412,13 @@ def _bits_equal(a, b):
 
 
 def _where_reference(V, sign, sigma, x):
-    """(C, where(D, C, 0), where(D, sW', W')) of V patched by ``sign`` on
-    D_PI, formed with ``np.where`` as before the masked in-place step."""
+    """(where(D, C, 0), where(D, sW', W')) of V patched by ``sign`` on
+    D_PI, formed with ``np.where`` as before the in-place step."""
     g, lap = V.derivatives(x)
     inside = D_PI.indicator(x)
     C = (1.0 - sign) * sigma ** 2 * lap - (1.0 - sign * sign) * (g * g)
     grad = np.where(inside, sign * g, g) if sign else np.where(inside, 0.0, g)
-    return C, np.where(inside, C, 0.0), grad
+    return np.where(inside, C, 0.0), grad
 
 
 @pytest.mark.parametrize("sigma, points", [
@@ -427,9 +426,10 @@ def _where_reference(V, sign, sigma, x):
 ], ids=["1.0", "0.5", "1.0-inside", "0.5-inside"])
 @pytest.mark.parametrize("sign", [0.0, -1.0, 0.5])
 def test_unchecked_observe_adds_the_masked_closed_form(sign, sigma, points):
-    # the sums gain where(D, C, 0) and the step gets where(D, sW', W'),
-    # sign bit and all, at non-finite W', W'' and x on D and off it, and
-    # unmasked when every point is in D
+    # the integrand is where(D, C, 0), which the sums gain, and the step
+    # gets where(D, sW', W'), sign bit and all, at non-finite W', W'' and
+    # x on D and off it; sW' is formed without a mask when every point is
+    # in D
     V = _Spiky()
     Vt = PatchedPotential(V, D_PI, sign, "patched")
     noise = NoiseScale(sigma=sigma)
@@ -443,18 +443,27 @@ def test_unchecked_observe_adds_the_masked_closed_form(sign, sigma, points):
         x = x[D_PI.indicator(x)]
     acc = WeightAccumulator(V, Vt, noise, 1e-2, 2, [1e-2], checked=False)
     first = np.random.default_rng(9).permutation(x)
+    patched, patch = [], Vt._patch
+
+    def spy(inside, f, out=None):
+        patched.append(inside is True)
+        return patch(inside, f, out)
+
     with np.errstate(over="ignore", invalid="ignore"):
         acc.observe(0, first)
         before = acc._sums.copy()
         grad = acc.observe(1, x)
-        unmasked = generator_difference(V, Vt, noise, x, step_arrays(x.shape))
-        (*_, C0, _), (_, C, want) = (_where_reference(V, sign, sigma, first),
-                                     _where_reference(V, sign, sigma, x))
+        Vt._patch = spy
+        integrand = generator_difference(V, Vt, noise, x, step_arrays(x.shape))[0]
+        del Vt._patch
+        (C0, _), (C, want) = (_where_reference(V, sign, sigma, first),
+                              _where_reference(V, sign, sigma, x))
         assert _bits_equal(before[0], np.zeros(len(x)) + C0)
         assert _bits_equal(acc._sums[0], before[0] + C)
+        assert _bits_equal(integrand, C)
         assert _bits_equal(grad, want)
         assert _bits_equal(grad, Vt.gradient(x))
-    assert (unmasked[1] is True) == (points == "inside")
+    assert patched == [points == "inside"]
 
 
 @pytest.mark.parametrize("path", ["inside", "out-and-back"])
@@ -486,9 +495,9 @@ def test_one_accumulator_steps_blocks_as_the_where_reference(patch, path):
             return grad
 
         def reference(i, X):
-            C, masked, grad = _where_reference(V, sign, sigma, X)
+            C, grad = _where_reference(V, sign, sigma, X)
             for j in (0, 1) if i % 5 == 0 else (0,):
-                sums[j] += masked
+                sums[j] += C
             ref.append((C, sums.copy(), grad, D_PI.indicator(X).all()))
             return grad
 

@@ -21,7 +21,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import log_weight_stochastic_integral_form, serial_reference
+from _helpers import (
+    block_normals,
+    log_weight_stochastic_integral_form,
+    serial_reference,
+)
 from wellescape.config import MODES, POTENTIALS, SAMPLINGS, ExperimentConfig
 from wellescape.estimators import EscapeEvent, EstimatorSummary, run_importance
 from wellescape.girsanov import WeightAccumulator
@@ -61,7 +65,7 @@ def test_recorded_path_is_one_row_of_the_block_loop(name, seed, row, n_steps,
     stride = data.draw(st.sampled_from(
         [m for m in range(1, n_steps + 1) if n_steps % m == 0]), label="stride")
     policy = RngPolicy(seed)
-    block = policy.block_normals(0, n_steps)
+    block = block_normals(policy, 0, n_steps)
     acc = WeightAccumulator(target, sampler, NOISE, H, n_steps, [stride * H])
     rows = []
 
@@ -77,8 +81,7 @@ def test_recorded_path_is_one_row_of_the_block_loop(name, seed, row, n_steps,
     assert np.array_equal(path, np.array(rows + [terminal[row]]))
 
     streamed = acc.finalize(x0, terminal)[0, row]
-    g, inside, _ = generator_difference(target, sampler, NOISE, path[:-1:stride])
-    g = np.where(inside, g, 0.0)
+    g = generator_difference(target, sampler, NOISE, path[:-1:stride])[0]
     boundary = (target.value(x0) - target.value(path[-1])
                 - sampler.value(x0) + sampler.value(path[-1]))
     per_path = (boundary + 0.5 * (stride * H) * g.sum()) / NOISE.sigma ** 2
@@ -189,7 +192,7 @@ def test_stochastic_integral_weight_has_mean_one(name, seed, n_steps):
     # the sampled path: Delta X + V~' h = sigma sqrt(h) xi, so E~[w] = 1
     target, sampler = PAIRS[name]
     x0 = 1.0    # where the pairs' gradients differ by order one
-    block = RngPolicy(seed).block_normals(0, n_steps)
+    block = block_normals(RngPolicy(seed), 0, n_steps)
     states = np.empty((BLOCK_SAMPLES, n_steps + 1))
 
     def record(i, X):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from _helpers import block_normals
 from wellescape import sde
 from wellescape.errors import ConfigurationError, SimulationError
 from wellescape.potentials import (
@@ -53,7 +54,7 @@ def test_recorded_increments_replay_the_path():
     # the same states bit for bit
     V = QuadraticPotential(k=0.8)
     h, n = 1e-2, 100
-    block = RngPolicy(42).block_normals(0, n)
+    block = block_normals(RngPolicy(42), 0, n)
     rows, alone = [], []
     X_T = evolve_block(V, SIGMA1, 0.5, n, h, block, lambda i, X: rows.append(X[17]))
     X_T1 = evolve_block(V, SIGMA1, 0.5, n, h, block[17:18],
@@ -68,20 +69,20 @@ def test_recorded_increments_replay_the_path():
 
 def test_streams_are_deterministic_and_distinct():
     policy = RngPolicy(123)
-    a = policy.block_normals(0, 64)
-    assert np.array_equal(a, policy.block_normals(0, 64))
+    a = block_normals(policy, 0, 64)
+    assert np.array_equal(a, block_normals(policy, 0, 64))
     assert a.shape == (BLOCK_SAMPLES, 64)
     assert not np.array_equal(a[5], a[6])
     # each block has its own stream, and so does each master seed
-    assert not np.array_equal(policy.block_normals(1, 64)[5], a[5])
-    assert not np.array_equal(RngPolicy(124).block_normals(0, 64)[5], a[5])
+    assert not np.array_equal(block_normals(policy, 1, 64)[5], a[5])
+    assert not np.array_equal(block_normals(RngPolicy(124), 0, 64)[5], a[5])
 
 
 @pytest.mark.parametrize("cuts", [(2048,), (1, 2048, 4095), (7, 4000)])
 def test_row_slices_of_one_block_generator_are_the_block(cuts):
     # the half-block pipeline draws a block's rows in slices, in order
     policy = RngPolicy(123)
-    whole = policy.block_normals(3, 37)
+    whole = block_normals(policy, 3, 37)
     gen = policy.block_generator(3)
     sliced = np.empty_like(whole)
     for lo, hi in zip((0, *cuts), (*cuts, BLOCK_SAMPLES)):
@@ -150,7 +151,7 @@ def test_evolve_block_matches_per_sample_paths():
     V = QuadraticPotential(k=1.2)
     policy = RngPolicy(7)
     n_steps, h = 50, 1e-2
-    noise_block = policy.block_normals(0, n_steps)
+    noise_block = block_normals(policy, 0, n_steps)
     terminal = evolve_block(V, SIGMA1, 0.4, n_steps, h, noise_block)
     for k in (0, 1, 99, BLOCK_SAMPLES - 1):
         alone = evolve_block(V, SIGMA1, 0.4, n_steps, h, noise_block[k:k + 1])
@@ -161,7 +162,7 @@ def test_in_place_step_leaves_the_noise_untouched():
     # evolve_block updates its state array in place; the draws it reads
     # stay what was passed in, whole block or one row
     V = QuadraticPotential(k=1.2)
-    noise_block = RngPolicy(3).block_normals(0, 20)
+    noise_block = block_normals(RngPolicy(3), 0, 20)
     kept = noise_block.copy()
     seen = []
     terminal = evolve_block(V, SIGMA1, 0.4, 20, 1e-2, noise_block,
@@ -184,7 +185,7 @@ def test_ou_moments_match_exact_solution():
     n_steps = steps_for(T, h)
     terminals = []
     for b in range(policy.n_blocks(n_samples)):
-        noise = policy.block_normals(b, n_steps)
+        noise = block_normals(policy, b, n_steps)
         terminals.append(evolve_block(V, SIGMA1, x0, n_steps, h, noise))
     X = np.concatenate(terminals)[:n_samples]
     exact_mean = x0 * np.exp(-k * T)
