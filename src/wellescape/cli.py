@@ -280,37 +280,32 @@ def _cmd_validate(cfg):
             f"second-derivative jump={_fmt(jump)}", jump <= 1e-6,
             note="" if jump <= 1e-6 else "C^1 only")
 
+    label = "noise-free flow exits D by T"
     n_steps = 4000
     dt = cfg.T / n_steps
     y = float(cfg.x0)
-    exit_time = None
     f = lambda z: -float(ref.gradient(z))
-    started = bool(region.indicator(y))
-    for i in range(n_steps if started else 0):
+    if not region.indicator(y):
+        _report(label, f"x0={_fmt(y)} is not in D", False,
+                note="the flow starts outside D")
+        return 0
+    for i in range(n_steps):
         k1 = f(y)
         k2 = f(y + 0.5 * dt * k1)
         k3 = f(y + 0.5 * dt * k2)
         k4 = f(y + dt * k3)
         y += dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6
-        if not (np.isfinite(y) and region.indicator(y)):
-            exit_time = (i + 1) * dt
-            break
-    if not started:
-        _report("noise-free flow exits D by T", f"x0={_fmt(y)} is not in D",
-                False, note="the flow starts outside D")
-    elif exit_time is None:
-        note = ""
-        if abs(f(float(cfg.x0))) == 0.0:
-            note = "x0 is an equilibrium of the noise-free flow"
-        _report("noise-free flow exits D by T",
-                f"y(T)={_fmt(y)} still in D", False, note=note)
-    elif not np.isfinite(y):
-        _report("noise-free flow exits D by T",
-                f"y={_fmt(y)} at t={_fmt(exit_time)}", False,
-                note="the flow left the float range")
-    else:
-        _report("noise-free flow exits D by T",
-                f"exit at t={_fmt(exit_time)}", True)
+        t = (i + 1) * dt
+        if not np.isfinite(y):
+            _report(label, f"y={_fmt(y)} at t={_fmt(t)}", False,
+                    note="the flow left the float range")
+            return 0
+        if not region.indicator(y):
+            _report(label, f"exit at t={_fmt(t)}", True)
+            return 0
+    note = ("x0 is an equilibrium of the noise-free flow"
+            if abs(f(float(cfg.x0))) == 0.0 else "")
+    _report(label, f"y(T)={_fmt(y)} still in D", False, note=note)
     return 0
 
 

@@ -249,39 +249,34 @@ def _run(potential, sampling_potential, noise, x0, event, h, taus, n_samples,
                             for row in w_ind])
 
     def slices():
-        """(its rows of the buffer, block, first row, end row) per slice."""
+        """(its rows of the buffer, its block's generator, block, last) per
+        slice: a block's slices share the generator, drawn from in order."""
         k = 0
         for b in range(policy.n_blocks(n_samples)):
+            gen = policy.block_generator(b)
             for lo in range(0, take(b), rows):
                 hi = min(lo + rows, take(b))
                 slot = (k % 2) * rows
-                yield buffer[slot:slot + hi - lo], b, lo, hi
+                yield buffer[slot:slot + hi - lo], gen, b, hi == take(b)
                 k += 1
 
-    gen, parts = None, []
+    parts = []
     merged = [EstimatorSummary(0, 0.0, 0.0, 0, kind) for _ in taus]
-
-    def fill(out, b, lo):
-        nonlocal gen
-        if lo == 0:
-            gen = policy.block_generator(b)
-        gen.standard_normal(out=out)
-
     try:
         # consecutive slices use the other slot: the next slice is drawn
         # while this one is stepped, into rows stepped before it
         schedule = slices()
         with ThreadPoolExecutor(1) as filler:
             this = next(schedule)
-            drawn = filler.submit(fill, *this[:3])
+            drawn = filler.submit(this[1].standard_normal, out=this[0])
             while this:
-                out, b, lo, hi = this
+                out, _, b, last = this
                 drawn.result()
                 this = next(schedule, None)
                 if this:
-                    drawn = filler.submit(fill, *this[:3])
+                    drawn = filler.submit(this[1].standard_normal, out=this[0])
                 parts.append(step(out))
-                if hi == take(b):
+                if last:
                     merged = [a.merge(c) for a, c in zip(merged, summarize(parts))]
                     parts = []
     except Exception as exc:
@@ -289,7 +284,7 @@ def _run(potential, sampling_potential, noise, x0, event, h, taus, n_samples,
     else:
         return _finite(merged, reported=True)
     # the filler has exited: redraw the block over whatever it drew next
-    fill(buffer[:take(b)], b, 0)
+    policy.block_generator(b).standard_normal(out=buffer[:take(b)])
     summarize([step(buffer[:take(b)])])
     raise failure
 

@@ -257,33 +257,20 @@ class PatchedPotential(PotentialField):
         self.sign = float(sign)
         self.label = f"{name}({base.label})"
 
-    def _patch(self, inside, f, out=None):
-        """where(inside, sign * f, f), with exact zeros on D at sign 0, into
-        ``out`` or an array of its own: ``f`` may be an array the base
-        keeps.  ``inside`` True patches every point without a mask."""
-        if inside is True:
-            if self.sign:
-                return np.multiply(f, self.sign, out=out)
-            out.fill(0.0)
-            return out
-        if out is None:
-            out = np.array(f, dtype=float)
-        else:
-            np.copyto(out, f)
-        if self.sign:
-            np.multiply(out, self.sign, out=out, where=inside)
-        else:
-            np.copyto(out, 0.0, where=inside)
-        return out
+    def _patch(self, x, f):
+        """where(D, sign * f, f) at x, +0.0 on D at sign 0, in an array of
+        its own: ``f`` may be an array the base keeps."""
+        s = self.sign
+        return np.where(self.region.indicator(x), s * f if s else 0.0, f)
 
     def value(self, x):
-        return self._patch(self.region.indicator(x), self.base.value(x))
+        return self._patch(x, self.base.value(x))
 
     def gradient(self, x):
-        return self._patch(self.region.indicator(x), self.base.gradient(x))
+        return self._patch(x, self.base.gradient(x))
 
     def laplacian(self, x):
-        return self._patch(self.region.indicator(x), self.base.laplacian(x))
+        return self._patch(x, self.base.laplacian(x))
 
     def integrand_and_gradient(self, noise, x, out=None):
         """(C, W~') at x from one evaluation of the base W, which it does
@@ -295,8 +282,9 @@ class PatchedPotential(PotentialField):
         C and W~' are written into ``out``, the :func:`step_arrays` of x's
         shape (new ones by default), which also hold the mask of D and the
         base's W' and W''.  When every point is in D, W~' = sW' is formed
-        and C kept without a mask; otherwise C is zeroed under the mask's
-        complement, formed in the mask's own array."""
+        and C kept without a mask; otherwise W~' is W' scaled under the
+        mask, and C is zeroed under the mask's complement, formed in the
+        mask's own array."""
         C, gt, mask, *pair = step_arrays(np.shape(x)) if out is None else out
         g, lap = self.base.derivatives(x, out=pair)
         inside = self.region.indicator(x, out=mask)
@@ -307,8 +295,15 @@ class PatchedPotential(PotentialField):
             square *= 1.0 - s * s
         C -= square
         if np.count_nonzero(inside) == inside.size:
-            return C, self._patch(True, g, gt)
-        gt = self._patch(inside, g, gt)
+            if s:
+                return C, np.multiply(g, s, out=gt)
+            gt.fill(0.0)
+            return C, gt
+        np.copyto(gt, g)
+        if s:
+            np.multiply(gt, s, out=gt, where=inside)
+        else:
+            np.copyto(gt, 0.0, where=inside)
         np.copyto(C, 0.0, where=np.logical_not(inside, out=mask))
         return C, gt
 

@@ -314,6 +314,19 @@ def test_bad_noise_levels_and_counts_are_config_errors(tmp_path, capsys,
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("T", "", "empty numeric value"),
+    ("N", "1.5", "expected an integer, got '1.5'"),
+    ("region", "1", "expected two comma-separated endpoints, got '1'"),
+], ids=["empty-number", "fractional-integer", "one-endpoint"])
+def test_unparsable_values_are_config_errors(tmp_path, capsys, key, value,
+                                             message):
+    path = _write_cfg(tmp_path, BASE)
+    assert main(["run", path, f"--{key}", value]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: command line: bad value for {key!r}: {message}\n")
+
+
 def _violation(rule):
     """A value that breaks a key's rule, and the end of the message it gives."""
     if isinstance(rule, tuple):

@@ -531,6 +531,40 @@ def test_importance_step_evaluates_the_target_field_once():
     assert V.points == 5000 * 50
 
 
+class _FailsOnce(CosineWellPotential):
+    """The cosine well whose ``derivatives`` raises at call ``fail_at``
+    alone; it keeps the states of every call in ``states``."""
+
+    def __init__(self, fail_at):
+        self.fail_at, self.states = fail_at, []
+        self.error = EvaluationError("a one-off failure", point=0.0)
+
+    def derivatives(self, x, out=None):
+        self.states.append(np.array(x))
+        if len(self.states) == self.fail_at:
+            raise self.error
+        return super().derivatives(x, out)
+
+
+def test_a_failure_that_does_not_recur_is_raised_after_the_redraw():
+    # 5000 samples step as two whole-block slices (4096, 904) of 50 steps,
+    # one derivatives call each; call 60 raises in block 1, whose redraw
+    # (calls 61..110) steps clean, so the run ends in the original error
+    V = _FailsOnce(60)
+    event = EscapeEvent(WELL, horizon=0.5)
+    with pytest.raises(EvaluationError) as info:
+        run_importance(V, invert_on_region(V, WELL), SIGMA1, 0.0, event,
+                       1e-2, 1e-2, 5000, RngPolicy(4))
+    assert info.value is V.error
+    assert len(V.states) == 110
+    # the redraw holds block 1's rows: from x0 = 0 the first step is the
+    # noise alone, the same in the failed attempt and in the redraw
+    amp = SIGMA1.sigma * math.sqrt(1e-2)
+    first = amp * block_normals(RngPolicy(4), 1, 50)[:904, 0]
+    assert np.array_equal(V.states[51], first)
+    assert np.array_equal(V.states[61], first)
+
+
 @pytest.mark.parametrize("run", ["plain", "importance"])
 def test_zero_samples_is_a_configuration_error(run):
     V = CosineWellPotential()

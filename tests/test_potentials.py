@@ -406,9 +406,44 @@ class _Spiky(CosineWellPotential):
         return g, lap
 
 
+def _spiky_points():
+    """+-pi and their neighbouring doubles, signed zeros, nan, +-inf,
+    _Spiky's spikes and uniform points of (-6, 6)."""
+    pi = np.pi
+    return np.concatenate([
+        [pi, -pi, np.nextafter(pi, 0), np.nextafter(pi, 4),
+         np.nextafter(-pi, 0), np.nextafter(-pi, -4), 0.0, -0.0,
+         np.nan, np.inf, -np.inf, 0.75, 4.5, -0.75, -4.5],
+        np.random.default_rng(8).uniform(-6, 6, 400)])
+
+
 def _bits_equal(a, b):
     return (np.array_equal(a, b, equal_nan=True)
             and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@pytest.mark.parametrize("sign", [0.0, -1.0, 0.5])
+def test_patched_evaluators_are_where_d_sf_f_bit_for_bit(sign):
+    # value, gradient and laplacian are sign * f on D and f off it, point
+    # by point in python floats, with +0.0 on D at sign 0, at signed
+    # zeros, nan and +-inf in x, f = 1e200 and f = nan, for arrays and
+    # scalars
+    V = _Spiky()
+    Vt = PatchedPotential(V, D_PI, sign, "patched")
+    x = _spiky_points()
+    on_d = [-np.pi < p < np.pi for p in x]
+    for name in ("value", "gradient", "laplacian"):
+        with np.errstate(invalid="ignore"):
+            f = getattr(V, name)(x)
+            got = getattr(Vt, name)(x)
+            scalars = [getattr(Vt, name)(p) for p in x]
+        want = np.array([(sign * v if sign else 0.0) if d else v
+                         for d, v in zip(on_d, f.tolist())])
+        assert _bits_equal(got, want), name
+        assert all(np.ndim(v) == 0 and _bits_equal(v, w)
+                   for v, w in zip(scalars, want)), name
+        if sign == 0.0:
+            assert not np.signbit(got[on_d]).any()
 
 
 def _where_reference(V, sign, sigma, x):
@@ -425,37 +460,33 @@ def _where_reference(V, sign, sigma, x):
     (1.0, "mixed"), (0.5, "mixed"), (1.0, "inside"), (0.5, "inside"),
 ], ids=["1.0", "0.5", "1.0-inside", "0.5-inside"])
 @pytest.mark.parametrize("sign", [0.0, -1.0, 0.5])
-def test_unchecked_observe_adds_the_masked_closed_form(sign, sigma, points):
+def test_unchecked_observe_adds_the_masked_closed_form(sign, sigma, points,
+                                                      monkeypatch):
     # the integrand is where(D, C, 0), which the sums gain, and the step
     # gets where(D, sW', W'), sign bit and all, at non-finite W', W'' and
-    # x on D and off it; sW' is formed without a mask when every point is
-    # in D
+    # x on D and off it; when every point is in D the step forms no
+    # complement of D, since it neither masks sW' nor zeroes C
     V = _Spiky()
     Vt = PatchedPotential(V, D_PI, sign, "patched")
     noise = NoiseScale(sigma=sigma)
-    pi = np.pi
-    x = np.concatenate([
-        [pi, -pi, np.nextafter(pi, 0), np.nextafter(pi, 4),
-         np.nextafter(-pi, 0), np.nextafter(-pi, -4), 0.0, -0.0,
-         np.nan, np.inf, -np.inf, 0.75, 4.5, -0.75, -4.5],
-        np.random.default_rng(8).uniform(-6, 6, 400)])
+    x = _spiky_points()
     if points == "inside":
         x = x[D_PI.indicator(x)]
     acc = WeightAccumulator(V, Vt, noise, 1e-2, 2, [1e-2], checked=False)
     first = np.random.default_rng(9).permutation(x)
-    patched, patch = [], Vt._patch
+    complements, logical_not = [], np.logical_not
 
-    def spy(inside, f, out=None):
-        patched.append(inside is True)
-        return patch(inside, f, out)
+    def spy(*args, **kwargs):
+        complements.append(args)
+        return logical_not(*args, **kwargs)
 
     with np.errstate(over="ignore", invalid="ignore"):
         acc.observe(0, first)
         before = acc._sums.copy()
         grad = acc.observe(1, x)
-        Vt._patch = spy
+        monkeypatch.setattr(np, "logical_not", spy)
         integrand = generator_difference(V, Vt, noise, x, step_arrays(x.shape))[0]
-        del Vt._patch
+        monkeypatch.undo()
         (C0, _), (C, want) = (_where_reference(V, sign, sigma, first),
                               _where_reference(V, sign, sigma, x))
         assert _bits_equal(before[0], np.zeros(len(x)) + C0)
@@ -463,7 +494,7 @@ def test_unchecked_observe_adds_the_masked_closed_form(sign, sigma, points):
         assert _bits_equal(integrand, C)
         assert _bits_equal(grad, want)
         assert _bits_equal(grad, Vt.gradient(x))
-    assert patched == [points == "inside"]
+    assert len(complements) == (0 if points == "inside" else 1)
 
 
 @pytest.mark.parametrize("path", ["inside", "out-and-back"])
