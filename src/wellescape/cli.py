@@ -304,7 +304,7 @@ def _cmd_validate(cfg):
             _report(label, f"exit at t={_fmt(t)}", True)
             return 0
     note = ("x0 is an equilibrium of the noise-free flow"
-            if abs(f(float(cfg.x0))) == 0.0 else "")
+            if y == float(cfg.x0) else "")
     _report(label, f"y(T)={_fmt(y)} still in D", False, note=note)
     return 0
 

@@ -280,37 +280,31 @@ class PatchedPotential(PotentialField):
         as in the general form.
 
         C and W~' are written into ``out``, the :func:`step_arrays` of x's
-        shape (new ones by default), which also hold the mask of D and the
-        base's W' and W''.  When every point is in D, W~' = sW' is formed
-        and C kept without a mask; otherwise W~' is W' scaled under the
-        mask, and C is zeroed under the mask's complement, formed in the
-        mask's own array."""
+        shape (new ones by default), which also hold the base's W' and W''
+        and end the step holding the complement of D.  C and sW' are formed
+        at every point, unmasked; the points off D then get back +0.0 and
+        W' under that complement."""
         C, gt, mask, *pair = step_arrays(np.shape(x)) if out is None else out
         g, lap = self.base.derivatives(x, out=pair)
-        inside = self.region.indicator(x, out=mask)
         s = self.sign
         np.multiply((1.0 - s) * noise.sigma ** 2, lap, out=C)
         square = np.multiply(g, g, out=gt)  # W'^2 in W~'s array until sW'
-        if 1.0 - s * s != 1.0:
-            square *= 1.0 - s * s
+        square *= 1.0 - s * s
         C -= square
-        if np.count_nonzero(inside) == inside.size:
-            if s:
-                return C, np.multiply(g, s, out=gt)
-            gt.fill(0.0)
-            return C, gt
-        np.copyto(gt, g)
         if s:
-            np.multiply(gt, s, out=gt, where=inside)
+            np.multiply(g, s, out=gt)
         else:
-            np.copyto(gt, 0.0, where=inside)
-        np.copyto(C, 0.0, where=np.logical_not(inside, out=mask))
+            gt.fill(0.0)
+        outside = np.logical_not(self.region.indicator(x, out=mask), out=mask)
+        np.copyto(gt, g, where=outside)
+        np.copyto(C, 0.0, where=outside)
         return C, gt
 
 
 def step_arrays(shape):
     """Arrays of one patched step at points of ``shape``: the integrand,
-    the sampler's gradient, the mask of D, and the base's V' and V''."""
+    the sampler's gradient, the mask of D (its complement once the step
+    is done), and the base's V' and V''."""
     return (np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool),
             np.empty(shape), np.empty(shape))
 

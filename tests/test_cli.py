@@ -529,7 +529,12 @@ def test_validate_reports_are_honest(tmp_path, capsys):
     (["--sampling", "flatten", "--x0", "4"],
      "noise-free flow exits D by T: x0=4 is not in D -> FAIL  "
      "(the flow starts outside D)"),
-], ids=["exit", "start-outside"])
+    # V'(2 pi) = -2.4e-16 is a rounding residue, not 0, yet RK4 never
+    # moves y off x0: the flow stays put, an equilibrium all the same
+    (["--sampling", "invert", "--region", "(pi,3*pi)", "--x0", "2*pi"],
+     "noise-free flow exits D by T: y(T)=6.28318530718 still in D -> FAIL  "
+     "(x0 is an equilibrium of the noise-free flow)"),
+], ids=["exit", "start-outside", "rounding-equilibrium"])
 def test_validate_reports_the_flow_exit_row(tmp_path, capsys, overrides, row):
     path = _write_cfg(tmp_path, BASE)
     assert main(["validate", path, *overrides]) == 0

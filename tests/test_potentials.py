@@ -458,20 +458,23 @@ def _where_reference(V, sign, sigma, x):
 
 @pytest.mark.parametrize("sigma, points", [
     (1.0, "mixed"), (0.5, "mixed"), (1.0, "inside"), (0.5, "inside"),
-], ids=["1.0", "0.5", "1.0-inside", "0.5-inside"])
+    (1.0, "outside"), (0.5, "outside"),
+], ids=["1.0", "0.5", "1.0-inside", "0.5-inside", "1.0-outside",
+        "0.5-outside"])
 @pytest.mark.parametrize("sign", [0.0, -1.0, 0.5])
 def test_unchecked_observe_adds_the_masked_closed_form(sign, sigma, points,
                                                       monkeypatch):
     # the integrand is where(D, C, 0), which the sums gain, and the step
     # gets where(D, sW', W'), sign bit and all, at non-finite W', W'' and
-    # x on D and off it; when every point is in D the step forms no
-    # complement of D, since it neither masks sW' nor zeroes C
+    # x on D and off it; whatever the points, the step forms the
+    # complement of D once, and with every point off D (nan, +-inf, +-pi,
+    # the outer spikes) C is +0.0 and W~' is W' on every row
     V = _Spiky()
     Vt = PatchedPotential(V, D_PI, sign, "patched")
     noise = NoiseScale(sigma=sigma)
     x = _spiky_points()
-    if points == "inside":
-        x = x[D_PI.indicator(x)]
+    if points != "mixed":
+        x = x[D_PI.indicator(x) == (points == "inside")]
     acc = WeightAccumulator(V, Vt, noise, 1e-2, 2, [1e-2], checked=False)
     first = np.random.default_rng(9).permutation(x)
     complements, logical_not = [], np.logical_not
@@ -494,7 +497,10 @@ def test_unchecked_observe_adds_the_masked_closed_form(sign, sigma, points,
         assert _bits_equal(integrand, C)
         assert _bits_equal(grad, want)
         assert _bits_equal(grad, Vt.gradient(x))
-    assert len(complements) == (0 if points == "inside" else 1)
+        if points == "outside":
+            assert _bits_equal(integrand, np.zeros(len(x)))
+            assert _bits_equal(grad, V.gradient(x))
+    assert len(complements) == 1
 
 
 @pytest.mark.parametrize("path", ["inside", "out-and-back"])
