@@ -87,13 +87,11 @@ class EstimatorSummary:
     kind: str
 
     @classmethod
-    def from_values(cls, values, kind, hits=None):
+    def from_values(cls, values, kind, hits):
         values = np.asarray(values, dtype=float)
         n = values.size
         mean = float(values.mean()) if n else 0.0
         m2 = float(((values - mean) ** 2).sum())
-        if hits is None:
-            hits = int(np.count_nonzero(values))
         return cls(n=n, mean=mean, m2=m2, hits=int(hits), kind=kind)
 
     def merge(self, other):
@@ -195,8 +193,8 @@ def _run(potential, sampling_potential, noise, x0, event, h, taus, n_samples,
     without per-step finiteness checks and tested once at its end; a
     slice that fails the test is stepped again in its own rows with the
     checks.  A failing block is drawn again whole into the same buffer
-    and stepped at once, so the error raised is the one a serial
-    whole-block run meets first.
+    and stepped at once with the checks, so the error raised is the one a
+    serial whole-block run meets first.
     """
     if n_samples < 1:
         raise ConfigurationError(f"n_samples must be at least 1, got {n_samples}")
@@ -215,7 +213,7 @@ def _run(potential, sampling_potential, noise, x0, event, h, taus, n_samples,
     acc = WeightAccumulator(potential, sampling_potential, noise, h, n_steps,
                             taus) if weighted else None
 
-    def step(noise_block):
+    def step(noise_block, passes=(False, True)):
         """Terminal states and log-weights (None for plain) of its rows."""
         # inf and nan are refused, not warned about.  A non-finite state or
         # integrand stays so to the end and makes its log-weight non-finite,
@@ -223,7 +221,7 @@ def _run(potential, sampling_potential, noise, x0, event, h, taus, n_samples,
         # log-weight off the event would vanish under exp); one that fails is
         # stepped again checked, to name the step and point.  _finite refuses
         # weights that overflow on the event
-        for checked in (False, True):
+        for checked in passes:
             if acc:
                 acc.checked = checked
             with np.errstate(over="ignore", invalid="ignore"):
@@ -283,9 +281,9 @@ def _run(potential, sampling_potential, noise, x0, event, h, taus, n_samples,
         failure = exc
     else:
         return _finite(merged, reported=True)
-    # the filler has exited: redraw the block over whatever it drew next
+    # the filler has exited: redraw the block in place and step it checked
     policy.block_generator(b).standard_normal(out=buffer[:take(b)])
-    summarize([step(buffer[:take(b)])])
+    summarize([step(buffer[:take(b)], (True,))])
     raise failure
 
 

@@ -35,10 +35,10 @@ from .potentials import _check_integrand, generator_difference, step_arrays
 from .sde import whole_multiple
 
 
-def mesh_stride(tau, h, n_steps=None):
-    """Validate tau against h and return the integer stride tau / h."""
+def mesh_stride(tau, h, n_steps):
+    """Validate tau and return the stride tau / h, a divisor of n_steps."""
     m = whole_multiple(tau, h, "tau", "h")
-    if n_steps is not None and n_steps % m != 0:
+    if n_steps % m != 0:
         raise ConfigurationError(
             f"tau={tau} does not divide the horizon: {n_steps} steps with "
             f"stride {m} leaves a partial cell"
@@ -63,19 +63,18 @@ class WeightAccumulator:
     none of its own; the Ṽ' that :meth:`observe` returns is valid until
     the next :meth:`observe`.
 
-    With ``checked`` (the default) :meth:`observe` raises
-    :class:`~wellescape.errors.EvaluationError` at a non-finite integrand,
-    naming its point; without it the integrand is summed as computed, and
-    a non-finite one makes its row's log-weight non-finite.
+    While the attribute ``checked`` is true, as it starts, :meth:`observe`
+    raises :class:`~wellescape.errors.EvaluationError` at a non-finite
+    integrand, naming its point; set false, the integrand is summed as
+    computed, and a non-finite one makes its row's log-weight non-finite.
     """
 
-    def __init__(self, potential, sampling_potential, noise, h, n_steps, taus,
-                 checked=True):
+    def __init__(self, potential, sampling_potential, noise, h, n_steps, taus):
         self.potential = potential
         self.sampling_potential = sampling_potential
         self.noise = noise
         self.h = h
-        self.checked = checked
+        self.checked = True
         self.strides = [mesh_stride(t, h, n_steps) for t in taus]
         self._due = [tuple(j for j, m in enumerate(self.strides) if i % m == 0)
                      for i in range(n_steps)]

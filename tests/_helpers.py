@@ -1,6 +1,9 @@
 """Helpers the tests share that the package itself does not need."""
 
+import math
+
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from wellescape.estimators import EstimatorSummary
 from wellescape.girsanov import WeightAccumulator
@@ -72,3 +75,47 @@ def log_weight_stochastic_integral_form(states, increments, h, potential,
     gu = sampling_potential.gradient(left) - potential.gradient(left)
     return (np.sqrt(h) / noise.sigma) * np.sum(gu * xi, axis=-1) \
         - 0.5 / noise.sigma ** 2 * h * np.sum(gu * gu, axis=-1)
+
+
+def chain_escape(potential, noise, x0, region, horizon, h, cell=0.4):
+    """P_h(A) = P(X_n outside D), n = horizon / h, for the Euler chain
+    X_{i+1} = X_i - V'(X_i) h + sigma sqrt(h) xi_i from X_0 = x0: the
+    chain the engine samples, not its continuous-time limit.
+
+    The density of X_1 is exact.  Steps 2 .. n-1 apply the transition
+    kernel K(x, y) = phi_{sigma^2 h}(y - x + V'(x) h) on a uniform grid of
+    spacing ``cell`` * sigma sqrt(h) whose ends lie 10 sigma beyond D; K is
+    stored as its band of diagonals within 12 sigma sqrt(h) of y = x, one
+    row per destination point, and the sum over sources is a rectangle
+    rule, which converges fast for a Gaussian kernel.  The last step is
+    exact: the two normal tails of X_n beyond a and b, given X_{n-1}.
+    """
+    from scipy.special import ndtr
+    n = steps_for(horizon, h)
+    s = noise.sigma * math.sqrt(h)
+    a, b = region.a, region.b
+
+    def tails(x):
+        mean = x - potential.gradient(x) * h
+        return ndtr((a - mean) / s) + ndtr((mean - b) / s)
+
+    if n == 1:
+        return float(tails(float(x0)))
+    pad = 10.0 * noise.sigma
+    cells = math.ceil((b - a + 2 * pad) / (cell * s)) + 1
+    x, dx = np.linspace(a - pad, b + pad, cells, retstep=True)
+    w = math.ceil(12.0 * s / dx)
+    # band[k, d] = K(x_j, x_k) dx from source j = k + d - w, which lies
+    # (w - d) dx below x_k; sources off the grid hold no density
+    sources = np.linspace(x[0] - w * dx, x[-1] + w * dx, cells + 2 * w)
+    drift = sliding_window_view(potential.gradient(sources) * h, 2 * w + 1)
+    z = ((w - np.arange(2 * w + 1)) * dx + drift) / s
+    band = np.exp(-0.5 * z * z) * (dx / (s * math.sqrt(2 * math.pi)))
+    p, q = np.zeros(cells + 2 * w), np.zeros(cells + 2 * w)
+    z = (x - float(x0) + float(potential.gradient(float(x0))) * h) / s
+    p[w:-w] = np.exp(-0.5 * z * z) / (s * math.sqrt(2 * math.pi))
+    for _ in range(n - 2):
+        np.einsum("kd,kd->k", sliding_window_view(p, 2 * w + 1), band,
+                  out=q[w:-w])
+        p, q = q, p
+    return float(np.sum(p[w:-w] * tails(x)) * dx)

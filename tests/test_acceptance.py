@@ -423,7 +423,7 @@ def test_ac10_determinism_worker_invariance_and_merge(tmp_path, capsys):
 
     rng = np.random.default_rng(3)
     parts = [
-        EstimatorSummary.from_values(rng.standard_normal(n) + 1.0, "plain")
+        EstimatorSummary.from_values(rng.standard_normal(n) + 1.0, "plain", n)
         for n in (101, 57, 203)
     ]
     left = parts[0].merge(parts[1]).merge(parts[2])

@@ -51,7 +51,7 @@ WELL = Interval(-math.pi, math.pi)
 def test_from_values_matches_numpy_moments():
     rng = np.random.default_rng(7)
     vals = rng.exponential(size=1000)
-    s = EstimatorSummary.from_values(vals, kind="importance")
+    s = EstimatorSummary.from_values(vals, kind="importance", hits=vals.size)
     assert s.n == 1000
     assert s.mean == pytest.approx(vals.mean(), rel=1e-13)
     assert s.variance == pytest.approx(vals.var(ddof=1), rel=1e-12)
@@ -62,8 +62,9 @@ def test_from_values_matches_numpy_moments():
 def test_merge_equals_pooled_summary():
     rng = np.random.default_rng(8)
     a, b, c = (rng.normal(size=k) ** 2 for k in (100, 257, 43))
-    pooled = EstimatorSummary.from_values(np.concatenate([a, b, c]), kind="plain")
-    sa, sb, sc = (EstimatorSummary.from_values(v, kind="plain") for v in (a, b, c))
+    pooled, sa, sb, sc = (
+        EstimatorSummary.from_values(v, kind="plain", hits=np.count_nonzero(v))
+        for v in (np.concatenate([a, b, c]), a, b, c))
     merged = sa.merge(sb).merge(sc)
     assert merged.n == pooled.n
     assert merged.mean == pytest.approx(pooled.mean, rel=1e-12)
@@ -77,11 +78,11 @@ def test_merge_equals_pooled_summary():
 
 
 def test_merge_with_empty_and_kind_mismatch():
-    s = EstimatorSummary.from_values([1.0, 0.0], kind="plain")
-    empty = EstimatorSummary.from_values([], kind="plain")
+    s = EstimatorSummary.from_values([1.0, 0.0], kind="plain", hits=1)
+    empty = EstimatorSummary.from_values([], kind="plain", hits=0)
     assert s.merge(empty) is s
     assert empty.merge(s) is s
-    other = EstimatorSummary.from_values([1.0], kind="importance")
+    other = EstimatorSummary.from_values([1.0], kind="importance", hits=1)
     with pytest.raises(ValueError):
         s.merge(other)
 
@@ -89,14 +90,14 @@ def test_merge_with_empty_and_kind_mismatch():
 def test_indicator_variance_identity():
     rng = np.random.default_rng(9)
     ind = (rng.uniform(size=5000) < 0.23).astype(float)
-    s = EstimatorSummary.from_values(ind, kind="plain")
+    s = EstimatorSummary.from_values(ind, kind="plain", hits=np.count_nonzero(ind))
     p = s.mean
     assert s.variance == pytest.approx(p * (1 - p) * s.n / (s.n - 1), rel=1e-12)
     assert s.hits == int(ind.sum())
 
 
 def test_zero_hit_reporting():
-    s = EstimatorSummary.from_values(np.zeros(100), kind="plain")
+    s = EstimatorSummary.from_values(np.zeros(100), kind="plain", hits=0)
     assert s.hits == 0
     assert s.mean == 0.0
     assert s.relative_error is None
@@ -668,7 +669,7 @@ def test_sweep_sample_counts_must_match_noise_levels():
 
 
 def test_csv_row_and_file_format(tmp_path):
-    s = EstimatorSummary.from_values([0.0, 1.0, 0.0, 1.0], kind="plain")
+    s = EstimatorSummary.from_values([0.0, 1.0, 0.0, 1.0], kind="plain", hits=2)
     row = csv_row(s, potential_label="cosine", tau=None, h=0.01, seed=42)
     cells = dict(zip(CSV_COLUMNS, row))
     assert cells["estimator"] == "plain"

@@ -127,10 +127,10 @@ def test_forms_converge_together_as_h_shrinks():
 
 
 def test_mesh_validation():
-    assert mesh_stride(1e-2, 1e-3) == 10
+    assert mesh_stride(1e-2, 1e-3, 1000) == 10
     assert mesh_stride(1e-3, 1e-3, 1000) == 1
     with pytest.raises(ConfigurationError):
-        mesh_stride(1.5e-3, 1e-3)
+        mesh_stride(1.5e-3, 1e-3, 1500)
     with pytest.raises(ConfigurationError):
         mesh_stride(3e-3, 1e-3, 1000)  # 1000 steps not divisible by 3
     with pytest.raises(ConfigurationError):
@@ -279,8 +279,8 @@ def test_fields_that_keep_their_arrays_step_as_copying_fields_do(sampler):
         pairs = [(plain, patch(copy, D)), (target, patch(base, D))]
     runs = []
     for V, Vt in pairs:
-        acc = WeightAccumulator(V, Vt, SIGMA1, h, n_steps, [h, 5 * h],
-                                checked=False)
+        acc = WeightAccumulator(V, Vt, SIGMA1, h, n_steps, [h, 5 * h])
+        acc.checked = False
         X = evolve_block(Vt, SIGMA1, 0.3, n_steps, h, noise_block, acc.observe,
                          checked=False)
         runs.append((X, acc.finalize(0.3, X)))
@@ -299,7 +299,8 @@ def test_an_unchecked_patched_step_calls_no_where(patch, monkeypatch):
     V = CosineWellPotential()
     Vt = patch(V, Interval(-np.pi, np.pi))
     noise_block = block_normals(RngPolicy(5), 0, 100)[:256]
-    acc = WeightAccumulator(V, Vt, SIGMA1, 1e-2, 100, [1e-2], checked=False)
+    acc = WeightAccumulator(V, Vt, SIGMA1, 1e-2, 100, [1e-2])
+    acc.checked = False
     calls = []
     where = np.where
 
@@ -333,7 +334,8 @@ def test_a_partial_mask_step_allocates_no_array(patch, monkeypatch):
     Vt = patch(V, Interval(-np.pi, np.pi))
     x = np.random.default_rng(4).uniform(-4, 4, 4096)
     assert not Vt.region.indicator(x).all()
-    acc = WeightAccumulator(V, Vt, SIGMA1, 1e-2, 10, [1e-2], checked=False)
+    acc = WeightAccumulator(V, Vt, SIGMA1, 1e-2, 10, [1e-2])
+    acc.checked = False
     acc.observe(0, x)
     outs, logical_not = [], np.logical_not
 
@@ -365,7 +367,8 @@ def test_observe_hands_the_step_one_array_it_owns():
     got = V.derivatives(x, out=out)
     assert got[0] is out[0] and got[1] is out[1]
     assert all(np.array_equal(a, b) for a, b in zip(got, V.derivatives(x)))
-    acc = WeightAccumulator(V, Vt, SIGMA1, 1e-2, 20, [1e-2], checked=False)
+    acc = WeightAccumulator(V, Vt, SIGMA1, 1e-2, 20, [1e-2])
+    acc.checked = False
     grads = []
 
     def observe(i, X):

@@ -475,7 +475,8 @@ def test_unchecked_observe_adds_the_masked_closed_form(sign, sigma, points,
     x = _spiky_points()
     if points != "mixed":
         x = x[D_PI.indicator(x) == (points == "inside")]
-    acc = WeightAccumulator(V, Vt, noise, 1e-2, 2, [1e-2], checked=False)
+    acc = WeightAccumulator(V, Vt, noise, 1e-2, 2, [1e-2])
+    acc.checked = False
     first = np.random.default_rng(9).permutation(x)
     complements, logical_not = [], np.logical_not
 
@@ -516,7 +517,8 @@ def test_one_accumulator_steps_blocks_as_the_where_reference(patch, path):
     Vt = patch(V, D_PI)
     sign, sigma, h, n_steps = Vt.sign, 0.5, 1e-2, 30
     noise = NoiseScale(sigma=sigma)
-    acc = WeightAccumulator(V, Vt, noise, h, n_steps, [h, 5 * h], checked=False)
+    acc = WeightAccumulator(V, Vt, noise, h, n_steps, [h, 5 * h])
+    acc.checked = False
     for rows in (2048, 904, 4096):
         xi = np.random.default_rng(rows).standard_normal((rows, n_steps))
         if path == "out-and-back":

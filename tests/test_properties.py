@@ -166,9 +166,11 @@ def test_merge_is_associative_and_commutative_under_any_split(ks, data):
     cuts = sorted(data.draw(st.lists(st.integers(0, len(ks)), max_size=6),
                             label="cuts"))
     bounds = [0, *cuts, len(ks)]
-    parts = [EstimatorSummary.from_values(values[a:b], "importance")
+    parts = [EstimatorSummary.from_values(values[a:b], "importance",
+                                          np.count_nonzero(values[a:b]))
              for a, b in zip(bounds, bounds[1:])]
-    whole = EstimatorSummary.from_values(values, "importance")
+    whole = EstimatorSummary.from_values(values, "importance",
+                                         np.count_nonzero(values))
     order = data.draw(st.permutations(range(len(parts))), label="order")
     right = parts[-1]
     for part in reversed(parts[:-1]):
